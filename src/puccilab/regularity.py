@@ -13,6 +13,12 @@ transcriptions.
 Fits are least squares, not minimax: the sup error of the LSQ fit
 overestimates the best achievable one by at most a fixed dimensional
 factor, which cancels in the log-slope.
+
+Every fit is read off three per-column reductions (mean, min and max
+over the cylinder's time window), never off the (levels x columns)
+block of values.  The field computes those once per distinct window
+and keeps them, so the scales and centers that share a window (all the
+clipped scales, all the centers at one t0) share the work.
 """
 
 from __future__ import annotations
@@ -76,17 +82,18 @@ def _fit_over_cylinder(
     u: GridFunction, cyl: CylinderIndex, boundary: bool
 ) -> LinearFit:
     offsets = cyl.spatial_offsets()
-    values = cyl.values(u)
+    # The design repeats identically on every time level, so the
+    # least-squares problem reduces to one on the per-column means, and
+    # the sup error to max(colmax - pred, pred - colmin): rounded
+    # subtraction is monotone, so that is max |values - pred| exactly.
+    mean_values, col_min, col_max = cyl.column_reductions(u)
     n = u.grid.n_dim
-    n_nodes = values.size
+    n_nodes = cyl.node_count
     needed = 1 if boundary else n + 1
     if n_nodes < n + 2 and not boundary:
         raise DegenerateFitError(
             f"affine fit needs at least {n + 2} nodes, cylinder has {n_nodes}"
         )
-    # The design repeats identically on every time level, so the
-    # least-squares problem reduces to one on the per-column means.
-    mean_values = values.mean(axis=0)
     if boundary:
         design = offsets[:, n - 1 : n]
     else:
@@ -106,7 +113,7 @@ def _fit_over_cylinder(
         a = float(coef[0])
         b = np.asarray(coef[1:], dtype=float)
         predicted = coef[0] + offsets @ coef[1:]
-    sup_error = float(np.max(np.abs(values - predicted[None, :])))
+    sup_error = float(max(np.max(col_max - predicted), np.max(predicted - col_min)))
     b.flags.writeable = False
     return LinearFit(a=a, b=b, sup_error=sup_error, cylinder=cyl)
 
@@ -470,7 +477,14 @@ def pointwise_c1a_norm(
     parabolic distances at or above the finest fitted radius (below
     that scale the fit itself is the resolution limit).
     """
-    report = decay_sequence(u, point, eta=eta)
+    return _seminorm(u, decay_sequence(u, point, eta=eta), alpha)
+
+
+def _seminorm(u: GridFunction, report: DecayReport, alpha: float) -> float:
+    """The pointwise C^{1,alpha} ratio of u against a decay report's finest fit.
+
+    Serves both modes: a boundary fit has a = 0 and only the x_n slope.
+    """
     fine = report.entries[-1]
     coarse = next((e for e in report.entries if not e.clipped), report.entries[0])
     cyl = coarse.fit.cylinder
@@ -516,44 +530,22 @@ def global_report(
     points of a half-space grid) use the one-parameter face fits with
     the deviation measured against the finest fitted slope.
     """
-    rows: list[PointReport] = []
-    for pt in interior_points:
+
+    def row(kind: str, pt, rep: DecayReport) -> PointReport:
         x0, t0 = pt
-        rep = decay_sequence(u, pt, eta=0.5)
-        semi = pointwise_c1a_norm(u, pt, alpha)
-        rows.append(
-            PointReport(
-                kind="interior",
-                center_x=tuple(float(c) for c in np.atleast_1d(x0)),
-                center_t=float(t0),
-                alpha_est=rep.alpha_est,
-                seminorm=semi,
-            )
+        return PointReport(
+            kind=kind,
+            center_x=tuple(float(c) for c in np.atleast_1d(x0)),
+            center_t=float(t0),
+            alpha_est=rep.alpha_est,
+            seminorm=_seminorm(u, rep, alpha),
         )
-    for pt in boundary_points:
-        x0, t0 = pt
-        rep = boundary_decay_sequence(u, center=pt)
-        fine = rep.entries[-1]
-        coarse = next((e for e in rep.entries if not e.clipped), rep.entries[0])
-        cyl = coarse.fit.cylinder
-        offsets = cyl.spatial_offsets()
-        values = cyl.values(u)
-        predicted = offsets @ fine.fit.b
-        space_dist = np.linalg.norm(offsets, axis=1)
-        time_dist = np.sqrt(np.maximum(-cyl.time_offsets(), 0.0))
-        dist = space_dist[None, :] + time_dist[:, None]
-        deviation = np.abs(values - predicted[None, :])
-        usable = dist >= fine.radius * (1.0 - 1e-12)
-        semi = float(np.max(deviation[usable] / dist[usable] ** (1.0 + alpha)))
-        rows.append(
-            PointReport(
-                kind="boundary",
-                center_x=tuple(float(c) for c in np.atleast_1d(x0)),
-                center_t=float(t0),
-                alpha_est=rep.alpha_est,
-                seminorm=semi,
-            )
-        )
+
+    rows = [row("interior", pt, decay_sequence(u, pt, eta=0.5)) for pt in interior_points]
+    rows += [
+        row("boundary", pt, boundary_decay_sequence(u, center=pt))
+        for pt in boundary_points
+    ]
     if not rows:
         raise InputError("global report needs at least one study point")
     return GlobalReport(
