@@ -10,10 +10,11 @@ scenario runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, InputError
+from ..errors import ConfigError, GridFileError, InputError
 from ..grid import Grid
 from .fields import make_field
 
@@ -55,6 +56,11 @@ _DATA_KEYS = {"f", "g", "u", "affine_part"}
 
 _ANALYSIS_KEYS = {"eta", "K", "alpha", "c1", "n_points", "points", "center"}
 
+# How each numeric key of the operator and analysis sections is coerced.
+_FLOAT_KEYS = {"lam", "Lam", "p", "epsilon", "f_bound", "tolerance", "delta", "eta", "alpha", "c1"}
+_INT_KEYS = {"K", "n_points"}
+_LIST_KEYS = {"p_list", "delta_list", "eps_schedule"}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -84,25 +90,73 @@ def _require(section: dict, keys, where: str) -> None:
         raise ConfigError(f"section '{where}' is missing required key(s) {missing}")
 
 
+def _number(value, where: str, integer: bool = False):
+    """A finite JSON number as float, or as int when integer is set.
+
+    Every numeric config value goes through here, so a string, a list,
+    a boolean, NaN or infinity becomes a ConfigError naming its key.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return out
+
+
+def _number_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _numbers(section: dict, where: str) -> dict:
+    """The numeric keys present in a section, coerced through _number."""
+    out = {}
+    for key, value in section.items():
+        if key in _FLOAT_KEYS:
+            out[key] = _number(value, f"{where}.{key}")
+        elif key in _INT_KEYS:
+            out[key] = _number(value, f"{where}.{key}", integer=True)
+        elif key in _LIST_KEYS:
+            out[key] = _number_list(value, f"{where}.{key}")
+    return out
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return dict(value)
+
+
 def _build_grid(section) -> Grid:
     if not isinstance(section, dict):
         raise ConfigError("'grid' must be an object")
     _reject_unknown(section, _GRID_KEYS, "grid")
     _require(section, ("n_dim", "h", "tau"), "grid")
+    for key in ("half_space", "stagger"):
+        if not isinstance(section.get(key, False), bool):
+            raise ConfigError(f"grid.{key} must be true or false, got {section[key]!r}")
     try:
         return Grid(
-            n_dim=int(section["n_dim"]),
-            h=float(section["h"]),
-            tau=float(section["tau"]),
-            spatial_extent=float(section.get("spatial_extent", 1.0)),
-            time_extent=float(section.get("time_extent", 1.0)),
-            half_space=bool(section.get("half_space", False)),
-            stagger=bool(section.get("stagger", False)),
+            n_dim=_number(section["n_dim"], "grid.n_dim", integer=True),
+            h=_number(section["h"], "grid.h"),
+            tau=_number(section["tau"], "grid.tau"),
+            spatial_extent=_number(section.get("spatial_extent", 1.0), "grid.spatial_extent"),
+            time_extent=_number(section.get("time_extent", 1.0), "grid.time_extent"),
+            half_space=section.get("half_space", False),
+            stagger=section.get("stagger", False),
         )
     except InputError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: malformed value ({exc})") from exc
 
 
 def _check_field_specs(config: ScenarioConfig) -> None:
@@ -113,19 +167,24 @@ def _check_field_specs(config: ScenarioConfig) -> None:
                 raise ConfigError(
                     "data.affine_part must be {'value': a, 'gradient': [...]}"
                 )
-            gradient = spec["gradient"]
+            _number(spec["value"], "data.affine_part.value")
+            gradient = _number_list(spec["gradient"], "data.affine_part.gradient")
             if len(gradient) != config.grid.n_dim:
                 raise ConfigError(
                     f"affine_part gradient needs {config.grid.n_dim} components"
                 )
             continue
-        make_field(spec, config.grid.n_dim, config.base_dir)
+        try:
+            make_field(spec, config.grid.n_dim, config.base_dir)
+        except (TypeError, ValueError, OverflowError, OSError, GridFileError) as exc:
+            raise ConfigError(f"data.{key}: malformed field spec ({exc})") from exc
 
 
 def _validate_operator(config: ScenarioConfig) -> None:
     tag = config.scenario
     op = config.operator
     _reject_unknown(op, _OPERATOR_KEYS[tag], f"operator ({tag})")
+    num = _numbers(op, "operator")
     if tag == "solve":
         _require(op, ("kind",), "operator")
         kind = op["kind"]
@@ -135,29 +194,27 @@ def _validate_operator(config: ScenarioConfig) -> None:
             _require(op, ("lam", "Lam"), "operator")
         if kind == "p_laplace":
             _require(op, ("p",), "operator")
-            if float(op["p"]) <= 1.0:
+            if num["p"] <= 1.0:
                 raise ConfigError(f"p must exceed 1, got {op['p']}")
     elif tag == "class_check":
         _require(op, ("lam", "Lam", "f_bound"), "operator")
     elif tag == "counterexample":
         _require(op, ("delta",), "operator")
-        if float(op["delta"]) <= 0.0:
+        if num["delta"] <= 0.0:
             raise ConfigError(f"counterexample needs delta > 0, got {op['delta']}")
     elif tag == "p_sweep":
         _require(op, ("p_list",), "operator")
-        if not isinstance(op["p_list"], list):
-            raise ConfigError("operator.p_list must be a list")
-        for p in op["p_list"]:
-            if float(p) <= 1.0:
+        for p in num["p_list"]:
+            if p <= 1.0:
                 raise ConfigError(f"p values must exceed 1, got {p}")
     elif tag == "ellipticity_sweep":
         _require(op, ("delta_list",), "operator")
-        for d in op["delta_list"]:
-            if float(d) < 0.0:
+        for d in num["delta_list"]:
+            if d < 0.0:
                 raise ConfigError(f"delta values must be >= 0, got {d}")
     elif tag == "eps_sweep":
         _require(op, ("p", "eps_schedule"), "operator")
-        if float(op["p"]) <= 1.0:
+        if num["p"] <= 1.0:
             raise ConfigError(f"p must exceed 1, got {op['p']}")
 
 
@@ -182,22 +239,26 @@ def _validate_data(config: ScenarioConfig) -> None:
 def _validate_analysis(config: ScenarioConfig) -> None:
     an = config.analysis
     _reject_unknown(an, _ANALYSIS_KEYS, "analysis")
-    if "eta" in an and not 0.0 < float(an["eta"]) < 1.0:
+    num = _numbers(an, "analysis")
+    if "eta" in num and not 0.0 < num["eta"] < 1.0:
         raise ConfigError(f"analysis.eta must lie in (0, 1), got {an['eta']}")
-    if "K" in an and int(an["K"]) < 0:
+    if "K" in num and num["K"] < 0:
         raise ConfigError(f"analysis.K must be >= 0, got {an['K']}")
-    if "n_points" in an and int(an["n_points"]) < 1:
+    if "n_points" in num and num["n_points"] < 1:
         raise ConfigError(f"analysis.n_points must be >= 1, got {an['n_points']}")
     for key in ("points", "center"):
         if key not in an:
             continue
         pts = an[key] if key == "points" else [an[key]]
+        if not isinstance(pts, list):
+            raise ConfigError(f"analysis.points must be a list, got {pts!r}")
         for pt in pts:
             if not isinstance(pt, list) or len(pt) != config.grid.n_dim + 1:
                 raise ConfigError(
                     f"analysis.{key} entries are [x_1..x_n, t] lists of length "
                     f"{config.grid.n_dim + 1}"
                 )
+            _number_list(pt, f"analysis.{key}")
     if config.scenario == "boundary" and not config.grid.half_space:
         raise ConfigError("boundary study needs grid.half_space = true")
 
@@ -218,9 +279,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     config = ScenarioConfig(
         scenario=tag,
         grid=_build_grid(raw["grid"]),
-        operator=dict(raw.get("operator", {})),
-        data=dict(raw.get("data", {})),
-        analysis=dict(raw.get("analysis", {})),
+        operator=_section(raw, "operator"),
+        data=_section(raw, "data"),
+        analysis=_section(raw, "analysis"),
         seed=seed,
         base_dir=base_dir,
     )

@@ -61,6 +61,8 @@ _EDGE_SLACK = 1e-12
 
 def _int_ratio(num: float, den: float, what: str) -> int:
     ratio = num / den
+    if not np.isfinite(ratio):
+        raise InputError(f"{what} must be a positive integer, got {ratio!r}")
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise InputError(f"{what} must be a positive integer, got {ratio!r}")

@@ -1,10 +1,17 @@
-"""Dense symmetric eigendecomposition for small matrices.
+"""Dense symmetric eigenvalues for small matrices.
 
 The matrices here are Hessians, so the dimension is the spatial
-dimension of a grid (n <= 6 in practice, usually 1-3).  The workhorse
-is a cyclic Jacobi sweep written to broadcast over a leading batch
-axis: the membership checks and the Pucci solver hand it one Hessian
-per grid node, and a Python-level loop per node would be hopeless.
+dimension of a grid (n <= 6 in practice, usually 1-3).  The membership
+checks and the Pucci solver hand over one Hessian per grid node, so
+every routine works on a stack of shape (..., n, n) at once.
+
+For n <= 3 the eigenvalues come in closed form: the entry itself for
+n = 1, mean -/+ hypot for n = 2, and for n = 3 the trigonometric
+solution of the characteristic cubic (Smith, Comm. ACM 4(4), 1961;
+Kopp, Int. J. Mod. Phys. C 19, 2008).  Near a double eigenvalue the
+arccos in that solution turns an O(eps) rounding into an O(sqrt(eps))
+error, so those matrices, like every matrix with n >= 4 and every
+request for eigenvectors, go to LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 
 __all__ = [
     "SymMatrix",
@@ -23,10 +30,10 @@ __all__ = [
     "jacobi_eigh_batch",
 ]
 
-# Convergence threshold for the off-diagonal Frobenius norm, relative
-# to 1 + ||M||_F, and the sweep cap guarding against a stall.
-JACOBI_RELATIVE_TOL = 1e-12
-JACOBI_SWEEP_CAP = 64
+# A 3x3 matrix whose normalized determinant r lies within this distance
+# of +-1 has two eigenvalues close together; arccos is ill-conditioned
+# there, so its eigenvalues come from LAPACK instead.
+DOUBLE_ROOT_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -68,89 +75,77 @@ def _as_entries(m) -> np.ndarray:
     return SymMatrix(np.asarray(m, dtype=float)).entries
 
 
-def _off_frobenius(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    mask = ~np.eye(n, dtype=bool)
-    return np.sqrt(np.sum((a * mask) ** 2, axis=(-2, -1)))
+def _eigvals_2(a: np.ndarray) -> np.ndarray:
+    mean = 0.5 * a[..., 0, 0] + 0.5 * a[..., 1, 1]
+    radius = np.hypot(0.5 * a[..., 0, 0] - 0.5 * a[..., 1, 1], a[..., 1, 0])
+    return np.stack((mean - radius, mean + radius), axis=-1)
+
+
+def _eigvals_3(a: np.ndarray) -> np.ndarray:
+    a00, a11, a22 = a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]
+    a10, a20, a21 = a[..., 1, 0], a[..., 2, 0], a[..., 2, 1]
+    # Overflow and NaN can only arise for entries near the float range;
+    # such rows fail the finiteness test below and go to LAPACK.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt(
+            (b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21))
+            / 6.0
+        )
+        # r = det((A - qI) / p) / 2 lies in [-1, 1]; p = 0 means A = qI.
+        inv = 1.0 / np.where(p > 0.0, p, 1.0)
+        c00, c11, c22 = b00 * inv, b11 * inv, b22 * inv
+        c10, c20, c21 = a10 * inv, a20 * inv, a21 * inv
+        r = 0.5 * (
+            c00 * (c11 * c22 - c21 * c21)
+            - c10 * (c10 * c22 - c21 * c20)
+            + c20 * (c10 * c21 - c11 * c20)
+        )
+        closed = (np.abs(r) <= 1.0 - DOUBLE_ROOT_GAP) & np.isfinite(p)
+        # Solve at |r| and flip by its sign, so that -A gets exactly -eig(A)
+        # and the Pucci duality M-(X) = -M+(-X) survives rounding.
+        flip = r < 0.0
+        phi = np.arccos(np.where(closed, np.abs(r), 0.0)) / 3.0
+        two_p = np.where(flip, -2.0, 2.0) * p
+        top = q + two_p * np.cos(phi)
+        bottom = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
+        out = np.empty(a.shape[:-1])
+        out[..., 0] = np.where(flip, top, bottom)
+        out[..., 1] = q + two_p * np.cos(phi - 2.0 * np.pi / 3.0)
+        out[..., 2] = np.where(flip, bottom, top)
+    fallback = ~closed
+    if np.any(fallback):
+        out[fallback] = np.linalg.eigvalsh(a[fallback])
+    return out
 
 
 def jacobi_eigh_batch(
     mats: np.ndarray, want_vectors: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalize a stack of symmetric matrices by cyclic Jacobi rotations.
+    """Eigenvalues of a stack of symmetric matrices, ascending.
 
-    mats has shape (..., n, n); returns ascending eigenvalues of shape
-    (..., n) and, when requested, the rotation product with eigenvectors
-    in columns.  All matrices in the stack are swept together, one
-    (p, q) plane at a time, which keeps the inner work in numpy.
+    mats has shape (..., n, n); returns eigenvalues of shape (..., n)
+    and, when requested, orthonormal eigenvectors in columns.  Only the
+    lower triangle is read.  The name is kept from the Jacobi sweep
+    this replaced, because callers and traces bind it.
     """
-    a = np.array(mats, dtype=float, copy=True)
+    a = np.asarray(mats, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InputError(f"expected stacked square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InputError("matrix entries must be finite")
     n = a.shape[-1]
-    batch = a.shape[:-2]
-    scale = 1.0 + np.sqrt(np.sum(a * a, axis=(-2, -1)))
-
-    v = None
     if want_vectors:
-        v = np.zeros_like(a)
-        v[...] = np.eye(n)
-
-    if n > 1:
-        converged = False
-        for _ in range(JACOBI_SWEEP_CAP):
-            if np.all(_off_frobenius(a) <= JACOBI_RELATIVE_TOL * scale):
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[..., p, q]
-                    rotate = apq != 0.0
-                    if not np.any(rotate):
-                        continue
-                    diff = a[..., q, q] - a[..., p, p]
-                    safe = np.where(rotate, 2.0 * apq, 1.0)
-                    tau = diff / safe
-                    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    c = np.where(rotate, c, 1.0)
-                    s = np.where(rotate, s, 0.0)
-                    crow = c[..., None]
-                    srow = s[..., None]
-                    row_p = a[..., p, :].copy()
-                    row_q = a[..., q, :].copy()
-                    a[..., p, :] = crow * row_p - srow * row_q
-                    a[..., q, :] = srow * row_p + crow * row_q
-                    col_p = a[..., :, p].copy()
-                    col_q = a[..., :, q].copy()
-                    a[..., :, p] = crow * col_p - srow * col_q
-                    a[..., :, q] = srow * col_p + crow * col_q
-                    # The angle was chosen to annihilate this entry.
-                    a[..., p, q] = np.where(rotate, 0.0, a[..., p, q])
-                    a[..., q, p] = a[..., p, q]
-                    if want_vectors:
-                        vp = v[..., :, p].copy()
-                        vq = v[..., :, q].copy()
-                        v[..., :, p] = crow * vp - srow * vq
-                        v[..., :, q] = srow * vp + crow * vq
-        else:
-            converged = bool(np.all(_off_frobenius(a) <= JACOBI_RELATIVE_TOL * scale))
-        if not converged:
-            raise ConvergenceError(
-                f"Jacobi sweep cap {JACOBI_SWEEP_CAP} reached before tolerance"
-            )
-
-    values = np.einsum("...ii->...i", a).copy()
-    order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    if want_vectors:
-        v = np.take_along_axis(v, order[..., None, :].repeat(n, axis=-2), axis=-1)
-        v = v.reshape(*batch, n, n)
-    return values, v
+        values, vectors = np.linalg.eigh(a)
+        return values, vectors
+    if n == 1:
+        return a[..., 0].copy(), None
+    if n == 2:
+        return _eigvals_2(a), None
+    if n == 3:
+        return _eigvals_3(a), None
+    return np.linalg.eigvalsh(a), None
 
 
 def symmetric_eigenvalues(m, want_vectors: bool = True) -> EigenResult:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, SingularGradientError
 from .grid import GridFunction
-from .linalg import SymMatrix, jacobi_eigh_batch
+from .linalg import SymMatrix, _as_entries, jacobi_eigh_batch
 
 __all__ = [
     "EllipticityPair",
@@ -164,14 +164,14 @@ def _pucci_from_values(values: np.ndarray, ell: EllipticityPair, plus: bool):
 
 def pucci_plus(m, ell: EllipticityPair) -> float:
     """sup of tr(A M) over symmetric A with lam I <= A <= Lam I."""
-    a = m.entries if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m)).entries
+    a = _as_entries(m)
     values, _ = jacobi_eigh_batch(a)
     return float(_pucci_from_values(values, ell, plus=True))
 
 
 def pucci_minus(m, ell: EllipticityPair) -> float:
     """inf of tr(A M) over the same ellipticity box."""
-    a = m.entries if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m)).entries
+    a = _as_entries(m)
     values, _ = jacobi_eigh_batch(a)
     return float(_pucci_from_values(values, ell, plus=False))
 
@@ -194,7 +194,7 @@ def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
 
 def normalized_p_laplacian(m, q, p: float) -> float:
     """tr(a(q) M) with a(q) = I + (p-2) q x q / |q|^2; needs q != 0."""
-    a = m.entries if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m)).entries
+    a = _as_entries(m)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     qq = float(q @ q)
     if qq == 0.0:
@@ -216,7 +216,7 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
     if float(q @ q) != 0.0:
         val = normalized_p_laplacian(m, q, p)
         return val, val
-    a = m.entries if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m)).entries
+    a = _as_entries(m)
     values, _ = jacobi_eigh_batch(a)
     tr = float(np.trace(a))
     e_min, e_max = float(values[0]), float(values[-1])

@@ -1,10 +1,13 @@
 """Scenario configs, field builders, study drivers, and the CLI."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from puccilab.errors import ConfigError, InputError
 from puccilab.experiments import (
@@ -63,6 +66,8 @@ def test_config_round_trip_minimal():
         (lambda r: r["data"].update(g={"name": "perlin_noise"}), "perlin_noise"),
         (lambda r: r.update(seed=-3), "seed"),
         (lambda r: r["grid"].update(h="wide"), "grid"),
+        (lambda r: r["grid"].update(h=5e-324), "spatial_extent / h"),
+        (lambda r: r["grid"].update(half_space="false"), "half_space"),
     ],
 )
 def test_config_rejects_bad_input(mutate, fragment):
@@ -422,3 +427,131 @@ def test_execute_auto_threads_matches_serial(tmp_path):
     auto = execute(cfg, str(tmp_path / "auto"), threads=0)
     for a, b in zip(serial, auto):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# Malformed numbers: typed ConfigErrors, never raw tracebacks.
+
+
+def _sweep_raw(**operator):
+    return {
+        "scenario": "p_sweep",
+        "grid": dict(GRID_2D),
+        "operator": operator or {"p_list": [2.1]},
+        "data": {"f": "zero", "g": "quadratic_caloric"},
+        "analysis": {"n_points": 2, "K": 2},
+        "seed": 0,
+    }
+
+
+def _eps_raw(schedule):
+    raw = _sweep_raw(p=3.0, eps_schedule=schedule)
+    raw["scenario"] = "eps_sweep"
+    del raw["analysis"]
+    return raw
+
+
+def _bad_k_raw():
+    raw = _sweep_raw()
+    raw["analysis"]["K"] = "x"
+    return raw
+
+
+@pytest.mark.parametrize(
+    "subcommand, raw, key",
+    [
+        ("sweep-p", _sweep_raw(p_list=["abc"]), "p_list"),
+        ("eps-continuation", _eps_raw(5), "eps_schedule"),
+        ("sweep-p", _bad_k_raw(), "K"),
+    ],
+)
+def test_cli_malformed_numbers_are_validation_errors(tmp_path, capsys, subcommand, raw, key):
+    cfg = write_config(tmp_path, "bad.json", raw)
+    rc = cli_main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("puccilab: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_config_number_helper_rejects_non_numbers():
+    for value in ("2", None, True, [2.0], {"p": 2}, float("nan"), float("inf"), 10**400):
+        with pytest.raises(ConfigError, match="operator.p"):
+            parse_config(solve_raw(operator={"kind": "p_laplace", "p": value}))
+    with pytest.raises(ConfigError, match="analysis.K"):
+        raw = _sweep_raw()
+        raw["analysis"]["K"] = 2.5
+        parse_config(raw)
+    raw = _sweep_raw()
+    raw["analysis"]["K"] = 3.0
+    assert parse_config(raw).analysis["K"] == 3.0
+
+
+_BASES = [
+    solve_raw(),
+    solve_raw(operator={"kind": "pucci_plus", "lam": 1.0, "Lam": 2.0}),
+    solve_raw(operator={"kind": "p_laplace", "p": 3.0, "epsilon": 0.1}),
+    _sweep_raw(),
+    _eps_raw([0.1, 0.05]),
+    {
+        "scenario": "class_check",
+        "grid": dict(GRID_2D),
+        "operator": {"lam": 1.0, "Lam": 1.0, "f_bound": 0.0, "tolerance": 1e-3},
+        "data": {"u": "quadratic_caloric"},
+        "analysis": {"points": [[0.0, 0.0, -0.1]], "center": [0.0, 0.0, 0.0]},
+    },
+    {
+        "scenario": "decay",
+        "grid": dict(GRID_2D),
+        "data": {"u": {"name": "affine", "value": 1.0, "gradient": [0.5, 0.5]}},
+        "analysis": {"eta": 0.5, "K": 3, "alpha": 0.9, "c1": 1.0},
+    },
+    boundary_raw(),
+    ce_raw(),
+    {
+        "scenario": "ellipticity_sweep",
+        "grid": dict(GRID_2D),
+        "operator": {"delta_list": [0.0, 0.5]},
+        "data": {"f": "zero", "g": {"name": "constant", "value": 1.0}},
+    },
+]
+_KEYS = {
+    None: ["scenario", "grid", "operator", "data", "analysis", "seed"],
+    "grid": ["n_dim", "h", "tau", "spatial_extent", "time_extent", "half_space", "stagger"],
+    "operator": ["kind", "lam", "Lam", "p", "epsilon", "f_bound", "tolerance", "delta",
+                 "p_list", "delta_list", "eps_schedule"],
+    "data": ["f", "g", "u", "affine_part"],
+    "analysis": ["eta", "K", "alpha", "c1", "n_points", "points", "center"],
+}
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["zero", "affine", "name", "value", "gradient", "file", "p"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "value", "gradient", "file", "p", "lam"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_configs(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        section = draw(st.sampled_from(sorted(_KEYS, key=str)))
+        target = raw if section is None else raw.setdefault(section, {})
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(_KEYS[section]))] = draw(_json)
+    return raw
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_configs())
+def test_parse_config_rejects_only_with_config_errors(raw):
+    try:
+        parse_config(raw, base_dir=os.path.dirname(os.path.abspath(__file__)))
+    except ConfigError:
+        pass

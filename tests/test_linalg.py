@@ -112,3 +112,144 @@ def test_shift_moves_spectrum(entries, shift):
     base = symmetric_eigenvalues(SymMatrix(m)).values
     shifted = symmetric_eigenvalues(SymMatrix(m + shift * np.eye(2))).values
     assert np.allclose(shifted, base + shift, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form path (n <= 3) and the LAPACK fallback.
+
+# Agreement with eigvalsh, relative to the Frobenius norm of each matrix.
+# Measured worst cases: 1.1e-14 on rotated spectra (1, 1 + g, 2) and
+# (-3, 1, 1 + g) for 200 gaps g from 1e-12 to 1 (the rows just past the
+# fallback cut), 8.7e-15 on a million random 2x2 and 3x3 matrices, and
+# 1e-15 on the stacks below.
+CLOSED_FORM_TOL = 2e-14
+
+_rng = np.random.default_rng(8)
+
+
+def _sym(x):
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
+
+
+def _with_spectrum(spectra):
+    """Symmetric matrices Q diag(d) Q^T with random orthogonal Q."""
+    spectra = np.asarray(spectra, dtype=float)
+    n = spectra.shape[-1]
+    q, _ = np.linalg.qr(_rng.standard_normal(spectra.shape[:-1] + (n, n)))
+    return q @ (spectra[..., :, None] * np.swapaxes(q, -1, -2))
+
+
+def _special_stacks():
+    k = 200
+    out = {
+        "double": _with_spectrum(np.tile([1.0, 1.0, 2.0], (k, 1))),
+        "near_double_1e-9": _with_spectrum(np.tile([1.0, 1.0 + 1e-9, 2.0], (k, 1))),
+        "near_double_1e-3": _with_spectrum(np.tile([-1.0, 2.0, 2.001], (k, 1))),
+        "triple": np.stack([c * np.eye(3) for c in (0.1, 1.0 / 3.0, 7.0, -2.5, 1e-150)]),
+        "zero": np.zeros((4, 3, 3)),
+        "wide_scales": _with_spectrum(np.tile([1e-8, 1.0, 1e8], (k, 1))),
+        "two_identity_noise": 2.0 * np.eye(3) + 1e-9 * _sym(_rng.standard_normal((k, 3, 3))),
+        "zero_2x2": np.zeros((3, 2, 2)),
+        "double_2x2": _with_spectrum(np.tile([5.0, 5.0], (k, 1))),
+    }
+    for n in (1, 2, 3, 4, 5):
+        out[f"random_{n}"] = _sym(_rng.standard_normal((500, n, n))) * 10.0 ** _rng.uniform(
+            -6, 6, (500, 1, 1)
+        )
+    return out
+
+
+SPECIAL = _special_stacks()
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_closed_form_matches_eigvalsh(name):
+    mats = SPECIAL[name]
+    values, vectors = jacobi_eigh_batch(mats)
+    assert vectors is None
+    want = np.linalg.eigvalsh(mats)
+    norm = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))[..., None]
+    assert values.shape == want.shape
+    assert np.all(np.abs(values - want) <= CLOSED_FORM_TOL * norm)
+    # ascending, and the sum is the trace
+    assert np.all(values[..., :-1] <= values[..., 1:])
+    trace = np.einsum("...ii->...", mats)
+    assert np.all(np.abs(values.sum(axis=-1) - trace) <= CLOSED_FORM_TOL * norm[..., 0])
+
+
+def test_triple_and_zero_are_exact():
+    values, _ = jacobi_eigh_batch(np.stack([np.zeros((3, 3)), 4.0 * np.eye(3)]))
+    assert np.array_equal(values, [[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
+
+
+def test_near_double_rows_take_the_fallback(monkeypatch):
+    separated = _with_spectrum(np.tile([-1.0, 0.3, 2.0], (50, 1)))
+    near = np.concatenate(
+        [
+            _with_spectrum(np.tile([1.0, 1.0 + 1e-9, 2.0], (7, 1))),
+            _with_spectrum(np.tile([-1.0, 2.0, 2.001], (5, 1))),
+        ]
+    )
+    mats = np.concatenate([separated, near])[_rng.permutation(62)]
+    oracle = np.linalg.eigvalsh
+    seen = []
+
+    def counting(a, *args, **kwargs):
+        seen.append(a.copy())
+        return oracle(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    values, _ = jacobi_eigh_batch(mats)
+    assert len(seen) == 1 and seen[0].shape == (12, 3, 3)
+    # exactly the near-double rows went to LAPACK
+    sent = {m.tobytes() for m in seen[0]}
+    assert sent == {m.tobytes() for m in near}
+    seen.clear()
+    jacobi_eigh_batch(separated)
+    assert seen == []
+    assert np.allclose(values, oracle(mats), rtol=0, atol=1e-13)
+
+
+def test_stacks_above_three_by_three_go_to_lapack(monkeypatch):
+    calls = []
+    oracle = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or oracle(a))
+    for n in (4, 5):
+        jacobi_eigh_batch(_sym(_rng.standard_normal((6, n, n))))
+    assert calls == [(6, 4, 4), (6, 5, 5)]
+
+
+def test_entries_near_the_float_range():
+    mats = _sym(_rng.standard_normal((20, 3, 3))) * 1e200
+    values, _ = jacobi_eigh_batch(mats)
+    want = np.linalg.eigvalsh(mats)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want).max(axis=-1, keepdims=True))
+
+
+def test_single_matrix_paths_agree_with_the_stack():
+    mats = SPECIAL["near_double_1e-9"][:3]
+    for m in mats:
+        lo, hi = eig_extremes(m)
+        values, _ = jacobi_eigh_batch(m)
+        assert values.shape == (3,)
+        assert (lo, hi) == (values[0], values[-1])
+
+
+def test_non_finite_and_non_square_stacks_are_rejected():
+    with pytest.raises(InputError):
+        jacobi_eigh_batch(np.full((2, 3, 3), np.inf))
+    with pytest.raises(InputError):
+        jacobi_eigh_batch(np.zeros((4, 3, 2)))
+    with pytest.raises(InputError):
+        jacobi_eigh_batch(np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negated_stack_gets_exactly_negated_eigenvalues(n):
+    # Keeps the Pucci duality M-(X) = -M+(-X) free of rounding on the
+    # closed-form rows (LAPACK gives no such guarantee near a double root).
+    mats = SPECIAL[f"random_{n}"]
+    values, _ = jacobi_eigh_batch(mats)
+    negated, _ = jacobi_eigh_batch(-mats)
+    assert np.array_equal(negated, -values[..., ::-1])

@@ -1,5 +1,7 @@
 """Extremal operators, p-Laplace coefficients, and the class checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from puccilab.errors import InputError, SingularGradientError
 from puccilab.grid import Grid, GridFunction, sample
-from puccilab.linalg import SymMatrix
+from puccilab.linalg import SymMatrix, jacobi_eigh_batch
 from puccilab.operators import (
     ClassReport,
     EllipticityPair,
     HeatOp,
     PLaplaceOp,
     PLaplaceParams,
+    PucciPlusOp,
     class_membership,
     envelope_residuals,
     membership_tolerance,
@@ -23,6 +26,7 @@ from puccilab.operators import (
     pucci_minus,
     pucci_plus,
 )
+from puccilab.solver import DirichletProblem, solve_dirichlet
 
 np.random.seed(42)
 
@@ -276,3 +280,26 @@ def test_duality_property(entries, width):
     lhs = pucci_minus(SymMatrix(m), ell)
     rhs = -pucci_plus(SymMatrix(-m), ell)
     assert abs(lhs - rhs) < 1e-11 * (1.0 + np.abs(m).max())
+
+
+def test_no_floating_point_warnings_in_3d_pucci_and_membership():
+    # Quadratic data make every interior Hessian close to 2I, the stack
+    # on which a rotation-based eigen-solver divides by tiny pivots.
+    grid = Grid(n_dim=3, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
+    g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + mesh[2] ** 2 + 6.0 * t
+    ell = EllipticityPair(1.0, 1.5)
+    stacks = np.stack(
+        [np.zeros((3, 3))] + [c * np.eye(3) for c in (2.0, 1.0 / 3.0, -7.5, 1e-150)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = solve_dirichlet(
+            DirichletProblem(op_tag=PucciPlusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
+        )
+        report = class_membership(u, ell, f_bound=0.0)
+        values, _ = jacobi_eigh_batch(stacks)
+        values_2d, _ = jacobi_eigh_batch(stacks[:, :2, :2])
+    assert np.all(np.isfinite(u.data))
+    assert report.verdict in ("pass", "fail")
+    assert np.allclose(values, np.linalg.eigvalsh(stacks), rtol=0, atol=1e-15)
+    assert np.allclose(values_2d, np.linalg.eigvalsh(stacks[:, :2, :2]), rtol=0, atol=1e-15)
