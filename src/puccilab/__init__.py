@@ -20,8 +20,10 @@ from .errors import (
     FaceDataError,
     GridFileError,
     InputError,
+    NumericalError,
     PucciLabError,
     SingularGradientError,
+    ValidationError,
 )
 from .grid import (
     Grid,

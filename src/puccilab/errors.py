@@ -1,13 +1,18 @@
 """Exception types shared across the package.
 
 Everything derives from PucciLabError so callers can catch the whole
-family at once; the CLI maps these onto its exit codes.
+family at once.  Below it sit two bases that the CLI maps onto its exit
+codes: ValidationError (exit 1) for input that is wrong before any
+numerics run, and NumericalError (exit 2) for failures met while
+computing.  Every concrete error derives from exactly one of them.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "PucciLabError",
+    "ValidationError",
+    "NumericalError",
     "InputError",
     "ConvergenceError",
     "DegenerateCylinderError",
@@ -27,35 +32,43 @@ class PucciLabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(PucciLabError):
+class ValidationError(PucciLabError):
+    """Input rejected before or instead of computing; CLI exit code 1."""
+
+
+class NumericalError(PucciLabError):
+    """A computation failed on valid input; CLI exit code 2."""
+
+
+class InputError(ValidationError):
     """Malformed numerical input: wrong shape, non-finite entries, bad range."""
 
 
-class ConvergenceError(PucciLabError):
+class ConvergenceError(NumericalError):
     """An iterative routine hit its iteration cap before reaching tolerance."""
 
 
-class DegenerateCylinderError(PucciLabError):
+class DegenerateCylinderError(NumericalError):
     """A parabolic cylinder too small to contain any usable grid node."""
 
 
-class BoundaryProximityError(PucciLabError):
+class BoundaryProximityError(NumericalError):
     """A stencil was requested at a node without room for its footprint."""
 
 
-class GridFileError(PucciLabError):
+class GridFileError(ValidationError):
     """Grid-function file is corrupt: bad magic, bad metadata, or truncated payload."""
 
 
-class SingularGradientError(PucciLabError):
+class SingularGradientError(NumericalError):
     """Normalized p-Laplacian coefficients requested at a zero gradient with no regularization."""
 
 
-class CFLViolationError(PucciLabError):
+class CFLViolationError(ValidationError):
     """Explicit time step too large for the diffusion coefficients on this grid."""
 
 
-class BlowUpError(PucciLabError):
+class BlowUpError(NumericalError):
     """A marched solution left the finite range; carries the offending step."""
 
     def __init__(self, message: str, step: int | None = None):
@@ -63,17 +76,17 @@ class BlowUpError(PucciLabError):
         self.step = step
 
 
-class DegenerateFitError(PucciLabError):
+class DegenerateFitError(NumericalError):
     """Least-squares design matrix is rank deficient on the given node set."""
 
 
-class AlignmentError(PucciLabError):
+class AlignmentError(ValidationError):
     """Rescaling radius incompatible with the lattice spacing."""
 
 
-class FaceDataError(PucciLabError):
+class FaceDataError(ValidationError):
     """Half-space face values violate a precondition (for example, not zero)."""
 
 
-class ConfigError(PucciLabError):
+class ConfigError(ValidationError):
     """Scenario configuration failed validation."""

@@ -14,20 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import (
-    AlignmentError,
-    BlowUpError,
-    BoundaryProximityError,
-    CFLViolationError,
-    ConfigError,
-    ConvergenceError,
-    DegenerateCylinderError,
-    DegenerateFitError,
-    FaceDataError,
-    GridFileError,
-    InputError,
-    SingularGradientError,
-)
+from ..errors import ConfigError, NumericalError, ValidationError
 from .config import load_config
 from .scenarios import execute
 
@@ -43,24 +30,6 @@ _SUBCOMMANDS = {
     "sweep-ellipticity": "ellipticity_sweep",
     "eps-continuation": "eps_sweep",
 }
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    InputError,
-    AlignmentError,
-    CFLViolationError,
-    GridFileError,
-    FaceDataError,
-)
-
-_NUMERICAL_ERRORS = (
-    BlowUpError,
-    ConvergenceError,
-    DegenerateFitError,
-    DegenerateCylinderError,
-    SingularGradientError,
-    BoundaryProximityError,
-)
 
 
 class _UsageError(Exception):
@@ -112,10 +81,10 @@ def main(argv=None) -> int:
         if args.verbose:
             print(f"running {config.scenario} from {args.config}", file=sys.stderr)
         paths = execute(config, args.out, threads=args.threads, verbose=args.verbose)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"puccilab: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"puccilab: {exc}", file=sys.stderr)
         return 1
 

@@ -52,7 +52,10 @@ class SymMatrix:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        a = 0.5 * (a + a.T)
+        # Halving before adding cannot overflow; symmetric entries stay as
+        # given.  Adding 0.0 turns every signed zero into +0.0, so a -0.0
+        # facing a +0.0 cannot leave the two triangles apart.
+        a = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T) + 0.0
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

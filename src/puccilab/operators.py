@@ -13,6 +13,16 @@ at every admissible interior node.
 The per-node API mirrors the math; the membership check and the
 residual evaluator work one time slice at a time with vectorized
 stencils, since grids carry millions of nodes.
+
+The Pucci operators read only the sums of the positive and of the
+negative eigenvalues of each Hessian.  When Gershgorin's discs certify
+a Hessian semidefinite (every diagonal entry at least, or at most the
+negative of, the sum of the absolute off-diagonal entries of its row),
+those sums are the trace and zero: M_plus = Lam tr and M_minus = lam tr
+on a positive semidefinite Hessian, and the other way round on a
+negative one.  Only the remaining Hessians are eigen-solved.  The
+pointwise pucci_plus and pucci_minus take the same path on a one-row
+stack, so they agree with the slice kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -154,26 +164,32 @@ class PLaplaceOp:
 # Pointwise operators.
 
 
-def _pucci_from_values(values: np.ndarray, ell: EllipticityPair, plus: bool):
-    pos = np.where(values > 0.0, values, 0.0).sum(axis=-1)
-    neg = np.where(values < 0.0, values, 0.0).sum(axis=-1)
+def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool):
+    """M+ or M- from the sums of the positive and the negative eigenvalues."""
     if plus:
         return ell.Lam * pos + ell.lam * neg
     return ell.lam * pos + ell.Lam * neg
 
 
+def _matrix_stencils(m):
+    """One matrix as one-row diag and cross arrays, as the slice kernels give them."""
+    a = _as_entries(m)
+    n = a.shape[0]
+    diag = [a[i, i : i + 1] for i in range(n)]
+    cross = {(i, j): a[j, i : i + 1] for i in range(n) for j in range(i + 1, n)}
+    return diag, cross
+
+
 def pucci_plus(m, ell: EllipticityPair) -> float:
     """sup of tr(A M) over symmetric A with lam I <= A <= Lam I."""
-    a = _as_entries(m)
-    values, _ = jacobi_eigh_batch(a)
-    return float(_pucci_from_values(values, ell, plus=True))
+    pos, neg = _eigen_sign_sums(*_matrix_stencils(m))
+    return float(_pucci_combine(pos, neg, ell, plus=True)[0])
 
 
 def pucci_minus(m, ell: EllipticityPair) -> float:
     """inf of tr(A M) over the same ellipticity box."""
-    a = _as_entries(m)
-    values, _ = jacobi_eigh_batch(a)
-    return float(_pucci_from_values(values, ell, plus=False))
+    pos, neg = _eigen_sign_sums(*_matrix_stencils(m))
+    return float(_pucci_combine(pos, neg, ell, plus=False)[0])
 
 
 def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
@@ -302,35 +318,86 @@ def _hessian_stack(diag, cross) -> np.ndarray:
     return hess
 
 
-def _slice_operator_value(op, sl: np.ndarray, h: float) -> np.ndarray:
-    """Evaluate the tagged spatial operator over the interior of a slice."""
-    diag = _slice_diag_diffs(sl, h)
+def _slice_trace(diag) -> np.ndarray:
     trace = diag[0].copy()
     for d in diag[1:]:
         trace += d
+    return trace
+
+
+def _eigen_value_sums(values: np.ndarray):
+    pos = np.where(values > 0.0, values, 0.0).sum(axis=-1)
+    neg = np.where(values < 0.0, values, 0.0).sum(axis=-1)
+    return pos, neg
+
+
+def _eigen_sign_sums(diag, cross):
+    """Per-row sums (pos, neg) of the positive and the negative eigenvalues.
+
+    Gershgorin certifies a row positive semidefinite when every diagonal
+    entry d_i is at least its radius, the sum of |c_ij| over j != i; then
+    (pos, neg) = (trace, 0).  A row with d_i <= -radius for every i is
+    negative semidefinite and gets (0, trace).  Only the other rows are
+    gathered into a Hessian stack and eigen-solved.  Rows with a
+    non-finite entry are never certified, so the eigen-solver still
+    rejects them.
+    """
+    n = len(diag)
+    absc = {key: np.abs(c) for key, c in cross.items()}
+    # The trace and the radii overflow only for entries near the float
+    # range; such rows stay uncertified and go to the eigen-solver.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = _slice_trace(diag)
+        psd = np.isfinite(trace)
+        nsd = psd.copy()
+        for i in range(n):
+            terms = [absc[min(i, j), max(i, j)] for j in range(n) if j != i]
+            radius = sum(terms[1:], terms[0]) if terms else 0.0
+            psd &= diag[i] >= radius
+            nsd &= diag[i] <= -radius
+    rest = ~(psd | nsd)
+    pos = np.where(psd, trace, 0.0)
+    neg = np.where(nsd, trace, 0.0)
+    if rest.any():
+        rows = np.flatnonzero(rest)
+        stack = _hessian_stack(
+            [d.take(rows) for d in diag], {key: c.take(rows) for key, c in cross.items()}
+        )
+        pos[rest], neg[rest] = _eigen_value_sums(jacobi_eigh_batch(stack)[0])
+    return pos, neg
+
+
+def _plaplace_forms(diag, cross, grad):
+    """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice."""
+    trace = _slice_trace(diag)
+    squares = [g * g for g in grad]
+    quad = squares[0] * diag[0]
+    for i in range(1, len(diag)):
+        quad = quad + squares[i] * diag[i]
+    for (i, j), val in cross.items():
+        quad = quad + 2.0 * (grad[i] * grad[j] * val)
+    # The quadratic form is done with squares[0]; |Du|^2 accumulates into it.
+    norm2 = squares[0]
+    for sq in squares[1:]:
+        norm2 += sq
+    return trace, norm2, quad
+
+
+def _slice_operator_value(op, sl: np.ndarray, h: float) -> np.ndarray:
+    """Evaluate the tagged spatial operator over the interior of a slice."""
+    diag = _slice_diag_diffs(sl, h)
     if isinstance(op, HeatOp):
-        return op.lam * trace
+        return op.lam * _slice_trace(diag)
     if isinstance(op, (PucciPlusOp, PucciMinusOp)):
-        cross = _slice_cross_diffs(sl, h) if sl.ndim > 1 else {}
-        values, _ = jacobi_eigh_batch(_hessian_stack(diag, cross))
-        return _pucci_from_values(values, op.ell, plus=isinstance(op, PucciPlusOp))
+        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h))
+        return _pucci_combine(pos, neg, op.ell, plus=isinstance(op, PucciPlusOp))
     if isinstance(op, PLaplaceOp):
         p, eps = op.params.p, op.params.epsilon
-        grad = _slice_gradient(sl, h)
-        cross = _slice_cross_diffs(sl, h) if sl.ndim > 1 else {}
-        norm2 = grad[0] * grad[0]
-        for g in grad[1:]:
-            norm2 = norm2 + g * g
-        quad = grad[0] * grad[0] * diag[0]
-        for i in range(1, sl.ndim):
-            quad = quad + grad[i] * grad[i] * diag[i]
-        for (i, j), val in cross.items():
-            quad = quad + 2.0 * (grad[i] * grad[j] * val)
+        trace, norm2, quad = _plaplace_forms(
+            diag, _slice_cross_diffs(sl, h), _slice_gradient(sl, h)
+        )
         den = norm2 + eps * eps
-        if eps > 0.0:
-            return trace + (p - 2.0) * (quad / den)
-        singular = den == 0.0
-        if np.any(singular):
+        if eps == 0.0 and np.any(den == 0.0):
             raise SingularGradientError(
                 "zero discrete gradient met with epsilon = 0; evaluate through "
                 "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
@@ -371,15 +438,14 @@ def class_membership(
     worst_super = np.inf
     worst_node: tuple[int, tuple[int, ...]] = (1, (1,) * grid.n_dim)
     worst_key = np.inf
-    n = grid.n_dim
 
     for m in range(1, grid.n_time_levels):
         sl = u.data[m]
-        diag = _slice_diag_diffs(sl, grid.h)
-        cross = _slice_cross_diffs(sl, grid.h) if n > 1 else {}
-        values, _ = jacobi_eigh_batch(_hessian_stack(diag, cross))
-        m_plus = _pucci_from_values(values, ell, plus=True)
-        m_minus = _pucci_from_values(values, ell, plus=False)
+        pos, neg = _eigen_sign_sums(
+            _slice_diag_diffs(sl, grid.h), _slice_cross_diffs(sl, grid.h)
+        )
+        m_plus = _pucci_combine(pos, neg, ell, plus=True)
+        m_minus = _pucci_combine(pos, neg, ell, plus=False)
         dt = (_interior_block(sl) - _interior_block(u.data[m - 1])) / grid.tau
         sub_slack = dt - m_minus + f_bound
         super_slack = f_bound - (dt - m_plus)
@@ -448,22 +514,9 @@ def pde_residual(
 
 def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float):
     """(low, high) operator values over a slice, envelope rules at q = 0."""
-    n = sl.ndim
     diag = _slice_diag_diffs(sl, h)
-    cross = _slice_cross_diffs(sl, h) if n > 1 else {}
-    grad = _slice_gradient(sl, h)
-    trace = diag[0].copy()
-    for d in diag[1:]:
-        trace += d
-    norm2 = grad[0] * grad[0]
-    for g in grad[1:]:
-        norm2 = norm2 + g * g
-    quad = grad[0] * grad[0] * diag[0]
-    for i in range(1, n):
-        quad = quad + grad[i] * grad[i] * diag[i]
-    for (i, j), val in cross.items():
-        quad = quad + 2.0 * (grad[i] * grad[j] * val)
-
+    cross = _slice_cross_diffs(sl, h)
+    trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h))
     values, _ = jacobi_eigh_batch(_hessian_stack(diag, cross))
     e_min, e_max = values[..., 0], values[..., -1]
     if p >= 2.0:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from puccilab import errors
 from puccilab.errors import ConfigError, InputError
 from puccilab.experiments import (
     load_config,
@@ -17,6 +18,7 @@ from puccilab.experiments import (
     run_counterexample,
     run_p_sweep,
 )
+from puccilab.experiments import cli as cli_module
 from puccilab.experiments.cli import main as cli_main
 from puccilab.experiments.scenarios import execute, sample_interior_points
 from puccilab.grid import Grid, sample
@@ -350,6 +352,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = cli_main(["solve", "--config", cfg_boom, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+# The exit code documented for every exported error class: 1 for
+# validation problems, 2 for numerical failures.
+DOCUMENTED_EXIT_CODES = {
+    "ValidationError": 1,
+    "InputError": 1,
+    "ConfigError": 1,
+    "AlignmentError": 1,
+    "CFLViolationError": 1,
+    "GridFileError": 1,
+    "FaceDataError": 1,
+    "NumericalError": 2,
+    "BlowUpError": 2,
+    "ConvergenceError": 2,
+    "DegenerateFitError": 2,
+    "DegenerateCylinderError": 2,
+    "SingularGradientError": 2,
+    "BoundaryProximityError": 2,
+}
+
+
+def test_cli_maps_every_error_class_to_its_exit_code(tmp_path, capsys, monkeypatch):
+    # Only the package root lacks a code: every class below it has one.
+    assert set(errors.__all__) - {"PucciLabError"} == set(DOCUMENTED_EXIT_CODES)
+    cfg = write_config(tmp_path, "ce.json", ce_raw())
+    for name, code in DOCUMENTED_EXIT_CODES.items():
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.ValidationError if code == 1 else errors.NumericalError)
+
+        def fail(*args, **kwargs):
+            raise cls(f"raised {name}")
+
+        monkeypatch.setattr(cli_module, "execute", fail)
+        rc = cli_main(["counterexample", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code, name
+        assert f"raised {name}" in err
+        assert ("numerical failure" in err) == (code == 2)
 
 
 def test_cli_empty_p_sweep_is_a_success(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Eigen-solver checks against hand values and an independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,20 @@ def test_symmetrization_of_input():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     m = SymMatrix(a)
     assert np.allclose(m.entries, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_symmetrization_near_the_float_limit_and_of_signed_zeros():
+    # 1.7e308 + 1.5e308 overflows; halving first gives the mean 1.6e308.
+    a = np.array([[1e308, 1.7e308, 0.0], [1.5e308, -1e308, -0.0], [-0.0, 0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SymMatrix(a).entries
+    assert np.all(np.isfinite(m))
+    assert m[0, 1] == m[1, 0] == 0.5 * 1.7e308 + 0.5 * 1.5e308
+    assert (m[0, 0], m[1, 1]) == (1e308, -1e308)
+    # bitwise symmetric, signed zeros included
+    assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+    assert not np.signbit(m[:, 2]).any() and not np.signbit(m[2]).any()
 
 
 def test_extremes_are_floats_and_ordered():

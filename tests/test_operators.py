@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puccilab import operators
 from puccilab.errors import InputError, SingularGradientError
 from puccilab.grid import Grid, GridFunction, sample
 from puccilab.linalg import SymMatrix, jacobi_eigh_batch
@@ -16,7 +17,17 @@ from puccilab.operators import (
     HeatOp,
     PLaplaceOp,
     PLaplaceParams,
+    PucciMinusOp,
     PucciPlusOp,
+    _eigen_sign_sums,
+    _eigen_value_sums,
+    _hessian_stack,
+    _pucci_combine,
+    _slice_cross_diffs,
+    _slice_diag_diffs,
+    _slice_gradient,
+    _slice_operator_value,
+    _plaplace_envelope_value,
     class_membership,
     envelope_residuals,
     membership_tolerance,
@@ -27,6 +38,7 @@ from puccilab.operators import (
     pucci_plus,
 )
 from puccilab.solver import DirichletProblem, solve_dirichlet
+from test_linalg import CLOSED_FORM_TOL, _sym
 
 np.random.seed(42)
 
@@ -273,16 +285,39 @@ def test_class_report_shape():
 @given(
     st.lists(st.floats(-30, 30), min_size=3, max_size=3),
     st.floats(1.0, 3.0),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
 )
-def test_duality_property(entries, width):
+def test_duality_property(entries, width, n, seed):
+    # M-(X) = -M+(-X) bit for bit: rounding to nearest is odd, Gershgorin
+    # certifies -X exactly when it certifies X, and the eigen-solver gives
+    # -X the negated spectrum of X.
     m = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])
     ell = EllipticityPair(1.0, 1.0 + width)
-    lhs = pucci_minus(SymMatrix(m), ell)
-    rhs = -pucci_plus(SymMatrix(-m), ell)
-    assert abs(lhs - rhs) < 1e-11 * (1.0 + np.abs(m).max())
+    assert pucci_minus(SymMatrix(m), ell) == -pucci_plus(SymMatrix(-m), ell)
+    # Certified rows, and indefinite rows with well separated eigenvalues,
+    # so that none is near a double root (where LAPACK keeps no sign
+    # symmetry).  With n <= 3 no sign has more than two eigenvalues, so
+    # their sum does not depend on the order in which X and -X list them.
+    rng = np.random.default_rng(seed)
+    k = 20
+    spectra = rng.uniform(0.2, 1.0, (k, n)).cumsum(axis=-1)
+    spectra[:, 0] *= -1.0
+    spectra *= rng.choice([-1.0, 1.0], (k, 1))
+    stacks = _property_stacks(n, rng, k)
+    indefinite = _rotated(spectra, rng) if n > 1 else stacks["indefinite"]
+    mats = np.concatenate([stacks["definite"], indefinite])
+    certified = _certified(mats)
+    assert certified.any() and (n == 1 or not certified.all())
+    pos, neg = _eigen_sign_sums(*_stencils(mats))
+    neg_pos, neg_neg = _eigen_sign_sums(*_stencils(-mats))
+    lower = _pucci_combine(pos, neg, ell, plus=False)
+    assert np.array_equal(lower, -_pucci_combine(neg_pos, neg_neg, ell, plus=True))
+    for x in mats[::7]:
+        assert pucci_minus(x, ell) == -pucci_plus(-x, ell)
 
 
-def test_no_floating_point_warnings_in_3d_pucci_and_membership():
+def test_no_floating_point_warnings_in_3d_pucci_and_membership(monkeypatch):
     # Quadratic data make every interior Hessian close to 2I, the stack
     # on which a rotation-based eigen-solver divides by tiny pivots.
     grid = Grid(n_dim=3, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
@@ -291,6 +326,15 @@ def test_no_floating_point_warnings_in_3d_pucci_and_membership():
     stacks = np.stack(
         [np.zeros((3, 3))] + [c * np.eye(3) for c in (2.0, 1.0 / 3.0, -7.5, 1e-150)]
     )
+    # Cross entries of 1e308: the Gershgorin radius |c01| + |c02| overflows,
+    # while the eigenvalues (+-sqrt(2) 1e308, 0) and the Pucci values with
+    # Lam = 1.1 stay finite.  Such rows must reach the eigen-solver.
+    huge = lambda mesh, t: 1e308 * mesh[0] * (mesh[1] + mesh[2])
+    ell_huge = EllipticityPair(1.0, 1.1)
+    big = np.zeros((4, 3, 3))
+    big[:, 0, 1] = big[:, 1, 0] = big[:, 0, 2] = big[:, 2, 0] = 1e308
+    mixed = np.concatenate([big, 2.0 * np.broadcast_to(np.eye(3), (3, 3, 3))])
+    sent = _count_eigen_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = solve_dirichlet(
@@ -299,7 +343,197 @@ def test_no_floating_point_warnings_in_3d_pucci_and_membership():
         report = class_membership(u, ell, f_bound=0.0)
         values, _ = jacobi_eigh_batch(stacks)
         values_2d, _ = jacobi_eigh_batch(stacks[:, :2, :2])
+        assert sent == []
+        u_huge = solve_dirichlet(
+            DirichletProblem(
+                op_tag=PucciPlusOp(ell_huge), f=lambda mesh, t: 0.0, g=huge, grid=grid
+            )
+        )
+        march_rows = sum(sent)
+        report_huge = class_membership(u_huge, ell_huge, f_bound=0.0)
+        membership_rows = sum(sent) - march_rows
+        del sent[:]
+        pos, neg = _eigen_sign_sums(*_stencils(mixed))
+        point = pucci_plus(big[0], ell_huge)
     assert np.all(np.isfinite(u.data))
     assert report.verdict in ("pass", "fail")
     assert np.allclose(values, np.linalg.eigvalsh(stacks), rtol=0, atol=1e-15)
     assert np.allclose(values_2d, np.linalg.eigvalsh(stacks[:, :2, :2]), rtol=0, atol=1e-15)
+    # every interior row of the huge field overflows its radius
+    interior = 7**3 * (grid.n_time_levels - 1)
+    assert march_rows == interior and membership_rows == interior
+    assert np.all(np.isfinite(u_huge.data))
+    assert np.isfinite(report_huge.worst_sub_slack) and np.isfinite(report_huge.worst_super_slack)
+    # only the overflowing rows were solved, then the pointwise one; the
+    # 2I rows stayed certified
+    assert sent == [4, 1]
+    assert np.array_equal(pos[4:], [6.0, 6.0, 6.0]) and np.array_equal(neg[4:], [0.0] * 3)
+    s2 = np.sqrt(2.0) * 1e308
+    assert np.allclose(pos[:4], s2, rtol=1e-14) and np.allclose(neg[:4], -s2, rtol=1e-14)
+    assert point == pytest.approx(1.1 * s2 - s2, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The Gershgorin-certified path of the Pucci values.
+
+
+def _stencils(mats):
+    """diag and cross arrays of a stack, as the slice stencils give them."""
+    n = mats.shape[-1]
+    diag = [mats[..., i, i].copy() for i in range(n)]
+    cross = {(i, j): mats[..., j, i].copy() for i in range(n) for j in range(i + 1, n)}
+    return diag, cross
+
+
+def _certified(mats):
+    """Independent Gershgorin test: semidefinite by diagonal dominance."""
+    n = mats.shape[-1]
+    d = np.diagonal(mats, axis1=-2, axis2=-1)
+    radius = np.where(np.eye(n, dtype=bool), 0.0, np.abs(mats)).sum(axis=-1)
+    return np.all(d >= radius, axis=-1) | np.all(d <= -radius, axis=-1)
+
+
+def _count_eigen_rows(monkeypatch):
+    """Record the number of rows of every stack handed to the eigen-solver."""
+    sent = []
+    solve = operators.jacobi_eigh_batch
+
+    def counting(mats, *args, **kwargs):
+        sent.append(int(np.prod(mats.shape[:-2])))
+        return solve(mats, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "jacobi_eigh_batch", counting)
+    return sent
+
+
+def _rotated(spectra, rng):
+    n = spectra.shape[-1]
+    q, _ = np.linalg.qr(rng.standard_normal(spectra.shape[:-1] + (n, n)))
+    return _sym(q @ (spectra[..., :, None] * np.swapaxes(q, -1, -2)))
+
+
+def _property_stacks(n, rng, k=400):
+    scale = 10.0 ** rng.uniform(-6, 6, (k, 1, 1))
+    noise = _sym(rng.standard_normal((k, n, n)))
+    # strictly diagonally dominant, half of them negative definite
+    margin = rng.uniform(0.0, 1.0, (k, n, 1))
+    dominant = noise + np.eye(n) * (np.abs(noise).sum(axis=-1)[..., None] + margin)
+    dominant *= np.where(np.arange(k) % 2 == 0, 1.0, -1.0)[:, None, None]
+    # one eigenvalue of size 1e-16: of either sign after a rotation, and
+    # positive on the diagonal, where Gershgorin certifies it
+    spectra = np.sort(rng.uniform(0.5, 2.0, (k, n)), axis=-1)
+    spectra[:, 0] = 1e-16 * rng.standard_normal(k)
+    unrotated = np.zeros((k, n, n))
+    unrotated[:, np.arange(n), np.arange(n)] = np.abs(spectra)
+    c = rng.choice([-1.0, 1.0], (k, 1, 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    return {
+        "definite": dominant * scale,
+        "indefinite": noise * scale,
+        "singular_rotated": _rotated(spectra, rng) * scale,
+        "singular_diagonal": unrotated * scale,
+        "rank_one": np.ones((k, n, n)) * scale,
+        "near_cI": c * np.eye(n) + 1e-9 * np.abs(c) * noise,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_rows_agree_with_eigvalsh_and_the_rest_stays_bitwise(n, monkeypatch):
+    rng = np.random.default_rng(100 + n)
+    for name, mats in _property_stacks(n, rng).items():
+        sent = _count_eigen_rows(monkeypatch)
+        pos, neg = _eigen_sign_sums(*_stencils(mats))
+        certified = _certified(mats)
+        assert sum(sent) == int(np.sum(~certified)), name
+        # the rows left over: the parent formula on the whole stack, bitwise
+        whole_pos, whole_neg = _eigen_value_sums(jacobi_eigh_batch(mats)[0])
+        assert np.array_equal(pos[~certified], whole_pos[~certified]), name
+        assert np.array_equal(neg[~certified], whole_neg[~certified]), name
+        # certified rows: (trace, 0) or (0, trace), close to the LAPACK sums
+        exact = np.linalg.eigvalsh(mats)
+        want_pos = np.where(exact > 0.0, exact, 0.0).sum(axis=-1)
+        want_neg = np.where(exact < 0.0, exact, 0.0).sum(axis=-1)
+        norm = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
+        bound = CLOSED_FORM_TOL * norm[certified]
+        assert np.all(np.abs(pos - want_pos)[certified] <= bound), name
+        assert np.all(np.abs(neg - want_neg)[certified] <= bound), name
+        trace = np.einsum("...ii->...", mats)
+        assert np.all((pos + neg)[certified] == trace[certified]), name
+        assert np.all(((pos == 0.0) | (neg == 0.0))[certified]), name
+        if name in ("definite", "singular_diagonal", "near_cI") or n == 1:
+            assert certified.all() and sent == [], name
+
+
+def test_near_identity_slice_never_reaches_an_eigen_solver(monkeypatch):
+    grid = Grid(n_dim=3, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
+    # Hessians 2I + O(1e-9): noise of 1e-9 h^2 on a quadratic
+    noise = 1e-9 * grid.h**2 * np.random.default_rng(5).standard_normal(grid.spatial_shape)
+    g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + mesh[2] ** 2 + 6.0 * t + noise
+    ell = EllipticityPair(1.0, 1.5)
+    calls = []
+    monkeypatch.setattr(operators, "jacobi_eigh_batch", lambda *a, **k: calls.append("batch"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh"))
+    u = solve_dirichlet(
+        DirichletProblem(op_tag=PucciPlusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
+    )
+    sl = u.data[0]
+    value = _slice_operator_value(PucciPlusOp(ell), sl, grid.h)
+    lower = _slice_operator_value(PucciMinusOp(ell), sl, grid.h)
+    report = class_membership(u, ell, f_bound=0.0)
+    assert calls == []
+    diag = _slice_diag_diffs(sl, grid.h)
+    assert np.max(np.abs(diag[0] - 2.0)) > 0.0
+    trace = diag[0] + diag[1] + diag[2]
+    assert np.array_equal(value, 1.5 * trace) and np.array_equal(lower, 1.0 * trace)
+    assert report.verdict in ("pass", "fail")
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
+    grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
+    mesh = grid.coordinate_mesh()
+    y = mesh[1] if n_dim > 1 else 0.0
+    z = mesh[2] if n_dim > 2 else 1.0
+    sl = np.broadcast_to(
+        np.sin(3.0 * mesh[0]) * np.cos(2.0 * y) * np.cos(z) + mesh[0] * y + 0.4 * mesh[0] ** 2,
+        grid.spatial_shape,
+    )
+    diag, cross = _slice_diag_diffs(sl, grid.h), _slice_cross_diffs(sl, grid.h)
+    hess = _hessian_stack(diag, cross).reshape(-1, n_dim, n_dim)
+    certified = _certified(hess)
+    # both paths are exercised (in 1-D every row is certified)
+    assert certified.any() and (n_dim == 1 or not certified.all())
+    ell = EllipticityPair(1.0, 1.5)
+    for op, pointwise in ((PucciPlusOp(ell), pucci_plus), (PucciMinusOp(ell), pucci_minus)):
+        kernel = _slice_operator_value(op, sl, grid.h).ravel()
+        point = np.array([pointwise(m, ell) for m in hess])
+        assert np.array_equal(point, kernel)
+        assert np.array_equal(point, [pointwise(SymMatrix(m), ell) for m in hess])
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_plaplace_slice_values_keep_their_summation_order(n_dim):
+    # Reference: trace, |Du|^2 and Du . D^2 u Du written out term by term
+    # in the order the reports were produced with; the shared helper must
+    # give the same bits.
+    rng = np.random.default_rng(30 + n_dim)
+    sl = rng.standard_normal((9,) * n_dim)
+    h = 0.125
+    diag, cross = _slice_diag_diffs(sl, h), _slice_cross_diffs(sl, h)
+    grad = _slice_gradient(sl, h)
+    trace = diag[0].copy()
+    for d in diag[1:]:
+        trace += d
+    norm2 = grad[0] * grad[0]
+    for g in grad[1:]:
+        norm2 = norm2 + g * g
+    quad = grad[0] * grad[0] * diag[0]
+    for i in range(1, n_dim):
+        quad = quad + grad[i] * grad[i] * diag[i]
+    for (i, j), val in cross.items():
+        quad = quad + 2.0 * (grad[i] * grad[j] * val)
+    for p, eps in ((3.0, 0.1), (1.5, 0.0)):
+        value = _slice_operator_value(PLaplaceOp(PLaplaceParams(p=p, epsilon=eps)), sl, h)
+        assert np.array_equal(value, trace + (p - 2.0) * (quad / (norm2 + eps * eps)))
+    low, high = _plaplace_envelope_value(2.5, sl, h)
+    smooth = trace + 0.5 * (quad / norm2)
+    assert np.array_equal(low, smooth) and np.array_equal(high, smooth)
