@@ -186,7 +186,9 @@ class GridFunction:
             raise InputError(
                 f"data shape {a.shape} does not match grid layout {expected}"
             )
-        if not np.all(np.isfinite(a)):
+        # min and max are non-finite exactly when some value is (NaN
+        # propagates), and need no temporary the size of the field
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise InputError("grid function values must be finite")
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
@@ -571,61 +573,39 @@ def _check_stencil_room(u: GridFunction, node) -> tuple[int, tuple[int, ...]]:
     return level, idx
 
 
+def _neighbourhood(u: GridFunction, node, level_shift: int = 0) -> np.ndarray:
+    """The 3^n block of lattice values around a node with stencil room."""
+    level, idx = _check_stencil_room(u, node)
+    return u.data[level + level_shift][tuple(slice(i - 1, i + 2) for i in idx)]
+
+
+# The three stencils below run the slice kernels of operators.py on the
+# node's neighbourhood, so there is one implementation of each
+# difference.  operators imports this module, hence the local imports.
+
+
 def centered_hessian(u: GridFunction, node) -> SymMatrix:
     """Second-order centered Hessian at one node (four-point cross off-diagonal)."""
-    level, idx = _check_stencil_room(u, node)
-    grid = u.grid
-    n = grid.n_dim
-    sl = u.data[level]
-    h2 = grid.h * grid.h
-    out = np.empty((n, n))
+    from .operators import _hessian_stack, _slice_cross_diffs, _slice_diag_diffs
 
-    def at(shift):
-        j = tuple(idx[i] + shift[i] for i in range(n))
-        return sl[j]
-
-    zero = (0,) * n
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out[i, i] = (at(tuple(e)) - 2.0 * at(zero) + at(tuple(-v for v in e))) / h2
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp = [0] * n
-            pp[i], pp[j] = 1, 1
-            pm = [0] * n
-            pm[i], pm[j] = 1, -1
-            mp = [0] * n
-            mp[i], mp[j] = -1, 1
-            mm = [0] * n
-            mm[i], mm[j] = -1, -1
-            val = (at(tuple(pp)) - at(tuple(pm)) - at(tuple(mp)) + at(tuple(mm))) / (
-                4.0 * h2
-            )
-            out[i, j] = val
-            out[j, i] = val
-    return SymMatrix(out)
+    block, h, n = _neighbourhood(u, node), u.grid.h, u.grid.n_dim
+    hess = _hessian_stack(_slice_diag_diffs(block, h), _slice_cross_diffs(block, h))
+    return SymMatrix(hess.reshape(n, n))
 
 
 def centered_gradient(u: GridFunction, node) -> np.ndarray:
     """Second-order centered first differences at one node."""
-    level, idx = _check_stencil_room(u, node)
-    grid = u.grid
-    sl = u.data[level]
-    out = np.empty(grid.n_dim)
-    for i in range(grid.n_dim):
-        up = list(idx)
-        up[i] += 1
-        dn = list(idx)
-        dn[i] -= 1
-        out[i] = (sl[tuple(up)] - sl[tuple(dn)]) / (2.0 * grid.h)
-    return out
+    from .operators import _slice_gradient
+
+    return np.ravel(_slice_gradient(_neighbourhood(u, node), u.grid.h))
 
 
 def backward_time_diff(u: GridFunction, node) -> float:
     """First-order backward difference in time at one node."""
-    level, idx = _check_stencil_room(u, node)
-    return float((u.data[level][idx] - u.data[level - 1][idx]) / u.grid.tau)
+    from .operators import _slice_time_diff
+
+    now, before = _neighbourhood(u, node), _neighbourhood(u, node, -1)
+    return _slice_time_diff(now, before, u.grid.tau).item()
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,16 @@ class PLaplaceOp:
 # Pointwise operators.
 
 
-def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool):
-    """M+ or M- from the sums of the positive and the negative eigenvalues."""
-    if plus:
-        return ell.Lam * pos + ell.lam * neg
-    return ell.lam * pos + ell.Lam * neg
+def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="value"):
+    """M+ or M- from the sums of the positive and the negative eigenvalues.
+
+    The result goes to the workspace buffer named key (see _Workspace).
+    """
+    ws = ws or _Workspace(pos.shape)
+    a, b = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
+    value = np.multiply(a, pos, out=ws.buf(key))
+    value += np.multiply(b, neg, out=ws.buf("tmp"))
+    return value
 
 
 def _matrix_stencils(m):
@@ -246,6 +251,37 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
 # arrays over the interior block (one node trimmed from every spatial
 # edge), keeping axis order ascending everywhere so that summation
 # order, and therefore bit patterns, are reproducible.
+#
+# Each kernel writes into the buffers of a _Workspace, one ufunc with
+# out= per arithmetic step, in the order in which the written-out
+# expression, e.g. (up - 2.0 * center + dn) / h2, evaluates.  Called
+# without a workspace, a kernel runs the same code on a fresh one.  The
+# arrays a kernel returns are workspace buffers: they hold their values
+# until the next kernel call on the same workspace.
+
+
+class _Workspace:
+    """Buffers of one interior-block shape, each allocated on first use.
+
+    A march or a membership pass makes one and hands it to every slice,
+    so its step temporaries are allocated once per pass instead of once
+    per step.  Workspaces are never shared: threads marching at the same
+    time each make their own.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self._buffers = {}
+
+    @classmethod
+    def for_slice(cls, sl: np.ndarray) -> "_Workspace":
+        return cls(s - 2 for s in sl.shape)
+
+    def buf(self, key, dtype=float) -> np.ndarray:
+        out = self._buffers.get(key)
+        if out is None:
+            out = self._buffers[key] = np.empty(self.shape, dtype)
+        return out
 
 
 def _interior_block(sl: np.ndarray, shifts=None) -> np.ndarray:
@@ -261,49 +297,69 @@ def _unit_shift(n: int, axis: int, sign: int) -> tuple[int, ...]:
     return tuple(s)
 
 
-def _slice_diag_diffs(sl: np.ndarray, h: float) -> list[np.ndarray]:
+def _pair_shift(n: int, i: int, j: int, si: int, sj: int) -> tuple[int, ...]:
+    s = [0] * n
+    s[i], s[j] = si, sj
+    return tuple(s)
+
+
+def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
+    ws = ws or _Workspace.for_slice(sl)
     n = sl.ndim
     h2 = h * h
-    center = _interior_block(sl)
+    # 2.0 * center is the same for every axis; it is computed once
+    twice = np.multiply(2.0, _interior_block(sl), out=ws.buf("twice_center"))
     out = []
     for i in range(n):
-        up = _interior_block(sl, _unit_shift(n, i, 1))
-        dn = _interior_block(sl, _unit_shift(n, i, -1))
-        out.append((up - 2.0 * center + dn) / h2)
+        d = np.subtract(_interior_block(sl, _unit_shift(n, i, 1)), twice, out=ws.buf(("diag", i)))
+        d += _interior_block(sl, _unit_shift(n, i, -1))
+        d /= h2
+        out.append(d)
     return out
 
 
-def _slice_cross_diffs(sl: np.ndarray, h: float) -> dict[tuple[int, int], np.ndarray]:
+def _slice_cross_diffs(
+    sl: np.ndarray, h: float, ws=None
+) -> dict[tuple[int, int], np.ndarray]:
+    ws = ws or _Workspace.for_slice(sl)
     n = sl.ndim
     h2 = h * h
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            pp = [0] * n
-            pp[i], pp[j] = 1, 1
-            pm = [0] * n
-            pm[i], pm[j] = 1, -1
-            mp = [0] * n
-            mp[i], mp[j] = -1, 1
-            mm = [0] * n
-            mm[i], mm[j] = -1, -1
-            out[(i, j)] = (
-                _interior_block(sl, tuple(pp))
-                - _interior_block(sl, tuple(pm))
-                - _interior_block(sl, tuple(mp))
-                + _interior_block(sl, tuple(mm))
-            ) / (4.0 * h2)
+            c = np.subtract(
+                _interior_block(sl, _pair_shift(n, i, j, 1, 1)),
+                _interior_block(sl, _pair_shift(n, i, j, 1, -1)),
+                out=ws.buf(("cross", i, j)),
+            )
+            c -= _interior_block(sl, _pair_shift(n, i, j, -1, 1))
+            c += _interior_block(sl, _pair_shift(n, i, j, -1, -1))
+            c /= 4.0 * h2
+            out[(i, j)] = c
     return out
 
 
-def _slice_gradient(sl: np.ndarray, h: float) -> list[np.ndarray]:
+def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
+    ws = ws or _Workspace.for_slice(sl)
     n = sl.ndim
     out = []
     for i in range(n):
-        up = _interior_block(sl, _unit_shift(n, i, 1))
-        dn = _interior_block(sl, _unit_shift(n, i, -1))
-        out.append((up - dn) / (2.0 * h))
+        g = np.subtract(
+            _interior_block(sl, _unit_shift(n, i, 1)),
+            _interior_block(sl, _unit_shift(n, i, -1)),
+            out=ws.buf(("grad", i)),
+        )
+        g /= 2.0 * h
+        out.append(g)
     return out
+
+
+def _slice_time_diff(sl: np.ndarray, prev: np.ndarray, tau: float, ws=None) -> np.ndarray:
+    """Backward difference (u^m - u^{m-1}) / tau over the interior block."""
+    ws = ws or _Workspace.for_slice(sl)
+    dt = np.subtract(_interior_block(sl), _interior_block(prev), out=ws.buf("dt"))
+    dt /= tau
+    return dt
 
 
 def _hessian_stack(diag, cross) -> np.ndarray:
@@ -318,8 +374,10 @@ def _hessian_stack(diag, cross) -> np.ndarray:
     return hess
 
 
-def _slice_trace(diag) -> np.ndarray:
-    trace = diag[0].copy()
+def _slice_trace(diag, ws=None) -> np.ndarray:
+    ws = ws or _Workspace(diag[0].shape)
+    trace = ws.buf("trace")
+    np.copyto(trace, diag[0])
     for d in diag[1:]:
         trace += d
     return trace
@@ -331,7 +389,7 @@ def _eigen_value_sums(values: np.ndarray):
     return pos, neg
 
 
-def _eigen_sign_sums(diag, cross):
+def _eigen_sign_sums(diag, cross, ws=None):
     """Per-row sums (pos, neg) of the positive and the negative eigenvalues.
 
     Gershgorin certifies a row positive semidefinite when every diagonal
@@ -342,22 +400,31 @@ def _eigen_sign_sums(diag, cross):
     non-finite entry are never certified, so the eigen-solver still
     rejects them.
     """
+    ws = ws or _Workspace(diag[0].shape)
     n = len(diag)
-    absc = {key: np.abs(c) for key, c in cross.items()}
+    absc = {key: np.abs(c, out=ws.buf(("abs",) + key)) for key, c in cross.items()}
+    neg_radius, hit = ws.buf("neg_radius"), ws.buf("hit", bool)
     # The trace and the radii overflow only for entries near the float
     # range; such rows stay uncertified and go to the eigen-solver.
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = _slice_trace(diag)
-        psd = np.isfinite(trace)
-        nsd = psd.copy()
+        trace = _slice_trace(diag, ws)
+        psd = np.isfinite(trace, out=ws.buf("psd", bool))
+        nsd = ws.buf("nsd", bool)
+        np.copyto(nsd, psd)
         for i in range(n):
             terms = [absc[min(i, j), max(i, j)] for j in range(n) if j != i]
-            radius = sum(terms[1:], terms[0]) if terms else 0.0
-            psd &= diag[i] >= radius
-            nsd &= diag[i] <= -radius
-    rest = ~(psd | nsd)
-    pos = np.where(psd, trace, 0.0)
-    neg = np.where(nsd, trace, 0.0)
+            radius = terms[0] if terms else 0.0
+            for t in terms[1:]:
+                radius = np.add(radius, t, out=ws.buf("radius"))
+            psd &= np.greater_equal(diag[i], radius, out=hit)
+            nsd &= np.less_equal(diag[i], np.negative(radius, out=neg_radius), out=hit)
+    rest = np.logical_or(psd, nsd, out=ws.buf("rest", bool))
+    np.logical_not(rest, out=rest)
+    pos, neg = ws.buf("pos"), ws.buf("neg")
+    pos.fill(0.0)
+    neg.fill(0.0)
+    np.copyto(pos, trace, where=psd)
+    np.copyto(neg, trace, where=nsd)
     if rest.any():
         rows = np.flatnonzero(rest)
         stack = _hessian_stack(
@@ -367,42 +434,51 @@ def _eigen_sign_sums(diag, cross):
     return pos, neg
 
 
-def _plaplace_forms(diag, cross, grad):
+def _plaplace_forms(diag, cross, grad, ws=None):
     """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice."""
-    trace = _slice_trace(diag)
-    squares = [g * g for g in grad]
-    quad = squares[0] * diag[0]
+    ws = ws or _Workspace(diag[0].shape)
+    trace = _slice_trace(diag, ws)
+    # |Du|^2 sums the squares g_i^2 and the quadratic form the terms
+    # g_i^2 d_i, then the cross terms, each in ascending order
+    tmp = ws.buf("tmp")
+    norm2 = np.multiply(grad[0], grad[0], out=ws.buf("norm2"))
+    quad = np.multiply(norm2, diag[0], out=ws.buf("quad"))
     for i in range(1, len(diag)):
-        quad = quad + squares[i] * diag[i]
+        square = np.multiply(grad[i], grad[i], out=tmp)
+        norm2 += square
+        quad += np.multiply(square, diag[i], out=tmp)
     for (i, j), val in cross.items():
-        quad = quad + 2.0 * (grad[i] * grad[j] * val)
-    # The quadratic form is done with squares[0]; |Du|^2 accumulates into it.
-    norm2 = squares[0]
-    for sq in squares[1:]:
-        norm2 += sq
+        np.multiply(grad[i], grad[j], out=tmp)
+        tmp *= val
+        np.multiply(2.0, tmp, out=tmp)
+        quad += tmp
     return trace, norm2, quad
 
 
-def _slice_operator_value(op, sl: np.ndarray, h: float) -> np.ndarray:
+def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
     """Evaluate the tagged spatial operator over the interior of a slice."""
-    diag = _slice_diag_diffs(sl, h)
+    ws = ws or _Workspace.for_slice(sl)
+    diag = _slice_diag_diffs(sl, h, ws)
     if isinstance(op, HeatOp):
-        return op.lam * _slice_trace(diag)
+        trace = _slice_trace(diag, ws)
+        return np.multiply(op.lam, trace, out=trace)
     if isinstance(op, (PucciPlusOp, PucciMinusOp)):
-        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h))
-        return _pucci_combine(pos, neg, op.ell, plus=isinstance(op, PucciPlusOp))
+        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
+        return _pucci_combine(pos, neg, op.ell, isinstance(op, PucciPlusOp), ws)
     if isinstance(op, PLaplaceOp):
         p, eps = op.params.p, op.params.epsilon
         trace, norm2, quad = _plaplace_forms(
-            diag, _slice_cross_diffs(sl, h), _slice_gradient(sl, h)
+            diag, _slice_cross_diffs(sl, h, ws), _slice_gradient(sl, h, ws), ws
         )
-        den = norm2 + eps * eps
+        den = np.add(norm2, eps * eps, out=norm2)
         if eps == 0.0 and np.any(den == 0.0):
             raise SingularGradientError(
                 "zero discrete gradient met with epsilon = 0; evaluate through "
                 "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
             )
-        return trace + (p - 2.0) * (quad / den)
+        quad /= den
+        np.multiply(p - 2.0, quad, out=quad)
+        return np.add(trace, quad, out=trace)
     raise InputError(f"unknown operator tag {op!r}")
 
 
@@ -439,16 +515,20 @@ def class_membership(
     worst_node: tuple[int, tuple[int, ...]] = (1, (1,) * grid.n_dim)
     worst_key = np.inf
 
+    ws = _Workspace.for_slice(u.data[0])
     for m in range(1, grid.n_time_levels):
         sl = u.data[m]
         pos, neg = _eigen_sign_sums(
-            _slice_diag_diffs(sl, grid.h), _slice_cross_diffs(sl, grid.h)
+            _slice_diag_diffs(sl, grid.h, ws), _slice_cross_diffs(sl, grid.h, ws), ws
         )
-        m_plus = _pucci_combine(pos, neg, ell, plus=True)
-        m_minus = _pucci_combine(pos, neg, ell, plus=False)
-        dt = (_interior_block(sl) - _interior_block(u.data[m - 1])) / grid.tau
-        sub_slack = dt - m_minus + f_bound
-        super_slack = f_bound - (dt - m_plus)
+        m_plus = _pucci_combine(pos, neg, ell, True, ws, "m_plus")
+        m_minus = _pucci_combine(pos, neg, ell, False, ws, "m_minus")
+        dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
+        # dt - m_minus + f_bound and f_bound - (dt - m_plus), in place
+        sub_slack = np.subtract(dt, m_minus, out=m_minus)
+        sub_slack += f_bound
+        super_slack = np.subtract(dt, m_plus, out=m_plus)
+        np.subtract(f_bound, super_slack, out=super_slack)
 
         for slack, is_sub in ((sub_slack, True), (super_slack, False)):
             flat = int(np.argmin(slack))
@@ -492,31 +572,34 @@ def pde_residual(
     n = grid.n_dim
     inner = tuple(slice(1, -1) for _ in range(n))
 
+    ws = _Workspace.for_slice(u.data[0])
     for m in range(1, grid.n_time_levels):
         sl = u.data[m]
-        dt = (_interior_block(sl) - _interior_block(u.data[m - 1])) / grid.tau
+        dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
         rhs = _interior_block(f.data[m])
         if (
             isinstance(op, PLaplaceOp)
             and op.params.epsilon == 0.0
             and zero_gradient == "envelope"
         ):
-            opval = _plaplace_envelope_value(op.params.p, sl, grid.h)
+            opval = _plaplace_envelope_value(op.params.p, sl, grid.h, ws)
             res = dt - rhs
             r_lo = res - opval[1]
             r_hi = res - opval[0]
             value = np.where(r_lo > 0.0, r_lo, np.where(r_hi < 0.0, r_hi, 0.0))
         else:
-            value = dt - _slice_operator_value(op, sl, grid.h) - rhs
+            value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
+            value -= rhs
         out[(m,) + inner] = value
     return GridFunction(grid=grid, data=out)
 
 
-def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float):
+def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float, ws=None):
     """(low, high) operator values over a slice, envelope rules at q = 0."""
-    diag = _slice_diag_diffs(sl, h)
-    cross = _slice_cross_diffs(sl, h)
-    trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h))
+    ws = ws or _Workspace.for_slice(sl)
+    diag = _slice_diag_diffs(sl, h, ws)
+    cross = _slice_cross_diffs(sl, h, ws)
+    trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h, ws), ws)
     values, _ = jacobi_eigh_batch(_hessian_stack(diag, cross))
     e_min, e_max = values[..., 0], values[..., -1]
     if p >= 2.0:

@@ -8,8 +8,18 @@ boundary data at every level, which makes the marched function a
 discrete Dirichlet solution on the parabolic cylinder.
 
 Boundary data g and forcing f may be full GridFunctions or callables
-(x_mesh, t) -> array; callables are evaluated one slice at a time,
-which matters once grids reach a few million nodes.
+(x_mesh, t) -> array; callables are evaluated one slice at a time on
+one coordinate mesh built per march, which matters once grids reach a
+few million nodes.
+
+The march's own arithmetic allocates nothing per step: the stencils
+write into one workspace of interior-block buffers that the march
+creates for itself (never a module-level one, so threads can march at
+the same time), and each level is written in place into the
+preallocated history.  What a callable field returns, and the stack of
+Pucci Hessians that reach the eigen-solver, are still fresh arrays.
+The history itself is levels x nodes; eps-continuation reads its
+distances level by level, so it holds no temporary of that size.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .operators import (
     PucciPlusOp,
     _interior_block,
     _slice_operator_value,
+    _Workspace,
 )
 
 __all__ = [
@@ -47,10 +58,10 @@ def cfl_limit(op, grid: Grid) -> float:
     return CFL_SAFETY / (2.0 * grid.n_dim * op.cfl_coefficient)
 
 
-def _field_slice(field, grid: Grid, level: int) -> np.ndarray:
+def _field_slice(field, grid: Grid, level: int, mesh) -> np.ndarray:
     if isinstance(field, GridFunction):
         return field.data[level]
-    vals = np.asarray(field(grid.coordinate_mesh(), grid.time_value(level)), dtype=float)
+    vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
     return np.broadcast_to(vals, grid.spatial_shape)
 
 
@@ -105,32 +116,42 @@ def _interior_ball_mask(grid: Grid) -> np.ndarray:
 
 
 def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
-    """March the problem to the top level and return the full field."""
+    """March the problem to the top level and return the full field.
+
+    Each level is written in place: g goes straight into u[m+1], then
+    the stepped values are copied over it on the nodes of the open ball.
+    The finiteness guard reads the whole level, boundary nodes included.
+    """
     grid = prob.grid
     if any(s < 3 for s in grid.spatial_shape):
         raise InputError("grid has no interior column to update")
     inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
     mask_inner = _interior_ball_mask(grid)[inner]
+    mesh = grid.coordinate_mesh()
+    ws = _Workspace(mask_inner.shape)
+    finite = np.empty(grid.spatial_shape, dtype=bool)
     tau = grid.tau
 
     u = np.empty((grid.n_time_levels,) + grid.spatial_shape)
-    u[0] = _field_slice(prob.g, grid, 0)
+    u[0] = _field_slice(prob.g, grid, 0, mesh)
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.n_time_levels - 1):
-            opval = _slice_operator_value(prob.op_tag, u[m], grid.h)
-            forcing = _interior_block(np.asarray(_field_slice(prob.f, grid, m)))
-            stepped = _interior_block(u[m]) + tau * (opval + forcing)
-            new = np.array(_field_slice(prob.g, grid, m + 1), dtype=float)
-            new[inner] = np.where(mask_inner, stepped, new[inner])
-            if not np.all(np.isfinite(new)):
+            # u[m] + tau * (F(u[m]) + f), one ufunc per operation
+            stepped = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
+            stepped += _interior_block(_field_slice(prob.f, grid, m, mesh))
+            np.multiply(tau, stepped, out=stepped)
+            np.add(_interior_block(u[m]), stepped, out=stepped)
+            new = u[m + 1]
+            new[...] = _field_slice(prob.g, grid, m + 1, mesh)
+            np.copyto(new[inner], stepped, where=mask_inner)
+            if not np.isfinite(new, out=finite).all():
                 raise BlowUpError(
                     f"solution left the finite range at step {m + 1} "
                     f"(t = {grid.time_value(m + 1)})",
                     step=m + 1,
                 )
-            u[m + 1] = new
     return GridFunction(grid=grid, data=u)
 
 
@@ -169,6 +190,19 @@ class EpsilonContinuationReport:
     failures: tuple[str, ...]
 
 
+def _sup_distance(a: GridFunction, b: GridFunction, level: np.ndarray) -> float:
+    """max |a - b| over every node, one level at a time in a slice buffer.
+
+    A max is exact, so this equals the whole-field max bit for bit
+    without a temporary the size of the history.
+    """
+    dist = 0.0
+    for la, lb in zip(a.data, b.data):
+        np.subtract(la, lb, out=level)
+        dist = max(dist, float(np.abs(level, out=level).max()))
+    return dist
+
+
 def epsilon_continuation(
     p: float, eps_schedule, f, g, grid: Grid
 ) -> tuple[list[GridFunction | None], EpsilonContinuationReport]:
@@ -190,12 +224,13 @@ def epsilon_continuation(
             solutions.append(None)
             failures.append(f"epsilon={eps!r}: {exc}")
 
+    level = np.empty(grid.spatial_shape)
     distances: list[float | None] = []
     for a, b in zip(solutions, solutions[1:]):
         if a is None or b is None:
             distances.append(None)
         else:
-            distances.append(float(np.max(np.abs(a.data - b.data))))
+            distances.append(_sup_distance(a, b, level))
     if any(d is None for d in distances):
         cauchy = None
     else:

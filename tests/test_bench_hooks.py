@@ -38,3 +38,28 @@ def test_hook_target_exists(module_name, attr):
     target = vars(owner).get(leaf)
     assert target is not None, f"{module_name}.{attr} is gone"
     assert isinstance(target, property) or callable(target)
+
+
+def test_continuation_marches_through_the_hooked_solver(monkeypatch):
+    # The benchmark's warm-up digests wrap puccilab.solver.solve_dirichlet
+    # and read the full history of every field it returns; eps-continuation
+    # must keep reaching it once per epsilon, or the warm-up finds no digests.
+    from puccilab import solver
+    from puccilab.grid import Grid, GridFunction
+
+    grid = Grid(n_dim=2, h=0.125, tau=2.0**-9, time_extent=2.0**-6)
+    levels = (grid.n_time_levels,) + grid.spatial_shape
+    fields = []
+    march = solver.solve_dirichlet
+
+    def recording(prob):
+        u = march(prob)
+        fields.append(u)
+        return u
+
+    monkeypatch.setattr(solver, "solve_dirichlet", recording)
+    g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
+    sols, rep = solver.epsilon_continuation(2.5, [0.25, 0.125, 0.0625], lambda m, t: 0.0, g, grid)
+    assert len(fields) == 3 and rep.failures == ()
+    assert all(isinstance(u, GridFunction) and u.data.shape == levels for u in fields)
+    assert all(a is b for a, b in zip(sols, fields))

@@ -224,6 +224,15 @@ def test_sample_rejects_nonfinite():
         sample(lambda x, t: np.where(x[0] == 0.0, np.inf, 1.0), grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_function_rejects_nonfinite(bad):
+    grid = Grid(n_dim=2, h=0.5, tau=0.5)
+    data = np.zeros((grid.n_time_levels,) + grid.spatial_shape)
+    data[1, 2, 0] = bad
+    with pytest.raises(InputError, match="finite"):
+        GridFunction(grid=grid, data=data)
+
+
 def test_time_level_alignment():
     grid = Grid(n_dim=1, h=0.5, tau=0.25)
     assert grid.time_level_of(-1.0) == 0

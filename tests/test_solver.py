@@ -1,13 +1,26 @@
 """Explicit marching: exactness, monotonicity, stability guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from puccilab.errors import BlowUpError, CFLViolationError, InputError
 from puccilab.grid import Grid, GridFunction, sample
-from puccilab.operators import EllipticityPair, HeatOp, PLaplaceOp, PLaplaceParams, PucciPlusOp
+from puccilab.linalg import jacobi_eigh_batch
+from puccilab.operators import (
+    EllipticityPair,
+    HeatOp,
+    PLaplaceOp,
+    PLaplaceParams,
+    PucciMinusOp,
+    PucciPlusOp,
+    _eigen_value_sums,
+    _hessian_stack,
+)
 from puccilab.solver import (
     DirichletProblem,
+    _interior_ball_mask,
     cfl_limit,
     epsilon_continuation,
     solve_dirichlet,
@@ -182,3 +195,205 @@ def test_epsilon_continuation_isolates_failures():
     _, rep = epsilon_continuation(2.5, [0.25, 0.125], boom, g, grid)
     assert rep.cauchy is None
     assert len(rep.failures) == 2
+
+
+# ---------------------------------------------------------------------------
+# The in-place march against an allocating reference.
+#
+# The reference below is the march as it was written before it stepped
+# into preallocated buffers: every stencil and every step is a plain
+# numpy expression that allocates its result.  The library march must
+# give the same bits.
+
+
+def _reference_operator(op, sl, h):
+    n = sl.ndim
+    h2 = h * h
+
+    def at(moves):
+        shift = [moves.get(k, 0) for k in range(n)]
+        return sl[tuple(slice(1 + s, d - 1 + s) for s, d in zip(shift, sl.shape))]
+
+    diag = [(at({i: 1}) - 2.0 * at({}) + at({i: -1})) / h2 for i in range(n)]
+    trace = diag[0].copy()
+    for d in diag[1:]:
+        trace += d
+    if isinstance(op, HeatOp):
+        return op.lam * trace
+    cross = {
+        (i, j): (at({i: 1, j: 1}) - at({i: 1, j: -1}) - at({i: -1, j: 1}) + at({i: -1, j: -1}))
+        / (4.0 * h2)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    if isinstance(op, PLaplaceOp):
+        grad = [(at({i: 1}) - at({i: -1})) / (2.0 * h) for i in range(n)]
+        norm2 = grad[0] * grad[0]
+        for g in grad[1:]:
+            norm2 = norm2 + g * g
+        quad = grad[0] * grad[0] * diag[0]
+        for i in range(1, n):
+            quad = quad + grad[i] * grad[i] * diag[i]
+        for (i, j), val in cross.items():
+            quad = quad + 2.0 * (grad[i] * grad[j] * val)
+        p, eps = op.params.p, op.params.epsilon
+        return trace + (p - 2.0) * (quad / (norm2 + eps * eps))
+    # Pucci: Gershgorin-certified rows take the trace, the rest is solved
+    absc = {key: np.abs(c) for key, c in cross.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        psd = np.isfinite(trace)
+        nsd = psd.copy()
+        for i in range(n):
+            terms = [absc[min(i, j), max(i, j)] for j in range(n) if j != i]
+            radius = sum(terms[1:], terms[0]) if terms else 0.0
+            psd &= diag[i] >= radius
+            nsd &= diag[i] <= -radius
+    rest = ~(psd | nsd)
+    pos = np.where(psd, trace, 0.0)
+    neg = np.where(nsd, trace, 0.0)
+    if rest.any():
+        values = jacobi_eigh_batch(_hessian_stack(diag, cross)[rest])[0]
+        pos[rest], neg[rest] = _eigen_value_sums(values)
+    if isinstance(op, PucciPlusOp):
+        return op.ell.Lam * pos + op.ell.lam * neg
+    return op.ell.lam * pos + op.ell.Lam * neg
+
+
+def _reference_march(prob):
+    grid = prob.grid
+    inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
+    mask_inner = _interior_ball_mask(grid)[inner]
+
+    def field(fld, level):
+        if isinstance(fld, GridFunction):
+            return fld.data[level]
+        vals = np.asarray(fld(grid.coordinate_mesh(), grid.time_value(level)), dtype=float)
+        return np.broadcast_to(vals, grid.spatial_shape)
+
+    u = np.empty((grid.n_time_levels,) + grid.spatial_shape)
+    u[0] = field(prob.g, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(grid.n_time_levels - 1):
+            opval = _reference_operator(prob.op_tag, u[m], grid.h)
+            forcing = field(prob.f, m)[inner]
+            stepped = u[m][inner] + grid.tau * (opval + forcing)
+            new = np.array(field(prob.g, m + 1), dtype=float)
+            new[inner] = np.where(mask_inner, stepped, new[inner])
+            assert np.all(np.isfinite(new))
+            u[m + 1] = new
+    return u
+
+
+def _wavy_g(mesh, t):
+    out = np.sin(3.0 * mesh[0] + t)
+    for i, x in enumerate(mesh[1:], 1):
+        out = out * np.cos((i + 1.0) * x) + 0.5 * mesh[0] * x
+    return out + 0.25 * mesh[-1] ** 2
+
+
+def _wavy_f(mesh, t):
+    return 0.5 * np.cos(2.0 * mesh[0] - 3.0 * t)
+
+
+_ELL = EllipticityPair(1.0, 1.5)
+_OPS = {
+    "heat": HeatOp(lam=1.0),
+    "pucci_plus": PucciPlusOp(_ELL),
+    "pucci_minus": PucciMinusOp(_ELL),
+    **{f"p={p}": PLaplaceOp(PLaplaceParams(p=p, epsilon=1.0 / 16)) for p in (1.5, 2.1, 2.5)},
+}
+# tau / h^2 = 1/16 is inside every CFL limit here (the tightest is 0.1 at n = 3)
+_GRIDS = {
+    "n=1": Grid(n_dim=1, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8),
+    "n=2": Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8),
+    "n=3": Grid(n_dim=3, h=1.0 / 8, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6),
+    "half": Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8, half_space=True),
+}
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["callable", "stored"])
+@pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+@pytest.mark.parametrize("op_name", sorted(_OPS))
+def test_march_equals_the_allocating_reference_bitwise(op_name, grid_name, stored):
+    grid = _GRIDS[grid_name]
+    f, g = (sample(_wavy_f, grid), sample(_wavy_g, grid)) if stored else (_wavy_f, _wavy_g)
+    prob = DirichletProblem(op_tag=_OPS[op_name], f=f, g=g, grid=grid)
+    u = solve_dirichlet(prob)
+    want = _reference_march(prob)
+    assert np.array_equal(u.data.view(np.int64), want.view(np.int64))
+    # the data move: the march is not a fixed point of g
+    assert not np.array_equal(u.data, sample(_wavy_g, grid).data)
+
+
+def test_continuation_distances_equal_the_whole_field_max():
+    grid = _GRIDS["n=2"]
+    sols, rep = epsilon_continuation(2.5, [1.0 / 16, 1.0 / 32, 1.0 / 64], _wavy_f, _wavy_g, grid)
+    want = tuple(
+        float(np.max(np.abs(a.data - b.data))) for a, b in zip(sols, sols[1:])
+    )
+    assert rep.distances == want
+    assert all(d > 0.0 for d in want)
+
+
+def _traced_peak(run):
+    """Peak bytes traced while run() executes, and what it returns."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_march_memory_beyond_the_history_does_not_grow_with_levels():
+    h, tau = 1.0 / 16, 2.0**-12
+    for op in (_OPS["p=2.5"], _OPS["pucci_plus"]):
+        extra = {}
+        for levels in (32, 128, 32, 128):  # the first pair warms numpy's caches
+            grid = Grid(n_dim=2, h=h, tau=tau, time_extent=(levels - 1) * tau)
+            prob = DirichletProblem(op_tag=op, f=_wavy_f, g=_wavy_g, grid=grid)
+            peak, u = _traced_peak(lambda: solve_dirichlet(prob))
+            extra[levels] = peak - u.data.nbytes
+        slice_bytes = u.data[0].nbytes
+        # step buffers, mask, mesh and the callables' temporaries: a few
+        # dozen slices, the same however many levels are marched
+        assert extra[128] <= extra[32] + slice_bytes, (op, extra)
+        assert extra[128] <= 40 * slice_bytes, (op, extra)
+
+
+def test_distance_pass_allocates_no_history_sized_temporary():
+    grid = Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=127 * 2.0**-12)
+    schedule = [1.0 / 16, 1.0 / 32, 1.0 / 64]
+    peak, (sols, rep) = _traced_peak(
+        lambda: epsilon_continuation(2.5, schedule, _wavy_f, _wavy_g, grid)
+    )
+    history = sols[0].data.nbytes
+    assert rep.failures == () and len(rep.distances) == 2
+    assert peak - 3 * history < history / 4
+
+
+@pytest.mark.parametrize(
+    "bad_node",
+    [(0, 4), (1, 1)],
+    ids=["lattice-edge", "box-corner-outside-the-ball"],
+)
+def test_blow_up_in_boundary_data_names_its_level(bad_node):
+    # g turns non-finite at one non-interior node of level k only: on the
+    # lattice edge, or at a node of the inner block outside the ball,
+    # which keeps g's value.  The step that writes level k must raise.
+    grid = small_grid(h=0.25)
+    k = 5
+    mask = np.zeros(grid.spatial_shape, dtype=bool)
+    mask[bad_node] = True
+    assert not _interior_ball_mask(grid)[bad_node]
+
+    def g(mesh, t):
+        value = mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
+        if t == grid.time_value(k):
+            return np.where(mask, np.nan, value)
+        return value
+
+    with pytest.raises(BlowUpError) as info:
+        solve_dirichlet(DirichletProblem(op_tag=HeatOp(lam=1.0), f=ZERO, g=g, grid=grid))
+    assert info.value.step == k
