@@ -14,7 +14,6 @@ from .errors import (
     BoundaryProximityError,
     CFLViolationError,
     ConfigError,
-    ConvergenceError,
     DegenerateCylinderError,
     DegenerateFitError,
     FaceDataError,

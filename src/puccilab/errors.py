@@ -14,7 +14,6 @@ __all__ = [
     "ValidationError",
     "NumericalError",
     "InputError",
-    "ConvergenceError",
     "DegenerateCylinderError",
     "BoundaryProximityError",
     "GridFileError",
@@ -42,10 +41,6 @@ class NumericalError(PucciLabError):
 
 class InputError(ValidationError):
     """Malformed numerical input: wrong shape, non-finite entries, bad range."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative routine hit its iteration cap before reaching tolerance."""
 
 
 class DegenerateCylinderError(NumericalError):

@@ -574,9 +574,10 @@ def _check_stencil_room(u: GridFunction, node) -> tuple[int, tuple[int, ...]]:
 
 
 def _neighbourhood(u: GridFunction, node, level_shift: int = 0) -> np.ndarray:
-    """The 3^n block of lattice values around a node with stencil room."""
+    """The 3^n block of lattice values around a node, copied C-contiguous."""
     level, idx = _check_stencil_room(u, node)
-    return u.data[level + level_shift][tuple(slice(i - 1, i + 2) for i in idx)]
+    block = u.data[level + level_shift][tuple(slice(i - 1, i + 2) for i in idx)]
+    return np.ascontiguousarray(block)  # the slice kernels read it flat
 
 
 # The three stencils below run the slice kernels of operators.py on the

@@ -169,7 +169,7 @@ def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="val
 
     The result goes to the workspace buffer named key (see _Workspace).
     """
-    ws = ws or _Workspace(pos.shape)
+    ws = ws or _Workspace.for_rows(pos.size)
     a, b = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
     value = np.multiply(a, pos, out=ws.buf(key))
     value += np.multiply(b, neg, out=ws.buf("tmp"))
@@ -247,10 +247,18 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Slice-level stencils.  These operate on one time slice and return
-# arrays over the interior block (one node trimmed from every spatial
-# edge), keeping axis order ascending everywhere so that summation
-# order, and therefore bit patterns, are reproducible.
+# Slice-level stencils.  A level of shape S is read as one flat
+# C-contiguous vector, in which node (1, ..., 1) sits at index lo (the
+# sum of the axis strides) and the last interior node at hi - 1.  A
+# stencil term that moves s_i steps along each axis i is the contiguous
+# range [lo + o, hi + o) with o = sum s_i stride_i, so every kernel runs
+# its ufuncs on contiguous operands and returns arrays of length hi - lo.
+# Between interior rows that range holds ghost positions, edge nodes
+# whose stencils wrap around the row ends (1.6 % of the range at 129^2,
+# 27 % at 17^3).  The workspace's valid mask is False there, and a ghost
+# never reaches the eigen-solver, a membership minimum, a residual or a
+# marched level.  Axis order stays ascending everywhere, so that
+# summation order, and therefore bit patterns, are reproducible.
 #
 # Each kernel writes into the buffers of a _Workspace, one ufunc with
 # out= per arithmetic step, in the order in which the written-out
@@ -261,58 +269,53 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
 
 
 class _Workspace:
-    """Buffers of one interior-block shape, each allocated on first use.
+    """The flat layout of one level shape, and buffers of length hi - lo.
 
-    A march or a membership pass makes one and hands it to every slice,
-    so its step temporaries are allocated once per pass instead of once
-    per step.  Workspaces are never shared: threads marching at the same
-    time each make their own.
+    strides are the axis strides in elements, [lo, hi) is the flat range
+    of the stencils and valid is False at its ghosts.  Buffers are
+    allocated on first use.  A march or a membership pass makes one and
+    hands it to every slice, so its step temporaries are allocated once
+    per pass instead of once per step.  Workspaces are never shared:
+    threads marching at the same time each make their own.
     """
 
     def __init__(self, shape):
         self.shape = tuple(shape)
+        self.strides = tuple(int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape)))
+        self.lo = sum(self.strides)
+        self.hi = sum((s - 2) * st for s, st in zip(self.shape, self.strides)) + 1
+        inner = np.zeros(self.shape, dtype=bool)
+        inner[tuple(slice(1, -1) for _ in self.shape)] = True
+        self.valid = inner.reshape(-1)[self.lo : self.hi]
         self._buffers = {}
 
     @classmethod
-    def for_slice(cls, sl: np.ndarray) -> "_Workspace":
-        return cls(s - 2 for s in sl.shape)
+    def for_rows(cls, rows: int) -> "_Workspace":
+        """Buffers for a plain stack of rows: a 1-D level with no ghosts."""
+        return cls((rows + 2,))
 
     def buf(self, key, dtype=float) -> np.ndarray:
         out = self._buffers.get(key)
         if out is None:
-            out = self._buffers[key] = np.empty(self.shape, dtype)
+            out = self._buffers[key] = np.empty(self.hi - self.lo, dtype)
         return out
 
 
-def _interior_block(sl: np.ndarray, shifts=None) -> np.ndarray:
-    n = sl.ndim
-    if shifts is None:
-        shifts = (0,) * n
-    return sl[tuple(slice(1 + s, d - 1 + s) for s, d in zip(shifts, sl.shape))]
-
-
-def _unit_shift(n: int, axis: int, sign: int) -> tuple[int, ...]:
-    s = [0] * n
-    s[axis] = sign
-    return tuple(s)
-
-
-def _pair_shift(n: int, i: int, j: int, si: int, sj: int) -> tuple[int, ...]:
-    s = [0] * n
-    s[i], s[j] = si, sj
-    return tuple(s)
+def _flat(sl: np.ndarray) -> np.ndarray:
+    """A C-contiguous level as a flat view; a strided one raises, never copies."""
+    return sl.reshape(-1, copy=False)
 
 
 def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
-    ws = ws or _Workspace.for_slice(sl)
-    n = sl.ndim
+    ws = ws or _Workspace(sl.shape)
+    x, lo, hi = _flat(sl), ws.lo, ws.hi
     h2 = h * h
     # 2.0 * center is the same for every axis; it is computed once
-    twice = np.multiply(2.0, _interior_block(sl), out=ws.buf("twice_center"))
+    twice = np.multiply(2.0, x[lo:hi], out=ws.buf("twice_center"))
     out = []
-    for i in range(n):
-        d = np.subtract(_interior_block(sl, _unit_shift(n, i, 1)), twice, out=ws.buf(("diag", i)))
-        d += _interior_block(sl, _unit_shift(n, i, -1))
+    for i, s in enumerate(ws.strides):
+        d = np.subtract(x[lo + s : hi + s], twice, out=ws.buf(("diag", i)))
+        d += x[lo - s : hi - s]
         d /= h2
         out.append(d)
     return out
@@ -321,43 +324,41 @@ def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
 def _slice_cross_diffs(
     sl: np.ndarray, h: float, ws=None
 ) -> dict[tuple[int, int], np.ndarray]:
-    ws = ws or _Workspace.for_slice(sl)
-    n = sl.ndim
+    ws = ws or _Workspace(sl.shape)
+    x, lo, hi = _flat(sl), ws.lo, ws.hi
     h2 = h * h
     out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i, si in enumerate(ws.strides):
+        for j in range(i + 1, len(ws.strides)):
+            sj = ws.strides[j]
             c = np.subtract(
-                _interior_block(sl, _pair_shift(n, i, j, 1, 1)),
-                _interior_block(sl, _pair_shift(n, i, j, 1, -1)),
+                x[lo + si + sj : hi + si + sj],
+                x[lo + si - sj : hi + si - sj],
                 out=ws.buf(("cross", i, j)),
             )
-            c -= _interior_block(sl, _pair_shift(n, i, j, -1, 1))
-            c += _interior_block(sl, _pair_shift(n, i, j, -1, -1))
+            c -= x[lo - si + sj : hi - si + sj]
+            c += x[lo - si - sj : hi - si - sj]
             c /= 4.0 * h2
             out[(i, j)] = c
     return out
 
 
 def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
-    ws = ws or _Workspace.for_slice(sl)
-    n = sl.ndim
+    ws = ws or _Workspace(sl.shape)
+    x, lo, hi = _flat(sl), ws.lo, ws.hi
     out = []
-    for i in range(n):
-        g = np.subtract(
-            _interior_block(sl, _unit_shift(n, i, 1)),
-            _interior_block(sl, _unit_shift(n, i, -1)),
-            out=ws.buf(("grad", i)),
-        )
+    for i, s in enumerate(ws.strides):
+        g = np.subtract(x[lo + s : hi + s], x[lo - s : hi - s], out=ws.buf(("grad", i)))
         g /= 2.0 * h
         out.append(g)
     return out
 
 
 def _slice_time_diff(sl: np.ndarray, prev: np.ndarray, tau: float, ws=None) -> np.ndarray:
-    """Backward difference (u^m - u^{m-1}) / tau over the interior block."""
-    ws = ws or _Workspace.for_slice(sl)
-    dt = np.subtract(_interior_block(sl), _interior_block(prev), out=ws.buf("dt"))
+    """Backward difference (u^m - u^{m-1}) / tau over the interior range."""
+    ws = ws or _Workspace(sl.shape)
+    lo, hi = ws.lo, ws.hi
+    dt = np.subtract(_flat(sl)[lo:hi], _flat(prev)[lo:hi], out=ws.buf("dt"))
     dt /= tau
     return dt
 
@@ -374,8 +375,14 @@ def _hessian_stack(diag, cross) -> np.ndarray:
     return hess
 
 
-def _slice_trace(diag, ws=None) -> np.ndarray:
-    ws = ws or _Workspace(diag[0].shape)
+def _row_stack(diag, cross, rows) -> np.ndarray:
+    """The Hessians of the given flat positions, as a (rows, n, n) stack."""
+    return _hessian_stack(
+        [d.take(rows) for d in diag], {key: c.take(rows) for key, c in cross.items()}
+    )
+
+
+def _slice_trace(diag, ws) -> np.ndarray:
     trace = ws.buf("trace")
     np.copyto(trace, diag[0])
     for d in diag[1:]:
@@ -396,11 +403,11 @@ def _eigen_sign_sums(diag, cross, ws=None):
     entry d_i is at least its radius, the sum of |c_ij| over j != i; then
     (pos, neg) = (trace, 0).  A row with d_i <= -radius for every i is
     negative semidefinite and gets (0, trace).  Only the other rows are
-    gathered into a Hessian stack and eigen-solved.  Rows with a
-    non-finite entry are never certified, so the eigen-solver still
-    rejects them.
+    gathered into a Hessian stack and eigen-solved; the ghosts of a
+    level's range never are.  Rows with a non-finite entry are never
+    certified, so the eigen-solver still rejects them.
     """
-    ws = ws or _Workspace(diag[0].shape)
+    ws = ws or _Workspace.for_rows(diag[0].size)
     n = len(diag)
     absc = {key: np.abs(c, out=ws.buf(("abs",) + key)) for key, c in cross.items()}
     neg_radius, hit = ws.buf("neg_radius"), ws.buf("hit", bool)
@@ -420,6 +427,7 @@ def _eigen_sign_sums(diag, cross, ws=None):
             nsd &= np.less_equal(diag[i], np.negative(radius, out=neg_radius), out=hit)
     rest = np.logical_or(psd, nsd, out=ws.buf("rest", bool))
     np.logical_not(rest, out=rest)
+    rest &= ws.valid
     pos, neg = ws.buf("pos"), ws.buf("neg")
     pos.fill(0.0)
     neg.fill(0.0)
@@ -427,16 +435,13 @@ def _eigen_sign_sums(diag, cross, ws=None):
     np.copyto(neg, trace, where=nsd)
     if rest.any():
         rows = np.flatnonzero(rest)
-        stack = _hessian_stack(
-            [d.take(rows) for d in diag], {key: c.take(rows) for key, c in cross.items()}
-        )
-        pos[rest], neg[rest] = _eigen_value_sums(jacobi_eigh_batch(stack)[0])
+        values, _ = jacobi_eigh_batch(_row_stack(diag, cross, rows))
+        pos[rows], neg[rows] = _eigen_value_sums(values)
     return pos, neg
 
 
-def _plaplace_forms(diag, cross, grad, ws=None):
+def _plaplace_forms(diag, cross, grad, ws):
     """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice."""
-    ws = ws or _Workspace(diag[0].shape)
     trace = _slice_trace(diag, ws)
     # |Du|^2 sums the squares g_i^2 and the quadratic form the terms
     # g_i^2 d_i, then the cross terms, each in ascending order
@@ -457,7 +462,7 @@ def _plaplace_forms(diag, cross, grad, ws=None):
 
 def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
     """Evaluate the tagged spatial operator over the interior of a slice."""
-    ws = ws or _Workspace.for_slice(sl)
+    ws = ws or _Workspace(sl.shape)
     diag = _slice_diag_diffs(sl, h, ws)
     if isinstance(op, HeatOp):
         trace = _slice_trace(diag, ws)
@@ -471,11 +476,14 @@ def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
             diag, _slice_cross_diffs(sl, h, ws), _slice_gradient(sl, h, ws), ws
         )
         den = np.add(norm2, eps * eps, out=norm2)
-        if eps == 0.0 and np.any(den == 0.0):
-            raise SingularGradientError(
-                "zero discrete gradient met with epsilon = 0; evaluate through "
-                "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
-            )
+        if eps == 0.0:
+            zero = den == 0.0
+            if np.any(zero & ws.valid):
+                raise SingularGradientError(
+                    "zero discrete gradient met with epsilon = 0; evaluate through "
+                    "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
+                )
+            den[zero] = 1.0  # ghosts only; keeps their division quiet
         quad /= den
         np.multiply(p - 2.0, quad, out=quad)
         return np.add(trace, quad, out=trace)
@@ -515,32 +523,37 @@ def class_membership(
     worst_node: tuple[int, tuple[int, ...]] = (1, (1,) * grid.n_dim)
     worst_key = np.inf
 
-    ws = _Workspace.for_slice(u.data[0])
-    for m in range(1, grid.n_time_levels):
-        sl = u.data[m]
-        pos, neg = _eigen_sign_sums(
-            _slice_diag_diffs(sl, grid.h, ws), _slice_cross_diffs(sl, grid.h, ws), ws
-        )
-        m_plus = _pucci_combine(pos, neg, ell, True, ws, "m_plus")
-        m_minus = _pucci_combine(pos, neg, ell, False, ws, "m_minus")
-        dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
-        # dt - m_minus + f_bound and f_bound - (dt - m_plus), in place
-        sub_slack = np.subtract(dt, m_minus, out=m_minus)
-        sub_slack += f_bound
-        super_slack = np.subtract(dt, m_plus, out=m_plus)
-        np.subtract(f_bound, super_slack, out=super_slack)
+    ws = _Workspace(grid.spatial_shape)
+    ghost = ~ws.valid
+    # ghosts can overflow where no interior node does; a non-finite
+    # interior Hessian still reaches the eigen-solver and raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, grid.n_time_levels):
+            sl = u.data[m]
+            pos, neg = _eigen_sign_sums(
+                _slice_diag_diffs(sl, grid.h, ws), _slice_cross_diffs(sl, grid.h, ws), ws
+            )
+            m_plus = _pucci_combine(pos, neg, ell, True, ws, "m_plus")
+            m_minus = _pucci_combine(pos, neg, ell, False, ws, "m_minus")
+            dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
+            # dt - m_minus + f_bound and f_bound - (dt - m_plus), in place
+            sub_slack = np.subtract(dt, m_minus, out=m_minus)
+            sub_slack += f_bound
+            super_slack = np.subtract(dt, m_plus, out=m_plus)
+            np.subtract(f_bound, super_slack, out=super_slack)
 
-        for slack, is_sub in ((sub_slack, True), (super_slack, False)):
-            flat = int(np.argmin(slack))
-            val = float(slack.flat[flat])
-            if is_sub:
-                worst_sub = min(worst_sub, val)
-            else:
-                worst_super = min(worst_super, val)
-            if val < worst_key:
-                worst_key = val
-                idx = np.unravel_index(flat, slack.shape)
-                worst_node = (m, tuple(int(i) + 1 for i in idx))
+            for slack, is_sub in ((sub_slack, True), (super_slack, False)):
+                np.copyto(slack, np.inf, where=ghost)
+                flat = int(np.argmin(slack))
+                val = float(slack[flat])
+                if is_sub:
+                    worst_sub = min(worst_sub, val)
+                else:
+                    worst_super = min(worst_super, val)
+                if val < worst_key:
+                    worst_key = val
+                    idx = np.unravel_index(ws.lo + flat, ws.shape)
+                    worst_node = (m, tuple(int(i) for i in idx))
 
     verdict = "pass" if (worst_sub >= -tol and worst_super >= -tol) else "fail"
     return ClassReport(
@@ -569,39 +582,43 @@ def pde_residual(
     if f.grid != grid:
         raise InputError("forcing term lives on a different grid")
     out = np.zeros_like(u.data)
-    n = grid.n_dim
-    inner = tuple(slice(1, -1) for _ in range(n))
+    out_flat = out.reshape(grid.n_time_levels, -1)
 
-    ws = _Workspace.for_slice(u.data[0])
-    for m in range(1, grid.n_time_levels):
-        sl = u.data[m]
-        dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
-        rhs = _interior_block(f.data[m])
-        if (
-            isinstance(op, PLaplaceOp)
-            and op.params.epsilon == 0.0
-            and zero_gradient == "envelope"
-        ):
-            opval = _plaplace_envelope_value(op.params.p, sl, grid.h, ws)
-            res = dt - rhs
-            r_lo = res - opval[1]
-            r_hi = res - opval[0]
-            value = np.where(r_lo > 0.0, r_lo, np.where(r_hi < 0.0, r_hi, 0.0))
-        else:
-            value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
-            value -= rhs
-        out[(m,) + inner] = value
+    ws = _Workspace(grid.spatial_shape)
+    lo, hi = ws.lo, ws.hi
+    # ghosts can overflow where no interior node does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, grid.n_time_levels):
+            sl = u.data[m]
+            dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
+            rhs = _flat(f.data[m])[lo:hi]
+            if (
+                isinstance(op, PLaplaceOp)
+                and op.params.epsilon == 0.0
+                and zero_gradient == "envelope"
+            ):
+                opval = _plaplace_envelope_value(op.params.p, sl, grid.h, ws)
+                res = dt - rhs
+                r_lo = res - opval[1]
+                r_hi = res - opval[0]
+                value = np.where(r_lo > 0.0, r_lo, np.where(r_hi < 0.0, r_hi, 0.0))
+            else:
+                value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
+                value -= rhs
+            np.copyto(out_flat[m, lo:hi], value, where=ws.valid)
     return GridFunction(grid=grid, data=out)
 
 
 def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float, ws=None):
     """(low, high) operator values over a slice, envelope rules at q = 0."""
-    ws = ws or _Workspace.for_slice(sl)
+    ws = ws or _Workspace(sl.shape)
     diag = _slice_diag_diffs(sl, h, ws)
     cross = _slice_cross_diffs(sl, h, ws)
     trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h, ws), ws)
-    values, _ = jacobi_eigh_batch(_hessian_stack(diag, cross))
-    e_min, e_max = values[..., 0], values[..., -1]
+    rows = np.flatnonzero(ws.valid)
+    values, _ = jacobi_eigh_batch(_row_stack(diag, cross, rows))
+    e_min, e_max = np.zeros_like(trace), np.zeros_like(trace)
+    e_min[rows], e_max[rows] = values[:, 0], values[:, -1]
     if p >= 2.0:
         sub = trace + (p - 2.0) * e_max
         sup = trace + (p - 2.0) * e_min

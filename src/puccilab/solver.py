@@ -13,13 +13,16 @@ one coordinate mesh built per march, which matters once grids reach a
 few million nodes.
 
 The march's own arithmetic allocates nothing per step: the stencils
-write into one workspace of interior-block buffers that the march
-creates for itself (never a module-level one, so threads can march at
-the same time), and each level is written in place into the
-preallocated history.  What a callable field returns, and the stack of
-Pucci Hessians that reach the eigen-solver, are still fresh arrays.
-The history itself is levels x nodes; eps-continuation reads its
-distances level by level, so it holds no temporary of that size.
+write into one workspace that the march creates for itself (never a
+module-level one, so threads can march at the same time), and each
+level is written in place into the preallocated history.  A level is
+stepped as one flat vector, on the range [lo, hi) that holds its
+interior nodes and the ghost positions between interior rows (see
+operators._Workspace); the ghosts are masked out of the copy into the
+next level.  What a callable field returns, and the stack of Pucci
+Hessians that reach the eigen-solver, are still fresh arrays.  The
+history itself is levels x nodes; eps-continuation reads its distances
+level by level, so it holds no temporary of that size.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .operators import (
     PLaplaceParams,
     PucciMinusOp,
     PucciPlusOp,
-    _interior_block,
+    _flat,
     _slice_operator_value,
     _Workspace,
 )
@@ -63,6 +66,22 @@ def _field_slice(field, grid: Grid, level: int, mesh) -> np.ndarray:
         return field.data[level]
     vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
     return np.broadcast_to(vals, grid.spatial_shape)
+
+
+def _forcing_range(field, grid: Grid, level: int, mesh, ws: _Workspace):
+    """f on the flat range [lo, hi) of a level, or f itself when it is a scalar.
+
+    A callable's partially broadcast result (shape (S0, 1), say) is
+    materialized first, as a broadcast array cannot be read flat.
+    """
+    if isinstance(field, GridFunction):
+        vals = field.data[level]
+    else:
+        vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
+        if vals.ndim == 0:
+            return vals
+        vals = np.ascontiguousarray(np.broadcast_to(vals, grid.spatial_shape))
+    return _flat(vals)[ws.lo : ws.hi]
 
 
 def _check_field(field, grid: Grid, name: str):
@@ -125,14 +144,15 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     grid = prob.grid
     if any(s < 3 for s in grid.spatial_shape):
         raise InputError("grid has no interior column to update")
-    inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
-    mask_inner = _interior_ball_mask(grid)[inner]
+    ws = _Workspace(grid.spatial_shape)
+    lo, hi = ws.lo, ws.hi
+    mask = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
     mesh = grid.coordinate_mesh()
-    ws = _Workspace(mask_inner.shape)
     finite = np.empty(grid.spatial_shape, dtype=bool)
     tau = grid.tau
 
     u = np.empty((grid.n_time_levels,) + grid.spatial_shape)
+    flat = u.reshape(grid.n_time_levels, -1)
     u[0] = _field_slice(prob.g, grid, 0, mesh)
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
@@ -140,12 +160,12 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
         for m in range(grid.n_time_levels - 1):
             # u[m] + tau * (F(u[m]) + f), one ufunc per operation
             stepped = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
-            stepped += _interior_block(_field_slice(prob.f, grid, m, mesh))
+            stepped += _forcing_range(prob.f, grid, m, mesh, ws)
             np.multiply(tau, stepped, out=stepped)
-            np.add(_interior_block(u[m]), stepped, out=stepped)
+            np.add(flat[m, lo:hi], stepped, out=stepped)
             new = u[m + 1]
             new[...] = _field_slice(prob.g, grid, m + 1, mesh)
-            np.copyto(new[inner], stepped, where=mask_inner)
+            np.copyto(flat[m + 1, lo:hi], stepped, where=mask)
             if not np.isfinite(new, out=finite).all():
                 raise BlowUpError(
                     f"solution left the finite range at step {m + 1} "

@@ -366,7 +366,6 @@ DOCUMENTED_EXIT_CODES = {
     "FaceDataError": 1,
     "NumericalError": 2,
     "BlowUpError": 2,
-    "ConvergenceError": 2,
     "DegenerateFitError": 2,
     "DegenerateCylinderError": 2,
     "SingularGradientError": 2,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from puccilab import operators
 from puccilab.errors import InputError, SingularGradientError
-from puccilab.grid import Grid, GridFunction, sample
+from puccilab.grid import Grid, GridFunction, restrict, sample
 from puccilab.linalg import SymMatrix, jacobi_eigh_batch
 from puccilab.operators import (
     ClassReport,
@@ -377,6 +377,14 @@ def test_no_floating_point_warnings_in_3d_pucci_and_membership(monkeypatch):
 # The Gershgorin-certified path of the Pucci values.
 
 
+def _interior(values, shape):
+    """The interior block of a flat kernel result for a level of this shape."""
+    ws = operators._Workspace(shape)
+    full = np.zeros(int(np.prod(shape)))
+    full[ws.lo : ws.hi] = values
+    return full.reshape(shape)[tuple(slice(1, -1) for _ in shape)]
+
+
 def _stencils(mats):
     """diag and cross arrays of a stack, as the slice stencils give them."""
     n = mats.shape[-1]
@@ -476,11 +484,11 @@ def test_near_identity_slice_never_reaches_an_eigen_solver(monkeypatch):
         DirichletProblem(op_tag=PucciPlusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
     )
     sl = u.data[0]
-    value = _slice_operator_value(PucciPlusOp(ell), sl, grid.h)
-    lower = _slice_operator_value(PucciMinusOp(ell), sl, grid.h)
+    value = _interior(_slice_operator_value(PucciPlusOp(ell), sl, grid.h), sl.shape)
+    lower = _interior(_slice_operator_value(PucciMinusOp(ell), sl, grid.h), sl.shape)
     report = class_membership(u, ell, f_bound=0.0)
     assert calls == []
-    diag = _slice_diag_diffs(sl, grid.h)
+    diag = [_interior(d, sl.shape) for d in _slice_diag_diffs(sl, grid.h)]
     assert np.max(np.abs(diag[0] - 2.0)) > 0.0
     trace = diag[0] + diag[1] + diag[2]
     assert np.array_equal(value, 1.5 * trace) and np.array_equal(lower, 1.0 * trace)
@@ -497,14 +505,15 @@ def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
         np.sin(3.0 * mesh[0]) * np.cos(2.0 * y) * np.cos(z) + mesh[0] * y + 0.4 * mesh[0] ** 2,
         grid.spatial_shape,
     )
-    diag, cross = _slice_diag_diffs(sl, grid.h), _slice_cross_diffs(sl, grid.h)
+    diag = [_interior(d, sl.shape) for d in _slice_diag_diffs(sl, grid.h)]
+    cross = {k: _interior(c, sl.shape) for k, c in _slice_cross_diffs(sl, grid.h).items()}
     hess = _hessian_stack(diag, cross).reshape(-1, n_dim, n_dim)
     certified = _certified(hess)
     # both paths are exercised (in 1-D every row is certified)
     assert certified.any() and (n_dim == 1 or not certified.all())
     ell = EllipticityPair(1.0, 1.5)
     for op, pointwise in ((PucciPlusOp(ell), pucci_plus), (PucciMinusOp(ell), pucci_minus)):
-        kernel = _slice_operator_value(op, sl, grid.h).ravel()
+        kernel = _interior(_slice_operator_value(op, sl, grid.h), sl.shape).ravel()
         point = np.array([pointwise(m, ell) for m in hess])
         assert np.array_equal(point, kernel)
         assert np.array_equal(point, [pointwise(SymMatrix(m), ell) for m in hess])
@@ -537,3 +546,122 @@ def test_plaplace_slice_values_keep_their_summation_order(n_dim):
     low, high = _plaplace_envelope_value(2.5, sl, h)
     smooth = trace + 0.5 * (quad / norm2)
     assert np.array_equal(low, smooth) and np.array_equal(high, smooth)
+
+
+# ---------------------------------------------------------------------------
+# The flat layout: ghost positions between interior rows never count.
+
+
+def _ghost_hessians(sl, h):
+    """Hessian rows of the flat kernels at the ghost positions of a level."""
+    ws = operators._Workspace(sl.shape)
+    ghost = ~ws.valid
+    diag = [d[ghost] for d in _slice_diag_diffs(sl, h)]
+    cross = {k: c[ghost] for k, c in _slice_cross_diffs(sl, h).items()}
+    return _hessian_stack(diag, cross)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_ghost_rows_never_reach_the_eigen_solver(n_dim, monkeypatch):
+    grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-7)
+    g = lambda mesh, t: sum(x * x for x in mesh) + 2.0 * n_dim * t
+    sl = sample(g, grid).data[0]
+    # every interior Hessian is close to 2I, but the rows that wrap around
+    # a row end are not
+    diag = [_interior(d, sl.shape) for d in _slice_diag_diffs(sl, grid.h)]
+    cross = {k: _interior(c, sl.shape) for k, c in _slice_cross_diffs(sl, grid.h).items()}
+    assert _certified(_hessian_stack(diag, cross).reshape(-1, n_dim, n_dim)).all()
+    assert not _certified(_ghost_hessians(sl, grid.h)).all()
+    ell = EllipticityPair(1.0, 1.5)
+    calls = []
+    monkeypatch.setattr(operators, "jacobi_eigh_batch", lambda *a, **k: calls.append("batch"))
+    value = _slice_operator_value(PucciPlusOp(ell), sl, grid.h)
+    u = solve_dirichlet(
+        DirichletProblem(op_tag=PucciMinusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
+    )
+    report = class_membership(u, ell, f_bound=0.0)
+    assert calls == []
+    assert np.array_equal(_interior(value, sl.shape), 1.5 * sum(diag[1:], diag[0]))
+    assert report.verdict == "pass"
+
+
+def _strided_membership(u, ell, f_bound):
+    """class_membership on strided interior views, one stack per slice."""
+    grid = u.grid
+    n = grid.n_dim
+    worst = {"sub": np.inf, "super": np.inf}
+    worst_key, worst_node = np.inf, None
+
+    def at(sl, moves):
+        return sl[tuple(slice(1 + moves.get(k, 0), s - 1 + moves.get(k, 0)) for k, s in enumerate(sl.shape))]
+
+    for m in range(1, grid.n_time_levels):
+        sl = u.data[m]
+        h2 = grid.h * grid.h
+        diag = [(at(sl, {i: 1}) - 2.0 * at(sl, {}) + at(sl, {i: -1})) / h2 for i in range(n)]
+        cross = {
+            (i, j): (at(sl, {i: 1, j: 1}) - at(sl, {i: 1, j: -1}) - at(sl, {i: -1, j: 1})
+                     + at(sl, {i: -1, j: -1})) / (4.0 * h2)
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        pos, neg = _eigen_sign_sums(*_stencils(_hessian_stack(diag, cross).reshape(-1, n, n)))
+        dt = ((at(sl, {}) - at(u.data[m - 1], {})) / grid.tau).ravel()
+        sub = dt - (ell.lam * pos + ell.Lam * neg) + f_bound
+        sup = f_bound - (dt - (ell.Lam * pos + ell.lam * neg))
+        for name, slack in (("sub", sub), ("super", sup)):
+            k = int(np.argmin(slack))
+            worst[name] = min(worst[name], slack[k])
+            if slack[k] < worst_key:
+                worst_key = slack[k]
+                idx = np.unravel_index(k, tuple(s - 2 for s in sl.shape))
+                worst_node = (m, tuple(int(i) + 1 for i in idx))
+    return worst["sub"], worst["super"], worst_node
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_membership_minimum_ignores_ghost_positions(n_dim):
+    grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-7)
+    data = sample(lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[1]), grid).data.copy()
+    # the boundary nodes fall fast in time: the ghost positions of the flat
+    # range then hold the smallest sub slack of every slice
+    edge = np.ones(grid.spatial_shape, dtype=bool)
+    edge[tuple(slice(1, -1) for _ in range(n_dim))] = False
+    data[:, edge] -= 5.0 * np.arange(grid.n_time_levels)[:, None]
+    u = GridFunction(grid=grid, data=data)
+    ell = EllipticityPair(1.0, 2.0)
+    ws = operators._Workspace(grid.spatial_shape)
+    dt = operators._slice_time_diff(data[1], data[0], grid.tau)
+    flat_sub = dt - _slice_operator_value(PucciMinusOp(ell), data[1], grid.h)
+    assert not ws.valid[np.argmin(flat_sub)]
+    report = class_membership(u, ell, f_bound=0.25)
+    sub, sup, node = _strided_membership(u, ell, 0.25)
+    assert report.worst_sub_slack == sub
+    assert report.worst_super_slack == sup
+    assert report.worst_node == node
+
+
+@pytest.mark.parametrize(
+    "grid_kw",
+    [dict(n_dim=2), dict(n_dim=3, h=0.25), dict(n_dim=2, half_space=True)],
+    ids=["2d", "3d", "half_space"],
+)
+def test_restricted_field_equals_a_contiguous_copy_bitwise(grid_kw):
+    kw = dict(h=0.125, tau=2.0**-9, spatial_extent=1.0, time_extent=2.0**-6) | grid_kw
+    grid = Grid(**kw)
+    g = lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[-1]) + 0.5 * mesh[0] * mesh[-1]
+    u = solve_dirichlet(
+        DirichletProblem(op_tag=PLaplaceOp(PLaplaceParams(p=2.5, epsilon=0.1)), f=lambda mesh, t: 0.0, g=g, grid=grid)
+    )
+    strided = restrict(u, 0.5)
+    copy = GridFunction(grid=strided.grid, data=np.ascontiguousarray(strided.data))
+    ell = EllipticityPair(1.0, 1.5)
+    assert class_membership(strided, ell, 0.1) == class_membership(copy, ell, 0.1)
+    f = sample(lambda mesh, t: 0.25 * mesh[0], strided.grid)
+    for op in (PucciPlusOp(ell), PLaplaceOp(PLaplaceParams(p=1.5, epsilon=0.1))):
+        assert np.array_equal(pde_residual(strided, op, f).data, pde_residual(copy, op, f).data)
+    # a GridFunction stores its levels C-contiguous, which the kernels
+    # read flat; they refuse a strided level rather than copy it
+    assert strided.data.flags.c_contiguous
+    with pytest.raises(ValueError):
+        _slice_diag_diffs(u.data[1][tuple(slice(2, -2) for _ in range(grid.n_dim))], grid.h)

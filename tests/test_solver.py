@@ -397,3 +397,25 @@ def test_blow_up_in_boundary_data_names_its_level(bad_node):
     with pytest.raises(BlowUpError) as info:
         solve_dirichlet(DirichletProblem(op_tag=HeatOp(lam=1.0), f=ZERO, g=g, grid=grid))
     assert info.value.step == k
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        _GRIDS["n=2"],
+        _GRIDS["n=3"],
+        _GRIDS["half"],
+        Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8, stagger=True),
+    ],
+    ids=["n=2", "n=3", "half", "stagger"],
+)
+def test_march_leaves_every_lattice_edge_node_to_g(grid):
+    # The flat step range also covers edge nodes between interior rows;
+    # on a staggered grid the open ball reaches the last axis's edge
+    # nodes, and none of them may be stepped.
+    prob = DirichletProblem(op_tag=_OPS["p=2.5"], f=_wavy_f, g=_wavy_g, grid=grid)
+    u = solve_dirichlet(prob)
+    edge = np.ones(grid.spatial_shape, dtype=bool)
+    edge[tuple(slice(1, -1) for _ in range(grid.n_dim))] = False
+    assert _interior_ball_mask(grid)[edge].any() == grid.stagger
+    assert np.array_equal(u.data[:, edge], sample(_wavy_g, grid).data[:, edge])
