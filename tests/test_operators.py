@@ -593,7 +593,8 @@ def _strided_membership(u, ell, f_bound):
     worst_key, worst_node = np.inf, None
 
     def at(sl, moves):
-        return sl[tuple(slice(1 + moves.get(k, 0), s - 1 + moves.get(k, 0)) for k, s in enumerate(sl.shape))]
+        shift = [moves.get(k, 0) for k in range(n)]
+        return sl[tuple(slice(1 + s, d - 1 + s) for s, d in zip(shift, sl.shape))]
 
     for m in range(1, grid.n_time_levels):
         sl = u.data[m]
@@ -622,9 +623,10 @@ def _strided_membership(u, ell, f_bound):
 @pytest.mark.parametrize("n_dim", [2, 3])
 def test_membership_minimum_ignores_ghost_positions(n_dim):
     grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-7)
-    data = sample(lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[1]), grid).data.copy()
-    # the boundary nodes fall fast in time: the ghost positions of the flat
-    # range then hold the smallest sub slack of every slice
+    wave = lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[1])
+    data = sample(wave, grid).data.copy()
+    # the boundary nodes fall fast in time, so the ghost positions of the
+    # flat range would hold the smallest sub slack
     edge = np.ones(grid.spatial_shape, dtype=bool)
     edge[tuple(slice(1, -1) for _ in range(n_dim))] = False
     data[:, edge] -= 5.0 * np.arange(grid.n_time_levels)[:, None]
@@ -647,21 +649,19 @@ def test_membership_minimum_ignores_ghost_positions(n_dim):
     ids=["2d", "3d", "half_space"],
 )
 def test_restricted_field_equals_a_contiguous_copy_bitwise(grid_kw):
-    kw = dict(h=0.125, tau=2.0**-9, spatial_extent=1.0, time_extent=2.0**-6) | grid_kw
-    grid = Grid(**kw)
-    g = lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[-1]) + 0.5 * mesh[0] * mesh[-1]
-    u = solve_dirichlet(
-        DirichletProblem(op_tag=PLaplaceOp(PLaplaceParams(p=2.5, epsilon=0.1)), f=lambda mesh, t: 0.0, g=g, grid=grid)
-    )
-    strided = restrict(u, 0.5)
-    copy = GridFunction(grid=strided.grid, data=np.ascontiguousarray(strided.data))
+    grid = Grid(**(dict(h=0.125, tau=2.0**-9, spatial_extent=1.0, time_extent=2.0**-6) | grid_kw))
+    g = lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[-1]) + mesh[0] * mesh[-1]
+    op = PLaplaceOp(PLaplaceParams(p=2.5, epsilon=0.1))
+    u = solve_dirichlet(DirichletProblem(op_tag=op, f=lambda mesh, t: 0.0, g=g, grid=grid))
+    restricted = restrict(u, 0.5)
+    copy = GridFunction(grid=restricted.grid, data=np.ascontiguousarray(restricted.data))
     ell = EllipticityPair(1.0, 1.5)
-    assert class_membership(strided, ell, 0.1) == class_membership(copy, ell, 0.1)
-    f = sample(lambda mesh, t: 0.25 * mesh[0], strided.grid)
+    assert class_membership(restricted, ell, 0.1) == class_membership(copy, ell, 0.1)
+    f = sample(lambda mesh, t: 0.25 * mesh[0], restricted.grid)
     for op in (PucciPlusOp(ell), PLaplaceOp(PLaplaceParams(p=1.5, epsilon=0.1))):
-        assert np.array_equal(pde_residual(strided, op, f).data, pde_residual(copy, op, f).data)
+        assert np.array_equal(pde_residual(restricted, op, f).data, pde_residual(copy, op, f).data)
     # a GridFunction stores its levels C-contiguous, which the kernels
     # read flat; they refuse a strided level rather than copy it
-    assert strided.data.flags.c_contiguous
+    assert restricted.data.flags.c_contiguous
     with pytest.raises(ValueError):
         _slice_diag_diffs(u.data[1][tuple(slice(2, -2) for _ in range(grid.n_dim))], grid.h)
