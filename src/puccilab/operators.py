@@ -27,6 +27,7 @@ stack, so they agree with the slice kernels bit for bit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,8 +273,8 @@ class _Workspace:
     """The flat layout of one level shape, and buffers of length hi - lo.
 
     strides are the axis strides in elements, [lo, hi) is the flat range
-    of the stencils and valid is False at its ghosts.  Buffers are
-    allocated on first use.  A march or a membership pass makes one and
+    of the stencils, and valid and ghost mark its interior nodes and its
+    ghosts.  Buffers are allocated on first use.  A march or a membership pass makes one and
     hands it to every slice, so its step temporaries are allocated once
     per pass instead of once per step.  Workspaces are never shared:
     threads marching at the same time each make their own.
@@ -287,6 +288,7 @@ class _Workspace:
         inner = np.zeros(self.shape, dtype=bool)
         inner[tuple(slice(1, -1) for _ in self.shape)] = True
         self.valid = inner.reshape(-1)[self.lo : self.hi]
+        self.ghost = ~self.valid
         self._buffers = {}
 
     @classmethod
@@ -301,9 +303,19 @@ class _Workspace:
         return out
 
 
+def _warn_unless_finite(values: np.ndarray, ws, what: str):
+    """Warn at a non-finite interior value, where numpy's own warnings are off."""
+    finite = np.isfinite(values, out=ws.buf("finite", bool))
+    finite |= ws.ghost
+    if not finite.all():
+        warnings.warn(f"{what} is not finite at an interior node", RuntimeWarning, stacklevel=3)
+
+
 def _flat(sl: np.ndarray) -> np.ndarray:
     """A C-contiguous level as a flat view; a strided one raises, never copies."""
-    return sl.reshape(-1, copy=False)
+    if not sl.flags.c_contiguous:
+        raise ValueError("the slice kernels read a level flat; it must be C-contiguous")
+    return sl.reshape(-1)
 
 
 def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
@@ -524,9 +536,9 @@ def class_membership(
     worst_key = np.inf
 
     ws = _Workspace(grid.spatial_shape)
-    ghost = ~ws.valid
     # ghosts can overflow where no interior node does; a non-finite
-    # interior Hessian still reaches the eigen-solver and raises
+    # interior Hessian still reaches the eigen-solver and raises, and a
+    # non-finite interior slack warns
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, grid.n_time_levels):
             sl = u.data[m]
@@ -543,7 +555,8 @@ def class_membership(
             np.subtract(f_bound, super_slack, out=super_slack)
 
             for slack, is_sub in ((sub_slack, True), (super_slack, False)):
-                np.copyto(slack, np.inf, where=ghost)
+                _warn_unless_finite(slack, ws, "a membership slack")
+                np.copyto(slack, np.inf, where=ws.ghost)
                 flat = int(np.argmin(slack))
                 val = float(slack[flat])
                 if is_sub:
@@ -586,7 +599,8 @@ def pde_residual(
 
     ws = _Workspace(grid.spatial_shape)
     lo, hi = ws.lo, ws.hi
-    # ghosts can overflow where no interior node does
+    # ghosts can overflow where no interior node does; a non-finite
+    # interior residual warns
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, grid.n_time_levels):
             sl = u.data[m]
@@ -605,6 +619,7 @@ def pde_residual(
             else:
                 value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
                 value -= rhs
+            _warn_unless_finite(value, ws, "the residual")
             np.copyto(out_flat[m, lo:hi], value, where=ws.valid)
     return GridFunction(grid=grid, data=out)
 

@@ -39,7 +39,6 @@ from .operators import (
     PLaplaceParams,
     PucciMinusOp,
     PucciPlusOp,
-    _flat,
     _slice_operator_value,
     _Workspace,
 )
@@ -66,22 +65,6 @@ def _field_slice(field, grid: Grid, level: int, mesh) -> np.ndarray:
         return field.data[level]
     vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
     return np.broadcast_to(vals, grid.spatial_shape)
-
-
-def _forcing_range(field, grid: Grid, level: int, mesh, ws: _Workspace):
-    """f on the flat range [lo, hi) of a level, or f itself when it is a scalar.
-
-    A callable's partially broadcast result (shape (S0, 1), say) is
-    materialized first, as a broadcast array cannot be read flat.
-    """
-    if isinstance(field, GridFunction):
-        vals = field.data[level]
-    else:
-        vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
-        if vals.ndim == 0:
-            return vals
-        vals = np.ascontiguousarray(np.broadcast_to(vals, grid.spatial_shape))
-    return _flat(vals)[ws.lo : ws.hi]
 
 
 def _check_field(field, grid: Grid, name: str):
@@ -160,7 +143,8 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
         for m in range(grid.n_time_levels - 1):
             # u[m] + tau * (F(u[m]) + f), one ufunc per operation
             stepped = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
-            stepped += _forcing_range(prob.f, grid, m, mesh, ws)
+            # a view of f, except a partially broadcast callable result, copied
+            stepped += _field_slice(prob.f, grid, m, mesh).reshape(-1)[lo:hi]
             np.multiply(tau, stepped, out=stepped)
             np.add(flat[m, lo:hi], stepped, out=stepped)
             new = u[m + 1]

@@ -648,20 +648,27 @@ def test_membership_minimum_ignores_ghost_positions(n_dim):
     [dict(n_dim=2), dict(n_dim=3, h=0.25), dict(n_dim=2, half_space=True)],
     ids=["2d", "3d", "half_space"],
 )
-def test_restricted_field_equals_a_contiguous_copy_bitwise(grid_kw):
+def test_restricted_levels_are_contiguous_and_strided_levels_refused(grid_kw):
     grid = Grid(**(dict(h=0.125, tau=2.0**-9, spatial_extent=1.0, time_extent=2.0**-6) | grid_kw))
-    g = lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[-1]) + mesh[0] * mesh[-1]
-    op = PLaplaceOp(PLaplaceParams(p=2.5, epsilon=0.1))
-    u = solve_dirichlet(DirichletProblem(op_tag=op, f=lambda mesh, t: 0.0, g=g, grid=grid))
-    restricted = restrict(u, 0.5)
-    copy = GridFunction(grid=restricted.grid, data=np.ascontiguousarray(restricted.data))
-    ell = EllipticityPair(1.0, 1.5)
-    assert class_membership(restricted, ell, 0.1) == class_membership(copy, ell, 0.1)
-    f = sample(lambda mesh, t: 0.25 * mesh[0], restricted.grid)
-    for op in (PucciPlusOp(ell), PLaplaceOp(PLaplaceParams(p=1.5, epsilon=0.1))):
-        assert np.array_equal(pde_residual(restricted, op, f).data, pde_residual(copy, op, f).data)
+    u = sample(lambda mesh, t: np.sin(3.0 * mesh[0] + t) * np.cos(2.0 * mesh[-1]), grid)
     # a GridFunction stores its levels C-contiguous, which the kernels
     # read flat; they refuse a strided level rather than copy it
-    assert restricted.data.flags.c_contiguous
+    assert restrict(u, 0.5).data.flags.c_contiguous
     with pytest.raises(ValueError):
         _slice_diag_diffs(u.data[1][tuple(slice(2, -2) for _ in range(grid.n_dim))], grid.h)
+
+
+def test_interior_overflow_in_membership_and_residual_still_warns():
+    grid = Grid(n_dim=2, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-9)
+    # flat levels keep every Hessian 0, while the time difference
+    # 2e307 / tau overflows at every node
+    data = np.full((grid.n_time_levels,) + grid.spatial_shape, 1e307)
+    data[0] = -1e307
+    u = GridFunction(grid=grid, data=data)
+    ell = EllipticityPair(1.0, 2.0)
+    with pytest.warns(RuntimeWarning, match="membership slack"):
+        class_membership(u, ell, f_bound=0.0, tol=0.0)
+    f = sample(lambda mesh, t: 0.0, grid)
+    # the residual field cannot hold the overflow either
+    with pytest.warns(RuntimeWarning, match="residual"), pytest.raises(InputError):
+        pde_residual(u, PucciPlusOp(ell), f)
