@@ -57,7 +57,9 @@ def _build_parser() -> _Parser:
             default=1,
             help="worker threads for sweep items (0 = auto)",
         )
-        p.add_argument("--verbose", action="store_true", help="progress on stderr")
+        p.add_argument(
+            "--verbose", action="store_true", help="name the scenario and config file on stderr"
+        )
     return parser
 
 
@@ -80,7 +82,7 @@ def main(argv=None) -> int:
             )
         if args.verbose:
             print(f"running {config.scenario} from {args.config}", file=sys.stderr)
-        paths = execute(config, args.out, threads=args.threads, verbose=args.verbose)
+        paths = execute(config, args.out, threads=args.threads)
     except NumericalError as exc:
         print(f"puccilab: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,10 @@
 
 Every key is whitelisted per section and per scenario; unknown keys
 are rejected so a typo cannot silently run a different study than the
-one intended.  Values are range-checked here only as far as the
+one intended.  Numeric values are stored typed: a finite float, an int
+for n_dim, K and n_points, or a list of floats (the sweep lists,
+points, center and the affine gradient), so the scenario layer passes
+them on as they are.  Values are range-checked here only as far as the
 scenario layer needs; module-level preconditions still apply when the
 scenario runs.
 """
@@ -56,7 +59,7 @@ _DATA_KEYS = {"f", "g", "u", "affine_part"}
 
 _ANALYSIS_KEYS = {"eta", "K", "alpha", "c1", "n_points", "points", "center"}
 
-# How each numeric key of the operator and analysis sections is coerced.
+# How each numeric key of the operator and analysis sections is typed.
 _FLOAT_KEYS = {"lam", "Lam", "p", "epsilon", "f_bound", "tolerance", "delta", "eta", "alpha", "c1"}
 _INT_KEYS = {"K", "n_points"}
 _LIST_KEYS = {"p_list", "delta_list", "eps_schedule"}
@@ -64,7 +67,7 @@ _LIST_KEYS = {"p_list", "delta_list", "eps_schedule"}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed and validated scenario description."""
+    """Parsed and validated scenario description, its numbers stored typed."""
 
     scenario: str
     grid: Grid
@@ -117,9 +120,9 @@ def _number_list(value, where: str) -> list:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _numbers(section: dict, where: str) -> dict:
-    """The numeric keys present in a section, coerced through _number."""
-    out = {}
+def _typed(section: dict, where: str) -> dict:
+    """The section with its numeric keys coerced through _number."""
+    out = dict(section)
     for key, value in section.items():
         if key in _FLOAT_KEYS:
             out[key] = _number(value, f"{where}.{key}")
@@ -159,32 +162,18 @@ def _build_grid(section) -> Grid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _check_field_specs(config: ScenarioConfig) -> None:
-    """Build every referenced field once, so bad specs fail at parse time."""
-    for key, spec in config.data.items():
-        if key == "affine_part":
-            if not isinstance(spec, dict) or set(spec) != {"value", "gradient"}:
-                raise ConfigError(
-                    "data.affine_part must be {'value': a, 'gradient': [...]}"
-                )
-            _number(spec["value"], "data.affine_part.value")
-            gradient = _number_list(spec["gradient"], "data.affine_part.gradient")
-            if len(gradient) != config.grid.n_dim:
-                raise ConfigError(
-                    f"affine_part gradient needs {config.grid.n_dim} components"
-                )
-            continue
-        try:
-            make_field(spec, config.grid.n_dim, config.base_dir)
-        except (TypeError, ValueError, OverflowError, OSError, GridFileError) as exc:
-            raise ConfigError(f"data.{key}: malformed field spec ({exc})") from exc
+def _point(value, n_dim: int, where: str) -> list:
+    """An [x_1..x_n, t] list of floats."""
+    if not isinstance(value, list) or len(value) != n_dim + 1:
+        raise ConfigError(f"{where} entries are [x_1..x_n, t] lists of length {n_dim + 1}")
+    return _number_list(value, where)
 
 
-def _validate_operator(config: ScenarioConfig) -> None:
-    tag = config.scenario
-    op = config.operator
+def _operator_section(tag: str, op: dict) -> dict:
     _reject_unknown(op, _OPERATOR_KEYS[tag], f"operator ({tag})")
-    num = _numbers(op, "operator")
+    op = _typed(op, "operator")
+    if "epsilon" in op and op["epsilon"] < 0.0:
+        raise ConfigError(f"operator.epsilon must be >= 0, got {op['epsilon']}")
     if tag == "solve":
         _require(op, ("kind",), "operator")
         kind = op["kind"]
@@ -194,33 +183,42 @@ def _validate_operator(config: ScenarioConfig) -> None:
             _require(op, ("lam", "Lam"), "operator")
         if kind == "p_laplace":
             _require(op, ("p",), "operator")
-            if num["p"] <= 1.0:
+            if op["p"] <= 1.0:
                 raise ConfigError(f"p must exceed 1, got {op['p']}")
     elif tag == "class_check":
         _require(op, ("lam", "Lam", "f_bound"), "operator")
     elif tag == "counterexample":
         _require(op, ("delta",), "operator")
-        if num["delta"] <= 0.0:
+        if op["delta"] <= 0.0:
             raise ConfigError(f"counterexample needs delta > 0, got {op['delta']}")
     elif tag == "p_sweep":
         _require(op, ("p_list",), "operator")
-        for p in num["p_list"]:
+        for p in op["p_list"]:
             if p <= 1.0:
                 raise ConfigError(f"p values must exceed 1, got {p}")
     elif tag == "ellipticity_sweep":
         _require(op, ("delta_list",), "operator")
-        for d in num["delta_list"]:
+        for d in op["delta_list"]:
             if d < 0.0:
                 raise ConfigError(f"delta values must be >= 0, got {d}")
     elif tag == "eps_sweep":
         _require(op, ("p", "eps_schedule"), "operator")
-        if num["p"] <= 1.0:
+        if op["p"] <= 1.0:
             raise ConfigError(f"p must exceed 1, got {op['p']}")
+    return op
 
 
-def _validate_data(config: ScenarioConfig) -> None:
-    tag = config.scenario
-    data = config.data
+def _affine_part(spec, n_dim: int) -> dict:
+    if not isinstance(spec, dict) or set(spec) != {"value", "gradient"}:
+        raise ConfigError("data.affine_part must be {'value': a, 'gradient': [...]}")
+    value = _number(spec["value"], "data.affine_part.value")
+    gradient = _number_list(spec["gradient"], "data.affine_part.gradient")
+    if len(gradient) != n_dim:
+        raise ConfigError(f"affine_part gradient needs {n_dim} components")
+    return {"value": value, "gradient": gradient}
+
+
+def _data_section(tag: str, data: dict, grid: Grid, base_dir: str) -> dict:
     _reject_unknown(data, _DATA_KEYS, "data")
     if tag in ("solve", "p_sweep", "ellipticity_sweep", "eps_sweep"):
         _require(data, ("f", "g"), "data")
@@ -233,34 +231,36 @@ def _validate_data(config: ScenarioConfig) -> None:
                 "boundary study needs exactly one of data.u (sample mode) "
                 "or data.g (solve mode)"
             )
-    _check_field_specs(config)
-
-
-def _validate_analysis(config: ScenarioConfig) -> None:
-    an = config.analysis
-    _reject_unknown(an, _ANALYSIS_KEYS, "analysis")
-    num = _numbers(an, "analysis")
-    if "eta" in num and not 0.0 < num["eta"] < 1.0:
-        raise ConfigError(f"analysis.eta must lie in (0, 1), got {an['eta']}")
-    if "K" in num and num["K"] < 0:
-        raise ConfigError(f"analysis.K must be >= 0, got {an['K']}")
-    if "n_points" in num and num["n_points"] < 1:
-        raise ConfigError(f"analysis.n_points must be >= 1, got {an['n_points']}")
-    for key in ("points", "center"):
-        if key not in an:
+    # Build every referenced field once, so bad specs fail at parse time.
+    for key, spec in data.items():
+        if key == "affine_part":
+            data[key] = _affine_part(spec, grid.n_dim)
             continue
-        pts = an[key] if key == "points" else [an[key]]
-        if not isinstance(pts, list):
-            raise ConfigError(f"analysis.points must be a list, got {pts!r}")
-        for pt in pts:
-            if not isinstance(pt, list) or len(pt) != config.grid.n_dim + 1:
-                raise ConfigError(
-                    f"analysis.{key} entries are [x_1..x_n, t] lists of length "
-                    f"{config.grid.n_dim + 1}"
-                )
-            _number_list(pt, f"analysis.{key}")
-    if config.scenario == "boundary" and not config.grid.half_space:
+        try:
+            make_field(spec, grid.n_dim, base_dir)
+        except (TypeError, ValueError, OverflowError, OSError, GridFileError) as exc:
+            raise ConfigError(f"data.{key}: malformed field spec ({exc})") from exc
+    return data
+
+
+def _analysis_section(tag: str, an: dict, grid: Grid) -> dict:
+    _reject_unknown(an, _ANALYSIS_KEYS, "analysis")
+    an = _typed(an, "analysis")
+    if "eta" in an and not 0.0 < an["eta"] < 1.0:
+        raise ConfigError(f"analysis.eta must lie in (0, 1), got {an['eta']}")
+    if "K" in an and an["K"] < 0:
+        raise ConfigError(f"analysis.K must be >= 0, got {an['K']}")
+    if "n_points" in an and an["n_points"] < 1:
+        raise ConfigError(f"analysis.n_points must be >= 1, got {an['n_points']}")
+    if "points" in an:
+        if not isinstance(an["points"], list):
+            raise ConfigError(f"analysis.points must be a list, got {an['points']!r}")
+        an["points"] = [_point(pt, grid.n_dim, "analysis.points") for pt in an["points"]]
+    if "center" in an:
+        an["center"] = _point(an["center"], grid.n_dim, "analysis.center")
+    if tag == "boundary" and not grid.half_space:
         raise ConfigError("boundary study needs grid.half_space = true")
+    return an
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
@@ -276,19 +276,16 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    config = ScenarioConfig(
+    grid = _build_grid(raw["grid"])
+    return ScenarioConfig(
         scenario=tag,
-        grid=_build_grid(raw["grid"]),
-        operator=_section(raw, "operator"),
-        data=_section(raw, "data"),
-        analysis=_section(raw, "analysis"),
+        grid=grid,
+        operator=_operator_section(tag, _section(raw, "operator")),
+        data=_data_section(tag, _section(raw, "data"), grid, base_dir),
+        analysis=_analysis_section(tag, _section(raw, "analysis"), grid),
         seed=seed,
         base_dir=base_dir,
     )
-    _validate_operator(config)
-    _validate_data(config)
-    _validate_analysis(config)
-    return config
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -1,16 +1,17 @@
 """Scenario runners tying solver and decay analysis into desk-scale studies.
 
-Each run_* function is a plain Python entry point; ``execute`` adapts a
-parsed ScenarioConfig onto them and renders the deterministic report
-payloads the CLI writes to disk.
+Each run_* function is a plain Python entry point; ``execute`` passes a
+parsed ScenarioConfig onto them (only the keys the config sets, so the
+runners' own defaults apply) and renders report.json and report.csv
+from the result dataclasses they return.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from ..operators import (
 from ..regularity import (
     boundary_decay_sequence,
     coefficient_cauchy_check,
-    decay_report_to_csv,
-    decay_report_to_json,
+    decay_report_payload,
+    decay_report_rows,
     decay_sequence,
 )
 from ..solver import DirichletProblem, epsilon_continuation, solve_dirichlet
@@ -229,7 +230,7 @@ def _membership_inside_ball(u, ell, f_bound):
 
 def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, K):
     try:
-        params = PLaplaceParams(p=float(p), epsilon=float(epsilon))
+        params = PLaplaceParams(p=p, epsilon=epsilon)
         prob = DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid)
         u = solve_dirichlet(prob)
         ell = EllipticityPair(params.lam, params.Lam)
@@ -242,7 +243,7 @@ def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, 
             for pt in boundary_points
         )
         return u, PSweepRow(
-            p=float(p),
+            p=p,
             status="ok",
             verdict=membership.verdict,
             worst_sub_slack=membership.worst_sub_slack,
@@ -252,7 +253,7 @@ def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, 
             boundary_alphas=boundary_alphas,
         )
     except PucciLabError as exc:
-        return None, PSweepRow(p=float(p), status=f"failed: {exc}")
+        return None, PSweepRow(p=p, status=f"failed: {exc}")
 
 
 def run_p_sweep(
@@ -451,283 +452,170 @@ def run_boundary_study(
 # Config-driven execution (the CLI surface).
 
 
+def _given(section: dict, *keys, **renamed) -> dict:
+    """The runner arguments a config section sets, by key or renamed=key.
+
+    Keys the config leaves out are not passed, so the runner's own
+    defaults apply.
+    """
+    names = {key: key for key in keys} | renamed
+    return {arg: section[key] for arg, key in names.items() if key in section}
+
+
+def _point(spec):
+    """An [x_1..x_n, t] config list as the (x, t) pair the runners take."""
+    return np.asarray(spec[:-1]), spec[-1]
+
+
+def _cells(rows, columns):
+    """CSV cells: the named attributes of each result row."""
+    return [[getattr(row, c) for c in columns] for row in rows]
+
+
+_MEMBERSHIP_COLUMNS = ("verdict", "worst_sub_slack", "worst_super_slack", "tolerance")
+_P_SWEEP_COLUMNS = (
+    "p", "status", "verdict", "worst_sub_slack", "worst_super_slack", "alpha_min",
+    "meets_target",
+)
+_ELLIPTICITY_COLUMNS = ("delta", "status", "verdict", "alpha_est")
+_BOUNDARY_COLUMNS = ("alpha_est", "slope_reduced", "slope_total", "cauchy_passed")
+
+
 def _membership_rows(report, prefix=""):
-    return [
-        [f"{prefix}verdict", report.verdict],
-        [f"{prefix}worst_sub_slack", report.worst_sub_slack],
-        [f"{prefix}worst_super_slack", report.worst_super_slack],
-        [f"{prefix}tolerance", report.tolerance],
-    ]
+    return [[prefix + c, getattr(report, c)] for c in _MEMBERSHIP_COLUMNS]
 
 
-def _membership_payload(report):
-    return {
-        "verdict": report.verdict,
-        "worst_sub_slack": report.worst_sub_slack,
-        "worst_super_slack": report.worst_super_slack,
-        "worst_node": [report.worst_node[0], list(report.worst_node[1])],
-        "tolerance": report.tolerance,
-    }
+def _data_field(config, key):
+    return make_field(config.data[key], config.grid.n_dim, config.base_dir)
 
 
-def _build_operator(op_section):
-    kind = op_section["kind"]
+def _build_operator(op, grid):
+    kind = op["kind"]
     if kind == "heat":
-        return HeatOp(lam=float(op_section.get("lam", 1.0)))
-    if kind == "pucci_plus":
-        return PucciPlusOp(
-            ell=EllipticityPair(float(op_section["lam"]), float(op_section["Lam"]))
-        )
-    if kind == "pucci_minus":
-        return PucciMinusOp(
-            ell=EllipticityPair(float(op_section["lam"]), float(op_section["Lam"]))
-        )
-    params = PLaplaceParams(
-        p=float(op_section["p"]),
-        epsilon=float(op_section["epsilon"]) if "epsilon" in op_section else 0.0,
-    )
-    return PLaplaceOp(params)
+        return HeatOp(**_given(op, "lam"))
+    if kind == "p_laplace":
+        return PLaplaceOp(PLaplaceParams(p=op["p"], epsilon=op.get("epsilon", grid.h)))
+    ell = EllipticityPair(op["lam"], op["Lam"])
+    return PucciPlusOp(ell) if kind == "pucci_plus" else PucciMinusOp(ell)
 
 
-def _exec_solve(config, out_dir, threads, verbose):
+def _exec_solve(config, out_dir, threads):
     grid = config.grid
-    f = make_field(config.data["f"], grid.n_dim, config.base_dir)
-    g = make_field(config.data["g"], grid.n_dim, config.base_dir)
-    op_section = dict(config.operator)
-    if op_section["kind"] == "p_laplace" and "epsilon" not in op_section:
-        op_section["epsilon"] = grid.h
-    op = _build_operator(op_section)
+    f, g = _data_field(config, "f"), _data_field(config, "g")
+    op = _build_operator(config.operator, grid)
     u = solve_dirichlet(DirichletProblem(op_tag=op, f=f, g=g, grid=grid))
     os.makedirs(out_dir, exist_ok=True)
-    solution_path = os.path.join(out_dir, "solution.puc")
-    write_gridfn(u, solution_path)
+    write_gridfn(u, os.path.join(out_dir, "solution.puc"))
     payload = {"sup_norm": u.sup_norm, "files": ["solution.puc"]}
     rows = [["sup_norm", u.sup_norm], ["solution_file", "solution.puc"]]
     return payload, ["quantity", "value"], rows
 
 
-def _exec_class_check(config, out_dir, threads, verbose):
-    grid = config.grid
-    u = field_on_grid(make_field(config.data["u"], grid.n_dim, config.base_dir), grid)
+def _exec_class_check(config, out_dir, threads):
+    u = _data_field(config, "u")
     op = config.operator
-    tol = float(op["tolerance"]) if "tolerance" in op else None
     report = class_membership(
-        u,
-        EllipticityPair(float(op["lam"]), float(op["Lam"])),
-        float(op["f_bound"]),
-        tol=tol,
+        field_on_grid(u, config.grid),
+        EllipticityPair(op["lam"], op["Lam"]),
+        op["f_bound"],
+        **_given(op, tol="tolerance"),
     )
-    payload = {"membership": _membership_payload(report)}
-    return payload, ["quantity", "value"], _membership_rows(report)
+    return {"membership": asdict(report)}, ["quantity", "value"], _membership_rows(report)
 
 
-def _exec_decay(config, out_dir, threads, verbose):
+def _exec_decay(config, out_dir, threads):
     grid = config.grid
-    u = field_on_grid(make_field(config.data["u"], grid.n_dim, config.base_dir), grid)
+    u = _data_field(config, "u")
     an = config.analysis
-    center_spec = an.get("center", [0.0] * (grid.n_dim + 1))
-    center = (np.asarray(center_spec[:-1], dtype=float), float(center_spec[-1]))
-    report = decay_sequence(
-        u,
-        center,
-        eta=float(an.get("eta", 0.5)),
-        K=int(an["K"]) if "K" in an else None,
-    )
-    payload = {"decay": json.loads(decay_report_to_json(report))}
-    csv_text = decay_report_to_csv(report)
-    header, *rows = [line.split(",") for line in csv_text.strip().split("\n")]
-    return payload, header, rows
+    center = _point(an.get("center", [0.0] * (grid.n_dim + 1)))
+    report = decay_sequence(field_on_grid(u, grid), center, **_given(an, "eta", "K"))
+    return {"decay": decay_report_payload(report)}, *decay_report_rows(report)
 
 
-def _exec_boundary(config, out_dir, threads, verbose):
+def _exec_boundary(config, out_dir, threads):
     grid = config.grid
     an = config.analysis
     affine = config.data["affine_part"]
-    kwargs = dict(
-        affine_value=float(affine["value"]),
-        affine_gradient=np.asarray(affine["gradient"], dtype=float),
-        lam=float(config.operator.get("lam", 1.0)),
-        eta=float(an.get("eta", 0.5)),
-        K=int(an["K"]) if "K" in an else None,
-        c1=float(an["c1"]) if "c1" in an else None,
-        alpha=float(an["alpha"]) if "alpha" in an else None,
-    )
+    kwargs = _given(an, "eta", "K", "c1", "alpha") | _given(config.operator, "lam")
     if "points" in an:
-        kwargs["points"] = [
-            (np.asarray(pt[:-1], dtype=float), float(pt[-1])) for pt in an["points"]
-        ]
-    if "u" in config.data:
-        kwargs["u"] = make_field(config.data["u"], grid.n_dim, config.base_dir)
-    else:
-        kwargs["g"] = make_field(config.data["g"], grid.n_dim, config.base_dir)
-    report = run_boundary_study(grid, **kwargs)
+        kwargs["points"] = [_point(pt) for pt in an["points"]]
+    mode = "u" if "u" in config.data else "g"
+    kwargs[mode] = _data_field(config, mode)
+    report = run_boundary_study(
+        grid, affine_value=affine["value"], affine_gradient=affine["gradient"], **kwargs
+    )
     payload = {
         "boundary": {
-            "rows": [
-                {
-                    "center_x": list(r.center_x),
-                    "center_t": r.center_t,
-                    "alpha_est": r.alpha_est,
-                    "slope_reduced": r.slope_reduced,
-                    "slope_total": r.slope_total,
-                    "cauchy_passed": r.cauchy_passed,
-                }
-                for r in report.rows
-            ],
-            "decay": [
-                json.loads(decay_report_to_json(rep)) for rep in report.decay_reports
-            ],
+            "rows": [asdict(r) for r in report.rows],
+            "decay": [decay_report_payload(rep) for rep in report.decay_reports],
         }
     }
-    header = (
-        [f"x{i + 1}" for i in range(grid.n_dim)]
-        + ["t", "alpha_est", "slope_reduced", "slope_total", "cauchy_passed"]
-    )
+    header = [f"x{i + 1}" for i in range(grid.n_dim)] + ["t", *_BOUNDARY_COLUMNS]
     rows = [
-        list(r.center_x)
-        + [r.center_t, r.alpha_est, r.slope_reduced, r.slope_total, r.cauchy_passed]
+        [*r.center_x, r.center_t, *(getattr(r, c) for c in _BOUNDARY_COLUMNS)]
         for r in report.rows
     ]
     return payload, header, rows
 
 
-def _exec_counterexample(config, out_dir, threads, verbose):
-    an = config.analysis
+def _exec_counterexample(config, out_dir, threads):
     report = run_counterexample(
-        float(config.operator["delta"]),
-        config.grid,
-        eta=float(an.get("eta", 0.5)),
-        K=int(an["K"]) if "K" in an else 5,
+        config.operator["delta"], config.grid, **_given(config.analysis, "eta", "K")
     )
-    payload = {
-        "delta": report.delta,
-        "membership": _membership_payload(report.membership),
-        "second_diff_ratio": report.ratio,
-        "expected_ratio": report.expected_ratio,
-        "decay": json.loads(decay_report_to_json(report.decay)),
-        "strict_membership": _membership_payload(report.strict_membership),
-    }
-    rows = _membership_rows(report.membership)
-    rows += [
+    # the report's fields, with the decay report as plain data and the
+    # interface ratio under its report key
+    payload = asdict(replace(report, decay=None))
+    payload["second_diff_ratio"] = payload.pop("ratio")
+    payload["decay"] = decay_report_payload(report.decay)
+    rows = [
+        *_membership_rows(report.membership),
         ["second_diff_ratio", report.ratio],
         ["expected_ratio", report.expected_ratio],
         ["alpha_est", report.decay.alpha_est],
+        *_membership_rows(report.strict_membership, prefix="strict_"),
     ]
-    rows += _membership_rows(report.strict_membership, prefix="strict_")
     return payload, ["quantity", "value"], rows
 
 
-def _exec_p_sweep(config, out_dir, threads, verbose):
-    grid = config.grid
+def _exec_p_sweep(config, out_dir, threads):
     an = config.analysis
-    f = make_field(config.data["f"], grid.n_dim, config.base_dir)
-    g = make_field(config.data["g"], grid.n_dim, config.base_dir)
+    f, g = _data_field(config, "f"), _data_field(config, "g")
     table = run_p_sweep(
-        [float(p) for p in config.operator["p_list"]],
-        alpha_target=float(an.get("alpha", 0.9)),
-        grid=grid,
+        config.operator["p_list"],
+        alpha_target=an.get("alpha", 0.9),
+        grid=config.grid,
         f=f,
         g=g,
-        epsilon=(
-            float(config.operator["epsilon"])
-            if "epsilon" in config.operator
-            else None
-        ),
-        n_points=int(an.get("n_points", 5)),
         seed=config.seed,
-        eta=float(an.get("eta", 0.5)),
-        K=int(an["K"]) if "K" in an else 3,
         threads=threads,
+        **_given(config.operator, "epsilon"),
+        **_given(an, "n_points", "eta", "K"),
     )
+    # boundary_points is left out of the report
     payload = {
         "alpha_target": table.alpha_target,
-        "points": [[list(x), t] for x, t in table.points],
-        "rows": [
-            {
-                "p": r.p,
-                "status": r.status,
-                "verdict": r.verdict,
-                "worst_sub_slack": r.worst_sub_slack,
-                "worst_super_slack": r.worst_super_slack,
-                "alpha_min": r.alpha_min,
-                "alphas": None if r.alphas is None else list(r.alphas),
-                "boundary_alphas": (
-                    None if r.boundary_alphas is None else list(r.boundary_alphas)
-                ),
-                "meets_target": r.meets_target,
-            }
-            for r in table.rows
-        ],
+        "points": table.points,
+        "rows": [asdict(r) for r in table.rows],
     }
-    header = [
-        "p",
-        "status",
-        "verdict",
-        "worst_sub_slack",
-        "worst_super_slack",
-        "alpha_min",
-        "meets_target",
-    ]
-    rows = [
-        [r.p, r.status, r.verdict, r.worst_sub_slack, r.worst_super_slack,
-         r.alpha_min, r.meets_target]
-        for r in table.rows
-    ]
-    return payload, header, rows
+    return payload, list(_P_SWEEP_COLUMNS), _cells(table.rows, _P_SWEEP_COLUMNS)
 
 
-def _exec_ellipticity_sweep(config, out_dir, threads, verbose):
-    grid = config.grid
-    an = config.analysis
-    f = make_field(config.data["f"], grid.n_dim, config.base_dir)
-    g = make_field(config.data["g"], grid.n_dim, config.base_dir)
-    rows_data = run_ellipticity_sweep(
-        [float(d) for d in config.operator["delta_list"]],
-        grid,
-        f,
-        g,
-        eta=float(an.get("eta", 0.5)),
-        K=int(an["K"]) if "K" in an else 3,
+def _exec_ellipticity_sweep(config, out_dir, threads):
+    f, g = _data_field(config, "f"), _data_field(config, "g")
+    rows = run_ellipticity_sweep(
+        config.operator["delta_list"], config.grid, f, g, **_given(config.analysis, "eta", "K")
     )
-    payload = {
-        "rows": [
-            {
-                "delta": r.delta,
-                "status": r.status,
-                "verdict": r.verdict,
-                "alpha_est": r.alpha_est,
-            }
-            for r in rows_data
-        ]
-    }
-    header = ["delta", "status", "verdict", "alpha_est"]
-    rows = [[r.delta, r.status, r.verdict, r.alpha_est] for r in rows_data]
-    return payload, header, rows
+    payload = {"rows": [asdict(r) for r in rows]}
+    return payload, list(_ELLIPTICITY_COLUMNS), _cells(rows, _ELLIPTICITY_COLUMNS)
 
 
-def _exec_eps_sweep(config, out_dir, threads, verbose):
-    grid = config.grid
-    f = make_field(config.data["f"], grid.n_dim, config.base_dir)
-    g = make_field(config.data["g"], grid.n_dim, config.base_dir)
-    _, report = epsilon_continuation(
-        float(config.operator["p"]),
-        [float(e) for e in config.operator["eps_schedule"]],
-        f,
-        g,
-        grid,
-    )
-    payload = {
-        "epsilons": list(report.epsilons),
-        "distances": list(report.distances),
-        "cauchy": report.cauchy,
-        "failures": list(report.failures),
-    }
-    header = ["epsilon", "distance_to_next"]
-    rows = []
-    for i, eps in enumerate(report.epsilons):
-        dist = report.distances[i] if i < len(report.distances) else None
-        rows.append([eps, dist])
-    return payload, header, rows
+def _exec_eps_sweep(config, out_dir, threads):
+    f, g = _data_field(config, "f"), _data_field(config, "g")
+    op = config.operator
+    _, report = epsilon_continuation(op["p"], op["eps_schedule"], f, g, config.grid)
+    # the last epsilon has no successor, so its distance cell is empty
+    rows = list(zip_longest(report.epsilons, report.distances))
+    return asdict(report), ["epsilon", "distance_to_next"], rows
 
 
 _EXECUTORS = {
@@ -742,10 +630,10 @@ _EXECUTORS = {
 }
 
 
-def execute(config, out_dir: str, threads: int = 1, verbose: bool = False):
+def execute(config, out_dir: str, threads: int = 1):
     """Run the configured scenario and write report.json / report.csv."""
     runner = _EXECUTORS[config.scenario]
-    payload, header, rows = runner(config, out_dir, threads, verbose)
+    payload, header, rows = runner(config, out_dir, threads)
     document = {
         "provenance": provenance(config.grid, config.seed, config.scenario),
         "result": payload,

@@ -123,15 +123,12 @@ def _eigvals_3(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobi_eigh_batch(
-    mats: np.ndarray, want_vectors: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def jacobi_eigh_batch(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of symmetric matrices, ascending.
 
-    mats has shape (..., n, n); returns eigenvalues of shape (..., n)
-    and, when requested, orthonormal eigenvectors in columns.  Only the
-    lower triangle is read.  The name is kept from the Jacobi sweep
-    this replaced, because callers and traces bind it.
+    mats has shape (..., n, n); returns eigenvalues of shape (..., n).
+    Only the lower triangle is read.  The name is kept from the Jacobi
+    sweep this replaced, because callers and traces bind it.
     """
     a = np.asarray(mats, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -139,30 +136,28 @@ def jacobi_eigh_batch(
     if not np.all(np.isfinite(a)):
         raise InputError("matrix entries must be finite")
     n = a.shape[-1]
-    if want_vectors:
-        values, vectors = np.linalg.eigh(a)
-        return values, vectors
     if n == 1:
-        return a[..., 0].copy(), None
+        return a[..., 0].copy()
     if n == 2:
-        return _eigvals_2(a), None
+        return _eigvals_2(a)
     if n == 3:
-        return _eigvals_3(a), None
-    return np.linalg.eigvalsh(a), None
+        return _eigvals_3(a)
+    return np.linalg.eigvalsh(a)
 
 
 def symmetric_eigenvalues(m, want_vectors: bool = True) -> EigenResult:
     """Eigendecomposition of one symmetric matrix, values ascending."""
     a = _as_entries(m)
-    values, vectors = jacobi_eigh_batch(a, want_vectors=want_vectors)
-    values.flags.writeable = False
-    if vectors is not None:
+    if want_vectors:
+        values, vectors = np.linalg.eigh(a)
         vectors.flags.writeable = False
+    else:
+        values, vectors = jacobi_eigh_batch(a), None
+    values.flags.writeable = False
     return EigenResult(values=values, vectors=vectors)
 
 
 def eig_extremes(m) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
-    a = _as_entries(m)
-    values, _ = jacobi_eigh_batch(a, want_vectors=False)
+    values = jacobi_eigh_batch(_as_entries(m))
     return float(values[0]), float(values[-1])

@@ -239,7 +239,7 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
         val = normalized_p_laplacian(m, q, p)
         return val, val
     a = _as_entries(m)
-    values, _ = jacobi_eigh_batch(a)
+    values = jacobi_eigh_batch(a)
     tr = float(np.trace(a))
     e_min, e_max = float(values[0]), float(values[-1])
     if p >= 2.0:
@@ -303,12 +303,17 @@ class _Workspace:
         return out
 
 
-def _warn_unless_finite(values: np.ndarray, ws, what: str):
-    """Warn at a non-finite interior value, where numpy's own warnings are off."""
+def _warn_unless_finite(values: np.ndarray, ws, what: str) -> int | None:
+    """Warn at a non-finite interior value, where numpy's own warnings are off.
+
+    Returns the position in the flat range of the first such value, or None.
+    """
     finite = np.isfinite(values, out=ws.buf("finite", bool))
     finite |= ws.ghost
-    if not finite.all():
-        warnings.warn(f"{what} is not finite at an interior node", RuntimeWarning, stacklevel=3)
+    if finite.all():
+        return None
+    warnings.warn(f"{what} is not finite at an interior node", RuntimeWarning, stacklevel=3)
+    return int(np.argmin(finite))
 
 
 def _flat(sl: np.ndarray) -> np.ndarray:
@@ -447,7 +452,7 @@ def _eigen_sign_sums(diag, cross, ws=None):
     np.copyto(neg, trace, where=nsd)
     if rest.any():
         rows = np.flatnonzero(rest)
-        values, _ = jacobi_eigh_batch(_row_stack(diag, cross, rows))
+        values = jacobi_eigh_batch(_row_stack(diag, cross, rows))
         pos[rows], neg[rows] = _eigen_value_sums(values)
     return pos, neg
 
@@ -600,7 +605,7 @@ def pde_residual(
     ws = _Workspace(grid.spatial_shape)
     lo, hi = ws.lo, ws.hi
     # ghosts can overflow where no interior node does; a non-finite
-    # interior residual warns
+    # interior residual warns and raises, naming its level and node
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, grid.n_time_levels):
             sl = u.data[m]
@@ -619,7 +624,10 @@ def pde_residual(
             else:
                 value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
                 value -= rhs
-            _warn_unless_finite(value, ws, "the residual")
+            bad = _warn_unless_finite(value, ws, "the residual")
+            if bad is not None:
+                node = tuple(int(i) for i in np.unravel_index(lo + bad, ws.shape))
+                raise InputError(f"the residual is not finite at level {m}, node {node}")
             np.copyto(out_flat[m, lo:hi], value, where=ws.valid)
     return GridFunction(grid=grid, data=out)
 
@@ -631,7 +639,7 @@ def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float, ws=None):
     cross = _slice_cross_diffs(sl, h, ws)
     trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h, ws), ws)
     rows = np.flatnonzero(ws.valid)
-    values, _ = jacobi_eigh_batch(_row_stack(diag, cross, rows))
+    values = jacobi_eigh_batch(_row_stack(diag, cross, rows))
     e_min, e_max = np.zeros_like(trace), np.zeros_like(trace)
     e_min[rows], e_max[rows] = values[:, 0], values[:, -1]
     if p >= 2.0:

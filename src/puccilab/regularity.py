@@ -23,8 +23,7 @@ clipped scales, all the centers at one t0) share the work.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,8 +45,8 @@ __all__ = [
     "rescale",
     "pointwise_c1a_norm",
     "global_report",
-    "decay_report_to_csv",
-    "decay_report_to_json",
+    "decay_report_rows",
+    "decay_report_payload",
 ]
 
 # Scales whose fit error falls below this (relative) floor carry no
@@ -560,44 +559,22 @@ def global_report(
 # Serialization of decay reports.
 
 
-def decay_report_to_csv(report: DecayReport) -> str:
-    """CSV with one row per scale: k, radius, a, b components, E_k, step exponent."""
+def decay_report_rows(report: DecayReport) -> tuple[list, list]:
+    """CSV header and one row per scale: k, radius, a, b components, E_k, step exponent."""
     n = len(report.entries[0].fit.b)
-    header = ["k", "radius", "a"] + [f"b{i + 1}" for i in range(n)] + [
-        "E_k",
-        "step_exponent",
+    header = ["k", "radius", "a", *(f"b{i + 1}" for i in range(n)), "E_k", "step_exponent"]
+    rows = [
+        [e.k, e.radius, e.fit.a, *e.fit.b.tolist(), e.sup_error, e.step_exponent]
+        for e in report.entries
     ]
-    lines = [",".join(header)]
+    return header, rows
+
+
+def decay_report_payload(report: DecayReport) -> dict:
+    """The report as plain data; each scale's fit is given by its a and b."""
+    entries = []
     for e in report.entries:
-        row = [str(e.k), repr(e.radius), repr(e.fit.a)]
-        row += [repr(float(c)) for c in e.fit.b]
-        row.append(repr(e.sup_error))
-        row.append("" if e.step_exponent is None else repr(e.step_exponent))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def decay_report_to_json(report: DecayReport) -> str:
-    """Deterministic JSON rendering of a decay report."""
-    payload = {
-        "eta": report.eta,
-        "mode": report.mode,
-        "center_x": list(report.center_x),
-        "center_t": report.center_t,
-        "alpha_est": report.alpha_est,
-        "regression_residual": report.regression_residual,
-        "entries": [
-            {
-                "k": e.k,
-                "radius": e.radius,
-                "a": e.fit.a,
-                "b": [float(c) for c in e.fit.b],
-                "sup_error": e.sup_error,
-                "step_exponent": e.step_exponent,
-                "resolved": e.resolved,
-                "clipped": e.clipped,
-            }
-            for e in report.entries
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        entry = asdict(replace(e, fit=None))
+        del entry["fit"]
+        entries.append(entry | {"a": e.fit.a, "b": e.fit.b.tolist()})
+    return asdict(replace(report, entries=())) | {"entries": entries}

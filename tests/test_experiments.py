@@ -70,6 +70,10 @@ def test_config_round_trip_minimal():
         (lambda r: r["grid"].update(h="wide"), "grid"),
         (lambda r: r["grid"].update(h=5e-324), "spatial_extent / h"),
         (lambda r: r["grid"].update(half_space="false"), "half_space"),
+        (lambda r: r.update(operator={"kind": "p_laplace", "p": 3.0, "epsilon": -0.1}),
+         "epsilon"),
+        (lambda r: r.update(scenario="p_sweep", operator={"p_list": [2.1], "epsilon": -0.1}),
+         "epsilon"),
     ],
 )
 def test_config_rejects_bad_input(mutate, fragment):
@@ -467,6 +471,21 @@ def test_execute_auto_threads_matches_serial(tmp_path):
     auto = execute(cfg, str(tmp_path / "auto"), threads=0)
     for a, b in zip(serial, auto):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# Each case directory holds a config.json and the report.json / report.csv
+# that execute() wrote for it; every scenario tag is covered, with the
+# optional keys both set and left to their defaults.
+REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
+
+
+@pytest.mark.parametrize("case", sorted(os.listdir(REPORTS)))
+def test_report_bytes_match_the_reference(tmp_path, case):
+    ref = os.path.join(REPORTS, case)
+    execute(load_config(os.path.join(ref, "config.json")), str(tmp_path))
+    for name in ("report.json", "report.csv"):
+        with open(os.path.join(ref, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 # ---------------------------------------------------------------------------

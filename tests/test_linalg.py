@@ -60,9 +60,8 @@ def test_eigenvectors_satisfy_definition():
 def test_batch_shapes_and_agreement():
     mats = np.random.randn(6, 7, 3, 3)
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    values, vectors = jacobi_eigh_batch(mats, want_vectors=True)
+    values = jacobi_eigh_batch(mats)
     assert values.shape == (6, 7, 3)
-    assert vectors.shape == (6, 7, 3, 3)
     # spot-check one entry against the single-matrix path
     single = symmetric_eigenvalues(SymMatrix(mats[2, 3])).values
     assert np.allclose(values[2, 3], single, atol=1e-12)
@@ -181,8 +180,7 @@ SPECIAL = _special_stacks()
 @pytest.mark.parametrize("name", sorted(SPECIAL))
 def test_closed_form_matches_eigvalsh(name):
     mats = SPECIAL[name]
-    values, vectors = jacobi_eigh_batch(mats)
-    assert vectors is None
+    values = jacobi_eigh_batch(mats)
     want = np.linalg.eigvalsh(mats)
     norm = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))[..., None]
     assert values.shape == want.shape
@@ -194,7 +192,7 @@ def test_closed_form_matches_eigvalsh(name):
 
 
 def test_triple_and_zero_are_exact():
-    values, _ = jacobi_eigh_batch(np.stack([np.zeros((3, 3)), 4.0 * np.eye(3)]))
+    values = jacobi_eigh_batch(np.stack([np.zeros((3, 3)), 4.0 * np.eye(3)]))
     assert np.array_equal(values, [[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
 
 
@@ -215,7 +213,7 @@ def test_near_double_rows_take_the_fallback(monkeypatch):
         return oracle(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    values, _ = jacobi_eigh_batch(mats)
+    values = jacobi_eigh_batch(mats)
     assert len(seen) == 1 and seen[0].shape == (12, 3, 3)
     # exactly the near-double rows went to LAPACK
     sent = {m.tobytes() for m in seen[0]}
@@ -237,7 +235,7 @@ def test_stacks_above_three_by_three_go_to_lapack(monkeypatch):
 
 def test_entries_near_the_float_range():
     mats = _sym(_rng.standard_normal((20, 3, 3))) * 1e200
-    values, _ = jacobi_eigh_batch(mats)
+    values = jacobi_eigh_batch(mats)
     want = np.linalg.eigvalsh(mats)
     assert np.all(np.isfinite(values))
     assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want).max(axis=-1, keepdims=True))
@@ -247,7 +245,7 @@ def test_single_matrix_paths_agree_with_the_stack():
     mats = SPECIAL["near_double_1e-9"][:3]
     for m in mats:
         lo, hi = eig_extremes(m)
-        values, _ = jacobi_eigh_batch(m)
+        values = jacobi_eigh_batch(m)
         assert values.shape == (3,)
         assert (lo, hi) == (values[0], values[-1])
 
@@ -266,6 +264,6 @@ def test_negated_stack_gets_exactly_negated_eigenvalues(n):
     # Keeps the Pucci duality M-(X) = -M+(-X) free of rounding on the
     # closed-form rows (LAPACK gives no such guarantee near a double root).
     mats = SPECIAL[f"random_{n}"]
-    values, _ = jacobi_eigh_batch(mats)
-    negated, _ = jacobi_eigh_batch(-mats)
+    values = jacobi_eigh_batch(mats)
+    negated = jacobi_eigh_batch(-mats)
     assert np.array_equal(negated, -values[..., ::-1])

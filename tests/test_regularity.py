@@ -12,14 +12,15 @@ from puccilab.errors import (
     FaceDataError,
     InputError,
 )
+from puccilab.experiments.report import render_csv
 from puccilab.grid import Grid, GridFunction, cylinder_nodes, sample
 from puccilab.operators import HeatOp, pde_residual
 from puccilab.regularity import (
     best_linear_fit,
     boundary_decay_sequence,
     coefficient_cauchy_check,
-    decay_report_to_csv,
-    decay_report_to_json,
+    decay_report_payload,
+    decay_report_rows,
     decay_sequence,
     global_report,
     odd_reflection,
@@ -351,13 +352,15 @@ def test_decay_report_serialization_is_deterministic():
     grid = flat_grid(h=1.0 / 16, tau=2.0**-8)
     u = sample(lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t, grid)
     rep = decay_sequence(u, (np.zeros(2), 0.0), eta=0.5, K=3)
-    csv = decay_report_to_csv(rep)
+    header, rows = decay_report_rows(rep)
+    csv = render_csv(header, rows)
     assert csv.splitlines()[0] == "k,radius,a,b1,b2,E_k,step_exponent"
-    assert csv == decay_report_to_csv(rep)
+    assert csv == render_csv(*decay_report_rows(rep))
     assert csv.endswith("\n") and "\r" not in csv
-    blob = decay_report_to_json(rep)
-    assert blob == decay_report_to_json(rep)
-    assert blob.endswith("\n")
+    # every cell is a plain Python value, so the CSV shows no numpy repr
+    assert "np." not in csv
+    blob = json.dumps(decay_report_payload(rep), sort_keys=True, indent=2)
+    assert blob == json.dumps(decay_report_payload(rep), sort_keys=True, indent=2)
     parsed = json.loads(blob)
     assert parsed["alpha_est"] == rep.alpha_est
     assert len(parsed["entries"]) == 4

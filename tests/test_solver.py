@@ -252,7 +252,7 @@ def _reference_operator(op, sl, h):
     pos = np.where(psd, trace, 0.0)
     neg = np.where(nsd, trace, 0.0)
     if rest.any():
-        values = jacobi_eigh_batch(_hessian_stack(diag, cross)[rest])[0]
+        values = jacobi_eigh_batch(_hessian_stack(diag, cross)[rest])
         pos[rest], neg[rest] = _eigen_value_sums(values)
     if isinstance(op, PucciPlusOp):
         return op.ell.Lam * pos + op.ell.lam * neg
