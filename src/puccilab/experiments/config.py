@@ -274,7 +274,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     if tag not in SCENARIO_TAGS:
         raise ConfigError(f"unknown scenario {tag!r}; valid tags: {list(SCENARIO_TAGS)}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     grid = _build_grid(raw["grid"])
     return ScenarioConfig(

@@ -180,32 +180,56 @@ class GridFunction:
     )
 
     def __post_init__(self):
+        a = self._freeze()
+        # min and max are non-finite exactly when some value is (NaN
+        # propagates), and need no temporary the size of the field; they
+        # are the sup norm, so it is kept
+        lo, hi = a.min(), a.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InputError("grid function values must be finite")
+        self._memo["sup_norm"] = _sup_norm(lo, hi)
+
+    def _freeze(self) -> np.ndarray:
+        """Check the layout and store the data C-contiguous and read-only."""
         expected = (self.grid.n_time_levels,) + self.grid.spatial_shape
         a = np.asarray(self.data, dtype=float)
         if a.shape != expected:
             raise InputError(
                 f"data shape {a.shape} does not match grid layout {expected}"
             )
-        # min and max are non-finite exactly when some value is (NaN
-        # propagates), and need no temporary the size of the field
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
-            raise InputError("grid function values must be finite")
         a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
+        return a
+
+    @classmethod
+    def _of_finite_levels(cls, grid: Grid, data: np.ndarray) -> "GridFunction":
+        """The constructor without its finiteness scan of the whole field.
+
+        Only for data whose every level the caller has already checked
+        finite: the march and sample() check level by level, and a copy
+        copies a checked field.  The sup norm is then computed on first
+        use.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+        self._freeze()
+        return self
 
     def __reduce__(self):
-        # the lock cannot be pickled or copied; a copy starts a fresh memo
-        return (GridFunction, (self.grid, self.data))
+        # the lock cannot be pickled or copied; a copy starts a fresh memo,
+        # and its data were checked finite when the original was built
+        return (GridFunction._of_finite_levels, (self.grid, self.data))
 
     @property
     def sup_norm(self) -> float:
-        """max |u| over every node, computed on first use and kept."""
+        """max |u| over every node, kept from construction or computed on first use."""
         with self._lock:
             if "sup_norm" not in self._memo:
-                self._memo["sup_norm"] = float(
-                    max(0.0, self.data.max(), -self.data.min())
-                )
+                self._memo["sup_norm"] = _sup_norm(self.data.min(), self.data.max())
             return self._memo["sup_norm"]
 
     def window_reductions(
@@ -233,6 +257,10 @@ class GridFunction:
                     del self._memo[windows[0]]
                 self._memo[key] = hit
             return hit
+
+
+def _sup_norm(lo, hi) -> float:
+    return float(max(0.0, hi, -lo))
 
 
 def _window_reductions(block: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -290,7 +318,7 @@ def sample(expr, grid: Grid) -> GridFunction:
                 f"field evaluated non-finite at level {m}, spatial index "
                 f"{tuple(int(b) for b in bad)}"
             )
-    return GridFunction(grid=grid, data=out)
+    return GridFunction._of_finite_levels(grid, out)
 
 
 def restrict(

@@ -27,6 +27,7 @@ stack, so they agree with the slice kernels bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -323,6 +324,21 @@ def _flat(sl: np.ndarray) -> np.ndarray:
     return sl.reshape(-1)
 
 
+def _divide(values: np.ndarray, den: float) -> np.ndarray:
+    """values / den in place, with the bits of the division.
+
+    When den is +-2^k and 1/den is finite, x * (1/den) and x / den have
+    the same real value and both are correctly rounded, so they agree
+    bit for bit, and a multiply pass costs about half a division pass.
+    Every other divisor (0.1, 2^-1074 whose reciprocal overflows, 0,
+    inf, nan) divides.
+    """
+    mant, exp = math.frexp(den)
+    if abs(mant) == 0.5 and exp >= -1022:
+        return np.multiply(values, 1.0 / den, out=values)
+    return np.divide(values, den, out=values)
+
+
 def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     ws = ws or _Workspace(sl.shape)
     x, lo, hi = _flat(sl), ws.lo, ws.hi
@@ -333,7 +349,7 @@ def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     for i, s in enumerate(ws.strides):
         d = np.subtract(x[lo + s : hi + s], twice, out=ws.buf(("diag", i)))
         d += x[lo - s : hi - s]
-        d /= h2
+        _divide(d, h2)
         out.append(d)
     return out
 
@@ -355,7 +371,7 @@ def _slice_cross_diffs(
             )
             c -= x[lo - si + sj : hi - si + sj]
             c += x[lo - si - sj : hi - si - sj]
-            c /= 4.0 * h2
+            _divide(c, 4.0 * h2)
             out[(i, j)] = c
     return out
 
@@ -366,7 +382,7 @@ def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     out = []
     for i, s in enumerate(ws.strides):
         g = np.subtract(x[lo + s : hi + s], x[lo - s : hi - s], out=ws.buf(("grad", i)))
-        g /= 2.0 * h
+        _divide(g, 2.0 * h)
         out.append(g)
     return out
 
@@ -376,8 +392,7 @@ def _slice_time_diff(sl: np.ndarray, prev: np.ndarray, tau: float, ws=None) -> n
     ws = ws or _Workspace(sl.shape)
     lo, hi = ws.lo, ws.hi
     dt = np.subtract(_flat(sl)[lo:hi], _flat(prev)[lo:hi], out=ws.buf("dt"))
-    dt /= tau
-    return dt
+    return _divide(dt, tau)
 
 
 def _hessian_stack(diag, cross) -> np.ndarray:
@@ -401,8 +416,11 @@ def _row_stack(diag, cross, rows) -> np.ndarray:
 
 def _slice_trace(diag, ws) -> np.ndarray:
     trace = ws.buf("trace")
-    np.copyto(trace, diag[0])
-    for d in diag[1:]:
+    if len(diag) == 1:
+        np.copyto(trace, diag[0])
+        return trace
+    np.add(diag[0], diag[1], out=trace)
+    for d in diag[2:]:
         trace += d
     return trace
 

@@ -3,14 +3,17 @@
 The spatial domain is the open Euclidean ball |x| < R inside the
 lattice box (intersected with x_n > 0 on half-space grids).  Interior
 nodes advance by explicit Euler with the operator and the forcing
-frozen at the current level; every other lattice node copies the
-boundary data at every level, which makes the marched function a
-discrete Dirichlet solution on the parabolic cylinder.
+frozen at the current level; every other lattice node, the shell,
+copies the boundary data at every level, which makes the marched
+function a discrete Dirichlet solution on the parabolic cylinder.
 
 Boundary data g and forcing f may be full GridFunctions or callables
-(x_mesh, t) -> array; callables are evaluated one slice at a time on
-one coordinate mesh built per march, which matters once grids reach a
-few million nodes.
+(x, t) -> array, where x is a list of one coordinate array per axis.
+The arrays broadcast together, and a callable must act elementwise on
+them.  The march passes flat arrays of node coordinates: g is
+evaluated on every node for the bottom level and on the shell nodes
+alone for every later one, f on the nodes of the step range below.  A
+scalar result stands for a constant field.
 
 The march's own arithmetic allocates nothing per step: the stencils
 write into one workspace that the march creates for itself (never a
@@ -18,11 +21,13 @@ module-level one, so threads can march at the same time), and each
 level is written in place into the preallocated history.  A level is
 stepped as one flat vector, on the range [lo, hi) that holds its
 interior nodes and the ghost positions between interior rows (see
-operators._Workspace); the ghosts are masked out of the copy into the
-next level.  What a callable field returns, and the stack of Pucci
-Hessians that reach the eigen-solver, are still fresh arrays.  The
-history itself is levels x nodes; eps-continuation reads its distances
-level by level, so it holds no temporary of that size.
+operators._Workspace).  Each step first writes the stepped range into
+the next level and then scatters g over the shell, which overwrites
+the ghosts and the nodes outside the ball.  What a callable field
+returns, and the stack of Pucci Hessians that reach the eigen-solver,
+are still fresh arrays.  The history itself is levels x nodes;
+eps-continuation reads its distances level by level, so it holds no
+temporary of that size.
 """
 
 from __future__ import annotations
@@ -60,11 +65,16 @@ def cfl_limit(op, grid: Grid) -> float:
     return CFL_SAFETY / (2.0 * grid.n_dim * op.cfl_coefficient)
 
 
-def _field_slice(field, grid: Grid, level: int, mesh) -> np.ndarray:
+def _field_values(field, grid: Grid, level: int, coords, nodes) -> np.ndarray:
+    """The field at one level on some nodes of the lattice.
+
+    nodes is a slice or flat indices of the level, and coords their
+    coordinates, one array per axis; a callable is evaluated on coords
+    and a GridFunction read at nodes.  A scalar result stays a 0-d array.
+    """
     if isinstance(field, GridFunction):
-        return field.data[level]
-    vals = np.asarray(field(mesh, grid.time_value(level)), dtype=float)
-    return np.broadcast_to(vals, grid.spatial_shape)
+        return field.data[level].reshape(-1)[nodes]
+    return np.asarray(field(coords, grid.time_value(level)), dtype=float)
 
 
 def _check_field(field, grid: Grid, name: str):
@@ -120,43 +130,49 @@ def _interior_ball_mask(grid: Grid) -> np.ndarray:
 def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     """March the problem to the top level and return the full field.
 
-    Each level is written in place: g goes straight into u[m+1], then
-    the stepped values are copied over it on the nodes of the open ball.
-    The finiteness guard reads the whole level, boundary nodes included.
+    Level 0 is g on every node.  Each later level is written in place:
+    u[m] + tau (F(u[m]) + f) goes straight into the step range of
+    u[m+1], then g, evaluated on the shell nodes only, is scattered over
+    the shell: every node that is not stepped, i.e. outside the open
+    ball or on the box's edge (on staggered grids the ball reaches the
+    last axis's edge nodes).  The finiteness guard reads the whole
+    level, boundary nodes included.
     """
     grid = prob.grid
     if any(s < 3 for s in grid.spatial_shape):
         raise InputError("grid has no interior column to update")
     ws = _Workspace(grid.spatial_shape)
     lo, hi = ws.lo, ws.hi
-    mask = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
+    stepped = np.zeros(int(np.prod(grid.spatial_shape)), dtype=bool)
+    stepped[lo:hi] = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
+    shell = np.flatnonzero(~stepped)
     mesh = grid.coordinate_mesh()
+    coords = [np.broadcast_to(x, grid.spatial_shape).reshape(-1) for x in mesh]
+    shell_coords = [x[shell] for x in coords]
+    step_coords = [x[lo:hi] for x in coords]
     finite = np.empty(grid.spatial_shape, dtype=bool)
     tau = grid.tau
 
     u = np.empty((grid.n_time_levels,) + grid.spatial_shape)
     flat = u.reshape(grid.n_time_levels, -1)
-    u[0] = _field_slice(prob.g, grid, 0, mesh)
+    flat[0] = _field_values(prob.g, grid, 0, coords, slice(None))
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.n_time_levels - 1):
             # u[m] + tau * (F(u[m]) + f), one ufunc per operation
-            stepped = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
-            # a view of f, except a partially broadcast callable result, copied
-            stepped += _field_slice(prob.f, grid, m, mesh).reshape(-1)[lo:hi]
-            np.multiply(tau, stepped, out=stepped)
-            np.add(flat[m, lo:hi], stepped, out=stepped)
-            new = u[m + 1]
-            new[...] = _field_slice(prob.g, grid, m + 1, mesh)
-            np.copyto(flat[m + 1, lo:hi], stepped, where=mask)
-            if not np.isfinite(new, out=finite).all():
+            value = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
+            value += _field_values(prob.f, grid, m, step_coords, slice(lo, hi))
+            np.multiply(tau, value, out=value)
+            np.add(flat[m, lo:hi], value, out=flat[m + 1, lo:hi])
+            flat[m + 1, shell] = _field_values(prob.g, grid, m + 1, shell_coords, shell)
+            if not np.isfinite(u[m + 1], out=finite).all():
                 raise BlowUpError(
                     f"solution left the finite range at step {m + 1} "
                     f"(t = {grid.time_value(m + 1)})",
                     step=m + 1,
                 )
-    return GridFunction(grid=grid, data=u)
+    return GridFunction._of_finite_levels(grid, u)
 
 
 def solve_p_laplace_regularized(

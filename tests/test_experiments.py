@@ -67,6 +67,7 @@ def test_config_round_trip_minimal():
         (lambda r: r["operator"].update(kind="biharmonic"), "biharmonic"),
         (lambda r: r["data"].update(g={"name": "perlin_noise"}), "perlin_noise"),
         (lambda r: r.update(seed=-3), "seed"),
+        (lambda r: r.update(seed=True), "integer, got True"),
         (lambda r: r["grid"].update(h="wide"), "grid"),
         (lambda r: r["grid"].update(h=5e-324), "spatial_extent / h"),
         (lambda r: r["grid"].update(half_space="false"), "half_space"),
@@ -337,6 +338,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = cli_main(["check", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "counterexample" in capsys.readouterr().err
+
+    # a JSON boolean is not a seed
+    cfg_seed = write_config(tmp_path, "seed.json", solve_raw(seed=True))
+    rc = cli_main(["solve", "--config", cfg_seed, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "seed must be a nonnegative integer, got True" in capsys.readouterr().err
 
     # CFL-violating grid is a validation failure, reported with the ratio
     bad = solve_raw()

@@ -15,7 +15,7 @@ import pytest
 import puccilab.grid as grid_module
 import puccilab.regularity as regularity
 from puccilab.errors import InputError
-from puccilab.grid import Grid, GridFunction, cylinder_nodes
+from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict
 from puccilab.regularity import (
     best_linear_fit,
     boundary_decay_sequence,
@@ -189,6 +189,14 @@ def test_sup_norm_is_computed_once_and_stays_a_property():
     zero = GridFunction(grid=grid, data=-np.zeros((2, 9)))
     assert zero.sup_norm == 0.0
     assert np.copysign(1.0, zero.sup_norm) == 1.0
+
+
+def test_construction_keeps_its_finiteness_scan_as_the_sup_norm():
+    # a restricted box (what membership_tolerance reads) is scanned once:
+    # the sup norm is in the memo before anything asks for it
+    box = restrict(random_field(seed=8), 0.5, 0.125)
+    want = float(max(0.0, box.data.max(), -box.data.min()))
+    assert box._memo["sup_norm"] == want == box.sup_norm
 
 
 def test_copies_and_pickles_start_a_fresh_memo():

@@ -475,7 +475,9 @@ def test_near_identity_slice_never_reaches_an_eigen_solver(monkeypatch):
     grid = Grid(n_dim=3, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
     # Hessians 2I + O(1e-9): noise of 1e-9 h^2 on a quadratic
     noise = 1e-9 * grid.h**2 * np.random.default_rng(5).standard_normal(grid.spatial_shape)
-    g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + mesh[2] ** 2 + 6.0 * t + noise
+    g = sample(
+        lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + mesh[2] ** 2 + 6.0 * t + noise, grid
+    )
     ell = EllipticityPair(1.0, 1.5)
     calls = []
     monkeypatch.setattr(operators, "jacobi_eigh_batch", lambda *a, **k: calls.append("batch"))
@@ -674,3 +676,30 @@ def test_interior_overflow_in_membership_and_residual_still_warns():
         InputError, match=r"residual is not finite at level 1, node \(1, 1\)"
     ):
         pde_residual(u, PucciPlusOp(ell), f)
+
+
+def test_divide_by_a_power_of_two_keeps_the_bits_of_the_division():
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array(
+        [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 3.0 * tiny, 1.0, -3.0, 0.1,
+         1.7e308, -1.7e308, np.finfo(float).max, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+    )
+    for k in (-1023, -1022, -60, -12, -1, 0, 1, 15, 1000, 1023):
+        for den in (2.0**k, -(2.0**k)):
+            with np.errstate(all="ignore"):
+                want = values / den
+                got = operators._divide(values.copy(), den)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), den
+
+
+def test_divide_divides_when_no_exact_reciprocal_exists():
+    # 1/0.1 and 1/2^-1074 (an overflow) are inexact; a multiply by
+    # either one changes these values, the division path does not
+    values = np.array([3.0, 0.7, 2.0**-1074, 1.0, -5.5])
+    for den in (0.1, 2.0**-1074):
+        with np.errstate(all="ignore"):
+            want = values / den
+            by_reciprocal = values * (1.0 / np.float64(den))
+            got = operators._divide(values.copy(), den)
+        assert not np.array_equal(by_reciprocal, want)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -308,6 +308,9 @@ _GRIDS = {
     "n=2": Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8),
     "n=3": Grid(n_dim=3, h=1.0 / 8, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6),
     "half": Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8, half_space=True),
+    # h^2, 4 h^2, 2 h and tau are no powers of two: every stencil divides
+    "h=0.1": Grid(n_dim=2, h=0.1, tau=1e-3, time_extent=16e-3),
+    "stagger": Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=2.0**-8, stagger=True),
 }
 
 
@@ -384,14 +387,14 @@ def test_blow_up_in_boundary_data_names_its_level(bad_node):
     # which keeps g's value.  The step that writes level k must raise.
     grid = small_grid(h=0.25)
     k = 5
-    mask = np.zeros(grid.spatial_shape, dtype=bool)
-    mask[bad_node] = True
+    bad_x = [grid.axis_coords(i)[j] for i, j in enumerate(bad_node)]
     assert not _interior_ball_mask(grid)[bad_node]
 
     def g(mesh, t):
         value = mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
         if t == grid.time_value(k):
-            return np.where(mask, np.nan, value)
+            at_bad = (mesh[0] == bad_x[0]) & (mesh[1] == bad_x[1])
+            return np.where(at_bad, np.nan, value)
         return value
 
     with pytest.raises(BlowUpError) as info:
@@ -419,3 +422,40 @@ def test_march_leaves_every_lattice_edge_node_to_g(grid):
     edge[tuple(slice(1, -1) for _ in range(grid.n_dim))] = False
     assert _interior_ball_mask(grid)[edge].any() == grid.stagger
     assert np.array_equal(u.data[:, edge], sample(_wavy_g, grid).data[:, edge])
+
+
+def test_callables_see_the_shell_and_the_step_range_only():
+    # g is evaluated on every node for level 0 and on the shell (every
+    # node that is not stepped) afterwards; f on the flat step range
+    # [lo, hi), the first to the last interior node
+    for grid in (_GRIDS["n=2"], _GRIDS["n=3"], _GRIDS["half"], _GRIDS["stagger"]):
+        seen = {"f": [], "g": []}
+
+        def recording(name, field):
+            def call(x, t):
+                seen[name].append((t, np.stack(np.broadcast_arrays(*x))))
+                return field(x, t)
+
+            return call
+
+        f, g = recording("f", _wavy_f), recording("g", _wavy_g)
+        prob = DirichletProblem(op_tag=_OPS["p=2.5"], f=f, g=g, grid=grid)
+        u = solve_dirichlet(prob)
+        shape = grid.spatial_shape
+        nodes = np.stack(
+            [np.broadcast_to(x, shape).reshape(-1) for x in grid.coordinate_mesh()]
+        )
+        inner = np.zeros(shape, dtype=bool)
+        inner[tuple(slice(1, -1) for _ in shape)] = True
+        shell = ~(_interior_ball_mask(grid) & inner).reshape(-1)
+        lo = np.ravel_multi_index((1,) * grid.n_dim, shape)
+        hi = np.ravel_multi_index(tuple(s - 2 for s in shape), shape) + 1
+        times = list(grid.time_values)
+        assert [t for t, _ in seen["g"]] == times
+        assert [t for t, _ in seen["f"]] == times[:-1]
+        assert np.array_equal(seen["g"][0][1], nodes)
+        for _, x in seen["g"][1:]:
+            assert np.array_equal(x, nodes[:, shell])
+        for _, x in seen["f"]:
+            assert np.array_equal(x, nodes[:, lo:hi])
+        assert np.array_equal(u.data, _reference_march(prob))
