@@ -207,9 +207,8 @@ class GridFunction:
         """The constructor without its finiteness scan of the whole field.
 
         Only for data whose every level the caller has already checked
-        finite: the march and sample() check level by level, and a copy
-        copies a checked field.  The sup norm is then computed on first
-        use.
+        finite: the march and sample() check level by level.  The sup
+        norm is then computed on first use.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "grid", grid)
@@ -220,9 +219,9 @@ class GridFunction:
         return self
 
     def __reduce__(self):
-        # the lock cannot be pickled or copied; a copy starts a fresh memo,
-        # and its data were checked finite when the original was built
-        return (GridFunction._of_finite_levels, (self.grid, self.data))
+        # the lock cannot be pickled or copied; a copy is built and checked
+        # afresh, so its memo holds the sup norm of its scan and no window
+        return (GridFunction, (self.grid, self.data))
 
     @property
     def sup_norm(self) -> float:

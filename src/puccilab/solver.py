@@ -10,10 +10,11 @@ function a discrete Dirichlet solution on the parabolic cylinder.
 Boundary data g and forcing f may be full GridFunctions or callables
 (x, t) -> array, where x is a list of one coordinate array per axis.
 The arrays broadcast together, and a callable must act elementwise on
-them.  The march passes flat arrays of node coordinates: g is
-evaluated on every node for the bottom level and on the shell nodes
-alone for every later one, f on the nodes of the step range below.  A
-scalar result stands for a constant field.
+them.  g is evaluated on the sparse mesh of the whole lattice for the
+bottom level and on flat arrays of the shell's node coordinates for
+every later one; f on the sparse mesh of the axis-0 slabs 1..N-2,
+which hold the step range below.  A scalar result stands for a
+constant field.
 
 The march's own arithmetic allocates nothing per step: the stencils
 write into one workspace that the march creates for itself (never a
@@ -23,11 +24,12 @@ stepped as one flat vector, on the range [lo, hi) that holds its
 interior nodes and the ghost positions between interior rows (see
 operators._Workspace).  Each step first writes the stepped range into
 the next level and then scatters g over the shell, which overwrites
-the ghosts and the nodes outside the ball.  What a callable field
-returns, and the stack of Pucci Hessians that reach the eigen-solver,
-are still fresh arrays.  The history itself is levels x nodes;
-eps-continuation reads its distances level by level, so it holds no
-temporary of that size.
+the ghosts and the nodes outside the ball.  The march keeps the
+shell's indices and, for a callable g, their coordinates; what a
+callable field returns, and the stack of Pucci Hessians that reach
+the eigen-solver, are still fresh arrays.  The history itself is
+levels x nodes; eps-continuation reads its distances level by level,
+so it holds no temporary of that size.
 """
 
 from __future__ import annotations
@@ -65,16 +67,26 @@ def cfl_limit(op, grid: Grid) -> float:
     return CFL_SAFETY / (2.0 * grid.n_dim * op.cfl_coefficient)
 
 
-def _field_values(field, grid: Grid, level: int, coords, nodes) -> np.ndarray:
-    """The field at one level on some nodes of the lattice.
+def _field_values(field, grid: Grid, level: int, coords, nodes, shape) -> np.ndarray:
+    """The field at one level on a block of lattice nodes of the given shape.
 
-    nodes is a slice or flat indices of the level, and coords their
-    coordinates, one array per axis; a callable is evaluated on coords
-    and a GridFunction read at nodes.  A scalar result stays a 0-d array.
+    nodes indexes a level of a GridFunction field; a callable is
+    evaluated on coords, the block's coordinates, one array per axis
+    that broadcast together to shape.  The result has that shape, or
+    is a 0-d array for a scalar.
     """
     if isinstance(field, GridFunction):
-        return field.data[level].reshape(-1)[nodes]
-    return np.asarray(field(coords, grid.time_value(level)), dtype=float)
+        return field.data[level][nodes]
+    vals = np.asarray(field(coords, grid.time_value(level)), dtype=float)
+    if vals.ndim == 0 or vals.shape == shape:
+        return vals
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise InputError(
+            f"a callable field returned shape {vals.shape} on coordinates of "
+            f"shape {shape}; it must act elementwise on them"
+        ) from None
 
 
 def _check_field(field, grid: Grid, name: str):
@@ -135,42 +147,54 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     u[m+1], then g, evaluated on the shell nodes only, is scattered over
     the shell: every node that is not stepped, i.e. outside the open
     ball or on the box's edge (on staggered grids the ball reaches the
-    last axis's edge nodes).  The finiteness guard reads the whole
-    level, boundary nodes included.
+    last axis's edge nodes).  The finiteness guard reads every level,
+    level 0 and the boundary nodes included.
     """
     grid = prob.grid
-    if any(s < 3 for s in grid.spatial_shape):
+    shape = grid.spatial_shape
+    if any(s < 3 for s in shape):
         raise InputError("grid has no interior column to update")
-    ws = _Workspace(grid.spatial_shape)
+    ws = _Workspace(shape)
     lo, hi = ws.lo, ws.hi
-    stepped = np.zeros(int(np.prod(grid.spatial_shape)), dtype=bool)
+    stepped = np.zeros(int(np.prod(shape)), dtype=bool)
     stepped[lo:hi] = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
     shell = np.flatnonzero(~stepped)
+    shell_nodes = np.unravel_index(shell, shape)
+    shell_coords = None
+    if callable(prob.g):
+        shell_coords = [grid.axis_coords(i)[j] for i, j in enumerate(shell_nodes)]
     mesh = grid.coordinate_mesh()
-    coords = [np.broadcast_to(x, grid.spatial_shape).reshape(-1) for x in mesh]
-    shell_coords = [x[shell] for x in coords]
-    step_coords = [x[lo:hi] for x in coords]
-    finite = np.empty(grid.spatial_shape, dtype=bool)
+    # f on the sparse mesh of the slabs 1..N-2 along axis 0: their flat
+    # range holds [lo, hi), shifted by one axis-0 stride
+    slabs = slice(1, -1)
+    slab_mesh = [mesh[0][slabs]] + mesh[1:]
+    slab_shape = (shape[0] - 2,) + shape[1:]
+    f_range = slice(lo - ws.strides[0], hi - ws.strides[0])
+    finite = np.empty(shape, dtype=bool)
     tau = grid.tau
 
-    u = np.empty((grid.n_time_levels,) + grid.spatial_shape)
+    u = np.empty((grid.n_time_levels,) + shape)
     flat = u.reshape(grid.n_time_levels, -1)
-    flat[0] = _field_values(prob.g, grid, 0, coords, slice(None))
+    u[0] = _field_values(prob.g, grid, 0, mesh, ..., shape)
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(grid.n_time_levels - 1):
-            # u[m] + tau * (F(u[m]) + f), one ufunc per operation
-            value = _slice_operator_value(prob.op_tag, u[m], grid.h, ws)
-            value += _field_values(prob.f, grid, m, step_coords, slice(lo, hi))
-            np.multiply(tau, value, out=value)
-            np.add(flat[m, lo:hi], value, out=flat[m + 1, lo:hi])
-            flat[m + 1, shell] = _field_values(prob.g, grid, m + 1, shell_coords, shell)
-            if not np.isfinite(u[m + 1], out=finite).all():
+        for m in range(grid.n_time_levels):
+            if m > 0:
+                # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation
+                value = _slice_operator_value(prob.op_tag, u[m - 1], grid.h, ws)
+                forcing = _field_values(prob.f, grid, m - 1, slab_mesh, slabs, slab_shape)
+                value += forcing if forcing.ndim == 0 else forcing.reshape(-1)[f_range]
+                np.multiply(tau, value, out=value)
+                np.add(flat[m - 1, lo:hi], value, out=flat[m, lo:hi])
+                flat[m, shell] = _field_values(
+                    prob.g, grid, m, shell_coords, shell_nodes, shell.shape
+                )
+            if not np.isfinite(u[m], out=finite).all():
                 raise BlowUpError(
-                    f"solution left the finite range at step {m + 1} "
-                    f"(t = {grid.time_value(m + 1)})",
-                    step=m + 1,
+                    f"solution left the finite range at step {m} "
+                    f"(t = {grid.time_value(m)})",
+                    step=m,
                 )
     return GridFunction._of_finite_levels(grid, u)
 

@@ -205,8 +205,17 @@ def test_copies_and_pickles_start_a_fresh_memo():
     for v in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
         assert v.grid == u.grid
         assert np.array_equal(v.data, u.data)
-        assert v._memo == {}
-        assert v.sup_norm == u.sup_norm
+        assert v._memo == {"sup_norm": u.sup_norm}
+
+
+def test_an_unpickled_field_is_checked_finite():
+    u = random_field()
+    bad = u.data.copy()
+    bad[0, 0, 0] = np.nan
+    blob = pickle.dumps(u)
+    assert blob.count(u.data.tobytes()) == 1
+    with pytest.raises(InputError):
+        pickle.loads(blob.replace(u.data.tobytes(), bad.tobytes()))
 
 
 def test_global_report_runs_one_decay_per_point(monkeypatch):

@@ -377,16 +377,16 @@ def test_distance_pass_allocates_no_history_sized_temporary():
 
 
 @pytest.mark.parametrize(
-    "bad_node",
-    [(0, 4), (1, 1)],
-    ids=["lattice-edge", "box-corner-outside-the-ball"],
+    "bad_node, k",
+    [((0, 4), 5), ((1, 1), 5), ((0, 0), 0)],
+    ids=["lattice-edge", "box-corner-outside-the-ball", "bottom-level-corner"],
 )
-def test_blow_up_in_boundary_data_names_its_level(bad_node):
+def test_blow_up_in_boundary_data_names_its_level(bad_node, k):
     # g turns non-finite at one non-interior node of level k only: on the
     # lattice edge, or at a node of the inner block outside the ball,
-    # which keeps g's value.  The step that writes level k must raise.
+    # which keeps g's value.  The step that writes level k must raise;
+    # for k = 0 that is the bottom level, at a corner no stencil reads.
     grid = small_grid(h=0.25)
-    k = 5
     bad_x = [grid.axis_coords(i)[j] for i, j in enumerate(bad_node)]
     assert not _interior_ball_mask(grid)[bad_node]
 
@@ -425,10 +425,12 @@ def test_march_leaves_every_lattice_edge_node_to_g(grid):
 
 
 @pytest.mark.parametrize("grid_name", ["n=2", "n=3", "half", "stagger"])
-def test_callables_see_the_shell_and_the_step_range_only(grid_name):
-    # g is evaluated on every node for level 0 and on the shell (every
-    # node that is not stepped) afterwards; f on the flat step range
-    # [lo, hi), the first to the last interior node
+def test_callables_see_the_shell_and_the_step_slabs_only(grid_name):
+    # g is evaluated on the sparse mesh of every node for level 0 and on
+    # the shell (every node that is not stepped) afterwards; f on the
+    # sparse mesh of the slabs 1..N-2 along axis 0, the fewest whole
+    # slabs that hold the flat step range [lo, hi), the first to the
+    # last interior node
     grid = _GRIDS[grid_name]
     seen = {"f": [], "g": []}
 
@@ -451,8 +453,21 @@ def test_callables_see_the_shell_and_the_step_range_only(grid_name):
     times = list(grid.time_values)
     assert [t for t, _ in seen["g"]] == times
     assert [t for t, _ in seen["f"]] == times[:-1]
-    assert np.array_equal(seen["g"][0][1], nodes)
+    assert np.array_equal(seen["g"][0][1].reshape(grid.n_dim, -1), nodes)
     for _, x in seen["g"][1:]:
         assert np.array_equal(x, nodes[:, shell])
+    slab = int(np.prod(shape[1:]))
+    assert slab <= lo and hi <= (shape[0] - 1) * slab
     for _, x in seen["f"]:
-        assert np.array_equal(x, nodes[:, lo:hi])
+        assert np.array_equal(x.reshape(grid.n_dim, -1), nodes[:, slab:-slab])
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_a_callable_that_is_not_elementwise_is_an_input_error(field):
+    # a lattice-shaped array, whatever coordinates the march passes
+    grid = _GRIDS["n=2"]
+    lattice = np.zeros(grid.spatial_shape)
+    fields = {"f": _wavy_f, "g": _wavy_g, field: lambda x, t: lattice}
+    prob = DirichletProblem(op_tag=HeatOp(lam=1.0), grid=grid, **fields)
+    with pytest.raises(InputError, match="elementwise"):
+        solve_dirichlet(prob)
