@@ -70,13 +70,13 @@ def cfl_limit(op, grid: Grid) -> float:
 def _field_values(field, grid: Grid, level: int, coords, nodes, shape) -> np.ndarray:
     """The field at one level on a block of lattice nodes of the given shape.
 
-    nodes indexes a level of a GridFunction field; a callable is
-    evaluated on coords, the block's coordinates, one array per axis
-    that broadcast together to shape.  The result has that shape, or
-    is a 0-d array for a scalar.
+    nodes are the block's flat indices (or a slice) in a level of a
+    GridFunction field; a callable is evaluated on coords, the block's
+    coordinates, one array per axis that broadcast together to shape.
+    The result has that shape, or is a 0-d array for a scalar.
     """
     if isinstance(field, GridFunction):
-        return field.data[level][nodes]
+        return field.data[level].reshape(-1)[nodes].reshape(shape)
     vals = np.asarray(field(coords, grid.time_value(level)), dtype=float)
     if vals.ndim == 0 or vals.shape == shape:
         return vals
@@ -159,23 +159,24 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     stepped = np.zeros(int(np.prod(shape)), dtype=bool)
     stepped[lo:hi] = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
     shell = np.flatnonzero(~stepped)
-    shell_nodes = np.unravel_index(shell, shape)
     shell_coords = None
     if callable(prob.g):
-        shell_coords = [grid.axis_coords(i)[j] for i, j in enumerate(shell_nodes)]
+        nodes = np.unravel_index(shell, shape)
+        shell_coords = [grid.axis_coords(i)[j] for i, j in enumerate(nodes)]
     mesh = grid.coordinate_mesh()
-    # f on the sparse mesh of the slabs 1..N-2 along axis 0: their flat
-    # range holds [lo, hi), shifted by one axis-0 stride
-    slabs = slice(1, -1)
-    slab_mesh = [mesh[0][slabs]] + mesh[1:]
+    # f on the slabs 1..N-2 along axis 0, whose flat range holds
+    # [lo, hi) shifted by one slab
+    slab = ws.strides[0]
+    slabs = slice(slab, (shape[0] - 1) * slab)
+    slab_mesh = [mesh[0][1:-1]] + mesh[1:]
     slab_shape = (shape[0] - 2,) + shape[1:]
-    f_range = slice(lo - ws.strides[0], hi - ws.strides[0])
+    f_range = slice(lo - slab, hi - slab)
     finite = np.empty(shape, dtype=bool)
     tau = grid.tau
 
     u = np.empty((grid.n_time_levels,) + shape)
     flat = u.reshape(grid.n_time_levels, -1)
-    u[0] = _field_values(prob.g, grid, 0, mesh, ..., shape)
+    u[0] = _field_values(prob.g, grid, 0, mesh, slice(None), shape)
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -187,9 +188,8 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
                 value += forcing if forcing.ndim == 0 else forcing.reshape(-1)[f_range]
                 np.multiply(tau, value, out=value)
                 np.add(flat[m - 1, lo:hi], value, out=flat[m, lo:hi])
-                flat[m, shell] = _field_values(
-                    prob.g, grid, m, shell_coords, shell_nodes, shell.shape
-                )
+                boundary = _field_values(prob.g, grid, m, shell_coords, shell, shell.shape)
+                flat[m, shell] = boundary
             if not np.isfinite(u[m], out=finite).all():
                 raise BlowUpError(
                     f"solution left the finite range at step {m} "

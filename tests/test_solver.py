@@ -471,3 +471,16 @@ def test_a_callable_that_is_not_elementwise_is_an_input_error(field):
     prob = DirichletProblem(op_tag=HeatOp(lam=1.0), grid=grid, **fields)
     with pytest.raises(InputError, match="elementwise"):
         solve_dirichlet(prob)
+
+
+@pytest.mark.parametrize("grid_name", ["n=2", "n=3", "stagger"])
+def test_stored_forcing_and_boundary_data_march_like_the_callables(grid_name):
+    # the march reads a GridFunction on the same blocks of nodes that it
+    # hands a callable the coordinates of
+    grid = _GRIDS[grid_name]
+    op = _OPS["p=2.5"]
+    u_callable = solve_dirichlet(DirichletProblem(op_tag=op, f=_wavy_f, g=_wavy_g, grid=grid))
+    stored = DirichletProblem(
+        op_tag=op, f=sample(_wavy_f, grid), g=sample(_wavy_g, grid), grid=grid
+    )
+    assert np.array_equal(solve_dirichlet(stored).data, u_callable.data)
