@@ -67,7 +67,11 @@ _LIST_KEYS = {"p_list", "delta_list", "eps_schedule"}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed and validated scenario description, its numbers stored typed."""
+    """Parsed and validated scenario description, its numbers stored typed.
+
+    data holds the built fields (callables or stored GridFunctions, see
+    fields.make_field) and the typed affine_part.
+    """
 
     scenario: str
     grid: Grid
@@ -75,7 +79,6 @@ class ScenarioConfig:
     data: dict = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
     seed: int = 0
-    base_dir: str = "."
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -231,13 +234,14 @@ def _data_section(tag: str, data: dict, grid: Grid, base_dir: str) -> dict:
                 "boundary study needs exactly one of data.u (sample mode) "
                 "or data.g (solve mode)"
             )
-    # Build every referenced field once, so bad specs fail at parse time.
+    # Build every referenced field here, once: bad specs fail at parse
+    # time, and the scenario runs on the built fields.
     for key, spec in data.items():
         if key == "affine_part":
             data[key] = _affine_part(spec, grid.n_dim)
             continue
         try:
-            make_field(spec, grid.n_dim, base_dir)
+            data[key] = make_field(spec, grid.n_dim, base_dir)
         except (TypeError, ValueError, OverflowError, OSError, GridFileError) as exc:
             raise ConfigError(f"data.{key}: malformed field spec ({exc})") from exc
     return data
@@ -284,7 +288,6 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         data=_data_section(tag, _section(raw, "data"), grid, base_dir),
         analysis=_analysis_section(tag, _section(raw, "analysis"), grid),
         seed=seed,
-        base_dir=base_dir,
     )
 
 

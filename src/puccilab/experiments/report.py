@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 from .. import __version__
 from ..grid import Grid
@@ -20,15 +21,7 @@ def provenance(grid: Grid, seed: int, scenario: str) -> dict:
         "version": __version__,
         "scenario": scenario,
         "seed": seed,
-        "grid": {
-            "n_dim": grid.n_dim,
-            "h": grid.h,
-            "tau": grid.tau,
-            "spatial_extent": grid.spatial_extent,
-            "time_extent": grid.time_extent,
-            "half_space": grid.half_space,
-            "stagger": grid.stagger,
-        },
+        "grid": asdict(grid),
     }
 
 

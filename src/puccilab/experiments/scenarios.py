@@ -485,10 +485,6 @@ def _membership_rows(report, prefix=""):
     return [[prefix + c, getattr(report, c)] for c in _MEMBERSHIP_COLUMNS]
 
 
-def _data_field(config, key):
-    return make_field(config.data[key], config.grid.n_dim, config.base_dir)
-
-
 def _build_operator(op, grid):
     kind = op["kind"]
     if kind == "heat":
@@ -501,7 +497,7 @@ def _build_operator(op, grid):
 
 def _exec_solve(config, out_dir, threads):
     grid = config.grid
-    f, g = _data_field(config, "f"), _data_field(config, "g")
+    f, g = config.data["f"], config.data["g"]
     op = _build_operator(config.operator, grid)
     u = solve_dirichlet(DirichletProblem(op_tag=op, f=f, g=g, grid=grid))
     os.makedirs(out_dir, exist_ok=True)
@@ -512,7 +508,7 @@ def _exec_solve(config, out_dir, threads):
 
 
 def _exec_class_check(config, out_dir, threads):
-    u = _data_field(config, "u")
+    u = config.data["u"]
     op = config.operator
     report = class_membership(
         field_on_grid(u, config.grid),
@@ -525,7 +521,7 @@ def _exec_class_check(config, out_dir, threads):
 
 def _exec_decay(config, out_dir, threads):
     grid = config.grid
-    u = _data_field(config, "u")
+    u = config.data["u"]
     an = config.analysis
     center = _point(an.get("center", [0.0] * (grid.n_dim + 1)))
     report = decay_sequence(field_on_grid(u, grid), center, **_given(an, "eta", "K"))
@@ -540,7 +536,7 @@ def _exec_boundary(config, out_dir, threads):
     if "points" in an:
         kwargs["points"] = [_point(pt) for pt in an["points"]]
     mode = "u" if "u" in config.data else "g"
-    kwargs[mode] = _data_field(config, mode)
+    kwargs[mode] = config.data[mode]
     report = run_boundary_study(
         grid, affine_value=affine["value"], affine_gradient=affine["gradient"], **kwargs
     )
@@ -579,7 +575,7 @@ def _exec_counterexample(config, out_dir, threads):
 
 def _exec_p_sweep(config, out_dir, threads):
     an = config.analysis
-    f, g = _data_field(config, "f"), _data_field(config, "g")
+    f, g = config.data["f"], config.data["g"]
     table = run_p_sweep(
         config.operator["p_list"],
         alpha_target=an.get("alpha", 0.9),
@@ -601,7 +597,7 @@ def _exec_p_sweep(config, out_dir, threads):
 
 
 def _exec_ellipticity_sweep(config, out_dir, threads):
-    f, g = _data_field(config, "f"), _data_field(config, "g")
+    f, g = config.data["f"], config.data["g"]
     rows = run_ellipticity_sweep(
         config.operator["delta_list"], config.grid, f, g, **_given(config.analysis, "eta", "K")
     )
@@ -610,7 +606,7 @@ def _exec_ellipticity_sweep(config, out_dir, threads):
 
 
 def _exec_eps_sweep(config, out_dir, threads):
-    f, g = _data_field(config, "f"), _data_field(config, "g")
+    f, g = config.data["f"], config.data["g"]
     op = config.operator
     _, report = epsilon_continuation(op["p"], op["eps_schedule"], f, g, config.grid)
     # the last epsilon has no successor, so its distance cell is empty

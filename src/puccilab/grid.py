@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -340,15 +340,7 @@ def restrict(
         raise InputError(
             f"sub-box depth {time_extent} exceeds the grid's {grid.time_extent}"
         )
-    sub = Grid(
-        n_dim=grid.n_dim,
-        h=grid.h,
-        tau=grid.tau,
-        spatial_extent=spatial_extent,
-        time_extent=time_extent,
-        half_space=grid.half_space,
-        stagger=grid.stagger,
-    )
+    sub = replace(grid, spatial_extent=spatial_extent, time_extent=time_extent)
     k = sub.steps_per_half_width
     center = grid.steps_per_half_width
     slices = [slice(grid.n_time_levels - sub.n_time_levels, grid.n_time_levels)]
@@ -436,6 +428,26 @@ class CylinderIndex:
         return tuple(r[self.spatial_mask] for r in u.window_reductions(*self.window))
 
 
+def _ball_mask(grid: Grid, r: float, x0=None, closed: bool = False) -> np.ndarray:
+    """The lattice nodes of the open ball |x - x0| < r, x0 the origin by default.
+
+    On half-space grids the face x_n = 0 is boundary, so only x_n > 0
+    nodes belong.  closed gives the closed ball |x - x0| <= r, face
+    included.  The slack only absorbs rounding in the dist**2 sums.
+    """
+    mesh = grid.coordinate_mesh()
+    dist2 = np.zeros(grid.spatial_shape)
+    for i in range(grid.n_dim):
+        dist2 = dist2 + (mesh[i] if x0 is None else mesh[i] - x0[i]) ** 2
+    slack = _EDGE_SLACK * r * r
+    if closed:
+        return dist2 <= r * r + slack
+    mask = dist2 < r * r - slack
+    if grid.half_space:
+        mask &= mesh[grid.n_dim - 1] > 0.0
+    return mask
+
+
 def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     """Nodes of the discrete parabolic cylinder Q_r(center).
 
@@ -456,15 +468,7 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     if r <= 0.0:
         raise InputError(f"cylinder radius must be positive, got {r}")
 
-    mesh = grid.coordinate_mesh()
-    dist2 = np.zeros(grid.spatial_shape)
-    for i in range(grid.n_dim):
-        dist2 = dist2 + (mesh[i] - x0[i]) ** 2
-    slack = _EDGE_SLACK * r * r
-    mask = dist2 < r * r - slack
-    if grid.half_space:
-        mask &= mesh[grid.n_dim - 1] > 0.0
-
+    mask = _ball_mask(grid, r, x0)
     times = grid.time_values
     t_slack = _EDGE_SLACK * (1.0 + abs(t0) + r * r)
     in_window = (times > t0 - r * r + t_slack) & (times <= t0 + t_slack)
@@ -539,16 +543,8 @@ def parabolic_boundary_nodes(grid: Grid, r: float) -> list[tuple[int, tuple[int,
             f"cylinder depth r^2 = {r * r} does not land on a time level"
         ) from exc
 
-    mesh = grid.coordinate_mesh()
-    dist2 = np.zeros(grid.spatial_shape)
-    for i in range(grid.n_dim):
-        dist2 = dist2 + mesh[i] ** 2
-    slack = _EDGE_SLACK * r * r
-    interior = dist2 < r * r - slack
-    if grid.half_space:
-        face = np.broadcast_to(mesh[grid.n_dim - 1] == 0.0, grid.spatial_shape)
-        interior = interior & ~face
-    closed_ball = dist2 <= r * r + slack
+    interior = _ball_mask(grid, r)
+    closed_ball = _ball_mask(grid, r, closed=True)
 
     # Lateral shell: outside the open ball but adjacent (Chebyshev
     # distance one, matching the stencil footprint) to an interior node.
@@ -567,9 +563,7 @@ def parabolic_boundary_nodes(grid: Grid, r: float) -> list[tuple[int, tuple[int,
         for idx in np.argwhere(shell):
             nodes.append((m, tuple(int(i) for i in idx)))
     if grid.half_space:
-        face_in_ball = closed_ball & np.broadcast_to(
-            mesh[grid.n_dim - 1] == 0.0, grid.spatial_shape
-        )
+        face_in_ball = closed_ball & (grid.coordinate_mesh()[grid.n_dim - 1] == 0.0)
         for m in range(bottom_level + 1, top + 1):
             for idx in np.argwhere(face_in_ball):
                 nodes.append((m, tuple(int(i) for i in idx)))
@@ -642,18 +636,7 @@ def backward_time_diff(u: GridFunction, node) -> float:
 
 
 def write_gridfn(u: GridFunction, path) -> None:
-    grid = u.grid
-    meta = {
-        "endianness": "little",
-        "h": grid.h,
-        "half_space": grid.half_space,
-        "index_order": "time-major row-major",
-        "n_dim": grid.n_dim,
-        "spatial_extent": grid.spatial_extent,
-        "stagger": grid.stagger,
-        "tau": grid.tau,
-        "time_extent": grid.time_extent,
-    }
+    meta = {**asdict(u.grid), "endianness": "little", "index_order": "time-major row-major"}
     payload = np.ascontiguousarray(u.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(FILE_MAGIC.encode("ascii") + b"\n")

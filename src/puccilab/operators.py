@@ -23,6 +23,13 @@ on a positive semidefinite Hessian, and the other way round on a
 negative one.  Only the remaining Hessians are eigen-solved.  The
 pointwise pucci_plus and pucci_minus take the same path on a one-row
 stack, so they agree with the slice kernels bit for bit.
+
+The normalized p-Laplacian has one implementation, _plaplace_value,
+which the march, pde_residual and the pointwise normalized_p_laplacian
+and envelope_residuals all run (the pointwise forms on a one-row
+stack).  At a zero gradient the exact operator is set-valued, and one
+envelope rule, _plaplace_envelope_value, bounds it by the values over
+the Hessian's extreme eigenvalues; only those rows are eigen-solved.
 """
 
 from __future__ import annotations
@@ -215,37 +222,35 @@ def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
     return SymMatrix(np.eye(n) + (params.p - 2.0) * np.outer(q, q) / den)
 
 
+def _point_stencils(m, q, p: float):
+    """m and q as one-row stencils with a one-row workspace, p checked."""
+    PLaplaceParams(p)
+    diag, cross = _matrix_stencils(m)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (len(diag),) or not np.all(np.isfinite(q)):
+        raise InputError(f"gradient must be {len(diag)} finite numbers, got {q.tolist()}")
+    return diag, cross, [q[i : i + 1] for i in range(len(diag))], _Workspace.for_rows(1)
+
+
 def normalized_p_laplacian(m, q, p: float) -> float:
     """tr(a(q) M) with a(q) = I + (p-2) q x q / |q|^2; needs q != 0."""
-    a = _as_entries(m)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    qq = float(q @ q)
-    if qq == 0.0:
+    _, value, zero = _plaplace_value(p, 0.0, *_point_stencils(m, q, p))
+    if zero.size:
         raise SingularGradientError(
             "normalized p-Laplacian undefined at q = 0; use envelope_residuals"
         )
-    return float(np.trace(a) + (p - 2.0) * (q @ a @ q) / qq)
+    return float(value[0])
 
 
 def envelope_residuals(m, q, p: float) -> tuple[float, float]:
-    """Operator values for the subsolution and supersolution tests.
+    """Operator values (sub, super) for the subsolution and supersolution tests.
 
     Away from q = 0 both coincide with the normalized p-Laplacian.  At
-    q = 0 the subsolution test relaxes toward the extreme eigenvalue
-    that helps it and the supersolution test toward the other one, with
-    the roles of e_min and e_max swapping at p = 2.
+    q = 0 they are the larger and the smaller of tr M + (p-2) e over the
+    extreme eigenvalues e of M (see _plaplace_envelope_value).
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if float(q @ q) != 0.0:
-        val = normalized_p_laplacian(m, q, p)
-        return val, val
-    a = _as_entries(m)
-    values = jacobi_eigh_batch(a)
-    tr = float(np.trace(a))
-    e_min, e_max = float(values[0]), float(values[-1])
-    if p >= 2.0:
-        return tr + (p - 2.0) * e_max, tr + (p - 2.0) * e_min
-    return tr + (p - 2.0) * e_min, tr + (p - 2.0) * e_max
+    low, high = _plaplace_envelope_value(p, *_point_stencils(m, q, p))
+    return float(high[0]), float(low[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +500,49 @@ def _plaplace_forms(diag, cross, grad, ws):
     return trace, norm2, quad
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _plaplace_value(p: float, eps: float, diag, cross, grad, ws):
+    """trace + (p-2) quad / (|Du|^2 + eps^2) over a slice or a stack of rows.
+
+    Returns the trace, the value and the interior positions whose
+    denominator is 0, i.e. a zero gradient at eps^2 = 0.  The value
+    there is a placeholder (the quotient is taken as 0) until the caller
+    raises or applies the envelope rule.  At eps^2 > 0 the step runs no
+    zero test.  The value is written to the quad buffer, so the trace
+    stays readable.
+    """
+    trace, norm2, quad = _plaplace_forms(diag, cross, grad, ws)
+    den = np.add(norm2, eps * eps, out=norm2)
+    zero = _NO_ROWS
+    if eps * eps == 0.0:
+        singular = den == 0.0
+        zero = np.flatnonzero(singular & ws.valid)
+        den[singular] = 1.0  # keeps the division quiet at those rows and the ghosts
+    quad /= den
+    np.multiply(p - 2.0, quad, out=quad)
+    return trace, np.add(trace, quad, out=quad), zero
+
+
+def _plaplace_envelope_value(p: float, diag, cross, grad, ws):
+    """(low, high) values of the exact normalized p-Laplacian (eps = 0).
+
+    Away from a zero gradient both are the operator's value.  At a zero
+    gradient they are the smaller and the larger of tr + (p-2) e over
+    the extreme eigenvalues e of the Hessian: the subsolution test reads
+    the larger, the supersolution test the smaller, whatever the sign of
+    p - 2.  Only those rows are eigen-solved.
+    """
+    trace, value, zero = _plaplace_value(p, 0.0, diag, cross, grad, ws)
+    low, high = value, value.copy()
+    if zero.size:
+        extremes = jacobi_eigh_batch(_row_stack(diag, cross, zero))[:, [0, -1]]
+        ends = trace[zero, None] + (p - 2.0) * extremes
+        low[zero], high[zero] = ends.min(axis=1), ends.max(axis=1)
+    return low, high
+
+
 def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
     """Evaluate the tagged spatial operator over the interior of a slice."""
     ws = ws or _Workspace(sl.shape)
@@ -506,22 +554,14 @@ def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
         pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
         return _pucci_combine(pos, neg, op.ell, isinstance(op, PucciPlusOp), ws)
     if isinstance(op, PLaplaceOp):
-        p, eps = op.params.p, op.params.epsilon
-        trace, norm2, quad = _plaplace_forms(
-            diag, _slice_cross_diffs(sl, h, ws), _slice_gradient(sl, h, ws), ws
-        )
-        den = np.add(norm2, eps * eps, out=norm2)
-        if eps == 0.0:
-            zero = den == 0.0
-            if np.any(zero & ws.valid):
-                raise SingularGradientError(
-                    "zero discrete gradient met with epsilon = 0; evaluate through "
-                    "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
-                )
-            den[zero] = 1.0  # ghosts only; keeps their division quiet
-        quad /= den
-        np.multiply(p - 2.0, quad, out=quad)
-        return np.add(trace, quad, out=trace)
+        cross, grad = _slice_cross_diffs(sl, h, ws), _slice_gradient(sl, h, ws)
+        _, value, zero = _plaplace_value(op.params.p, op.params.epsilon, diag, cross, grad, ws)
+        if zero.size:
+            raise SingularGradientError(
+                "zero discrete gradient met with epsilon^2 = 0; evaluate through "
+                "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
+            )
+        return value
     raise InputError(f"unknown operator tag {op!r}")
 
 
@@ -620,6 +660,9 @@ def pde_residual(
     out = np.zeros_like(u.data)
     out_flat = out.reshape(grid.n_time_levels, -1)
 
+    envelope = (
+        isinstance(op, PLaplaceOp) and op.params.epsilon == 0.0 and zero_gradient == "envelope"
+    )
     ws = _Workspace(grid.spatial_shape)
     lo, hi = ws.lo, ws.hi
     # ghosts can overflow where no interior node does; a non-finite
@@ -629,16 +672,16 @@ def pde_residual(
             sl = u.data[m]
             dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
             rhs = _flat(f.data[m])[lo:hi]
-            if (
-                isinstance(op, PLaplaceOp)
-                and op.params.epsilon == 0.0
-                and zero_gradient == "envelope"
-            ):
-                opval = _plaplace_envelope_value(op.params.p, sl, grid.h, ws)
-                res = dt - rhs
-                r_lo = res - opval[1]
-                r_hi = res - opval[0]
-                value = np.where(r_lo > 0.0, r_lo, np.where(r_hi < 0.0, r_hi, 0.0))
+            if envelope:
+                low, high = _plaplace_envelope_value(
+                    op.params.p,
+                    _slice_diag_diffs(sl, grid.h, ws),
+                    _slice_cross_diffs(sl, grid.h, ws),
+                    _slice_gradient(sl, grid.h, ws),
+                    ws,
+                )
+                res = np.subtract(dt, rhs, out=dt)
+                value = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
             else:
                 value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
                 value -= rhs
@@ -649,26 +692,3 @@ def pde_residual(
             np.copyto(out_flat[m, lo:hi], value, where=ws.valid)
     return GridFunction(grid=grid, data=out)
 
-
-def _plaplace_envelope_value(p: float, sl: np.ndarray, h: float, ws=None):
-    """(low, high) operator values over a slice, envelope rules at q = 0."""
-    ws = ws or _Workspace(sl.shape)
-    diag = _slice_diag_diffs(sl, h, ws)
-    cross = _slice_cross_diffs(sl, h, ws)
-    trace, norm2, quad = _plaplace_forms(diag, cross, _slice_gradient(sl, h, ws), ws)
-    rows = np.flatnonzero(ws.valid)
-    values = jacobi_eigh_batch(_row_stack(diag, cross, rows))
-    e_min, e_max = np.zeros_like(trace), np.zeros_like(trace)
-    e_min[rows], e_max[rows] = values[:, 0], values[:, -1]
-    if p >= 2.0:
-        sub = trace + (p - 2.0) * e_max
-        sup = trace + (p - 2.0) * e_min
-    else:
-        sub = trace + (p - 2.0) * e_min
-        sup = trace + (p - 2.0) * e_max
-    singular = norm2 == 0.0
-    safe = np.where(singular, 1.0, norm2)
-    smooth = trace + (p - 2.0) * (quad / safe)
-    op_hi = np.where(singular, np.maximum(sub, sup), smooth)
-    op_lo = np.where(singular, np.minimum(sub, sup), smooth)
-    return op_lo, op_hi

@@ -380,15 +380,7 @@ def odd_reflection(u: GridFunction) -> GridFunction:
             f"face values reach {worst:.3e} > {tol:.3e}; odd reflection needs "
             "zero Dirichlet data on the face"
         )
-    full = Grid(
-        n_dim=grid.n_dim,
-        h=grid.h,
-        tau=grid.tau,
-        spatial_extent=grid.spatial_extent,
-        time_extent=grid.time_extent,
-        half_space=False,
-        stagger=False,
-    )
+    full = replace(grid, half_space=False)
     n_half = grid.steps_per_half_width
     out = np.empty((grid.n_time_levels,) + full.spatial_shape)
     out[..., n_half:] = u.data
@@ -433,15 +425,7 @@ def rescale(
             f"(valid dyadic radii include {hints})"
         )
 
-    ref = Grid(
-        n_dim=grid.n_dim,
-        h=grid.h / r,
-        tau=grid.tau / (r * r),
-        spatial_extent=1.0,
-        time_extent=1.0,
-        half_space=grid.half_space,
-        stagger=grid.stagger,
-    )
+    ref = replace(grid, h=grid.h / r, tau=grid.tau / (r * r), spatial_extent=1.0, time_extent=1.0)
     axis_maps = []
     for i in range(grid.n_dim):
         x = r * ref.axis_coords(i)

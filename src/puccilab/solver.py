@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, CFLViolationError, InputError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, _ball_mask
 from .operators import (
     HeatOp,
     PLaplaceOp,
@@ -127,18 +127,6 @@ class DirichletProblem:
             )
 
 
-def _interior_ball_mask(grid: Grid) -> np.ndarray:
-    mesh = grid.coordinate_mesh()
-    dist2 = np.zeros(grid.spatial_shape)
-    for i in range(grid.n_dim):
-        dist2 = dist2 + mesh[i] ** 2
-    r2 = grid.spatial_extent * grid.spatial_extent
-    mask = dist2 < r2 - 1e-12 * r2
-    if grid.half_space:
-        mask &= np.broadcast_to(mesh[grid.n_dim - 1] > 0.0, grid.spatial_shape)
-    return mask
-
-
 def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     """March the problem to the top level and return the full field.
 
@@ -157,7 +145,7 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     ws = _Workspace(shape)
     lo, hi = ws.lo, ws.hi
     stepped = np.zeros(int(np.prod(shape)), dtype=bool)
-    stepped[lo:hi] = _interior_ball_mask(grid).reshape(-1)[lo:hi] & ws.valid
+    stepped[lo:hi] = _ball_mask(grid, grid.spatial_extent).reshape(-1)[lo:hi] & ws.valid
     shell = np.flatnonzero(~stepped)
     shell_coords = None
     if callable(prob.g):

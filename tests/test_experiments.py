@@ -441,6 +441,25 @@ def test_cli_decay_report_columns(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_cli_reads_a_file_field_once(tmp_path, capsys, monkeypatch):
+    from puccilab.experiments import fields
+    from puccilab.grid import write_gridfn
+
+    grid_keys = {"n_dim": 2, "h": 1.0 / 16, "tau": 2.0**-8, "spatial_extent": 1.0,
+                 "time_extent": 0.25}
+    u = sample(make_field("quadratic_caloric", 2), Grid(**grid_keys))
+    write_gridfn(u, str(tmp_path / "u.puc"))
+    reads = []
+    read = fields.read_gridfn
+    monkeypatch.setattr(fields, "read_gridfn", lambda path: reads.append(path) or read(path))
+    raw = {"scenario": "decay", "grid": grid_keys, "data": {"u": {"file": "u.puc"}},
+           "analysis": {"eta": 0.5, "K": 3}}
+    cfg = write_config(tmp_path, "dec.json", raw)
+    assert cli_main(["decay", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
+
+
 def test_cli_solve_then_check_round_trip(tmp_path, capsys):
     solve_cfg = write_config(tmp_path, "solve.json", solve_raw())
     solve_out = tmp_path / "solved"

@@ -12,6 +12,7 @@ from puccilab.errors import (
 )
 from puccilab.grid import (
     Grid,
+    _ball_mask,
     GridFunction,
     backward_time_diff,
     centered_gradient,
@@ -83,6 +84,23 @@ def test_cylinder_matches_brute_force(kwargs, center, r):
     grid = Grid(**kwargs)
     cyl = cylinder_nodes(grid, center, r)
     assert sorted(cyl.node_list) == sorted(brute_force_cylinder(grid, center[0], center[1], r))
+
+
+@pytest.mark.parametrize("layout", ["plain", "half_space", "stagger"])
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_ball_mask_matches_brute_force(n_dim, layout):
+    # the marched ball, the cylinders and the parabolic boundary share it
+    flags = {} if layout == "plain" else {layout: True}
+    grid = Grid(n_dim=n_dim, h=0.125, tau=0.125, spatial_extent=0.5, **flags)
+    r = grid.spatial_extent
+    brute = {idx for _, idx in brute_force_cylinder(grid, np.zeros(n_dim), 0.0, r)}
+    assert {tuple(i) for i in np.argwhere(_ball_mask(grid, r))} == brute
+    closed = {
+        idx
+        for idx in np.ndindex(grid.spatial_shape)
+        if sum(grid.axis_coords(i)[j] ** 2 for i, j in enumerate(idx)) <= r * r * (1 + 1e-12)
+    }
+    assert {tuple(i) for i in np.argwhere(_ball_mask(grid, r, closed=True))} == closed
 
 
 def test_cylinder_degenerate_cases():

@@ -1,5 +1,6 @@
 """Extremal operators, p-Laplace coefficients, and the class checks."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -519,6 +520,93 @@ def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
         point = np.array([pointwise(m, ell) for m in hess])
         assert np.array_equal(point, kernel)
         assert np.array_equal(point, [pointwise(SymMatrix(m), ell) for m in hess])
+    # the pointwise p-Laplace forms run the same helper on a one-row stack
+    grad = np.stack([_interior(g, sl.shape).ravel() for g in _slice_gradient(sl, grid.h)], -1)
+    for p in (1.5, 2.0, 3.0):
+        kernel = _slice_operator_value(PLaplaceOp(PLaplaceParams(p)), sl, grid.h)
+        point = [normalized_p_laplacian(m, q, p) for m, q in zip(hess, grad)]
+        assert np.array_equal(point, _interior(kernel, sl.shape).ravel())
+        assert all(envelope_residuals(m, q, p) == (v, v) for m, q, v in zip(hess, grad, point))
+
+
+def _planted_zero_gradients(n_dim, rng):
+    """A random 9^n level whose centered gradient vanishes exactly at 3^n planted nodes.
+
+    The planted nodes sit three steps apart, so the neighbours copied to
+    plant one never belong to the stencil of another.
+    """
+    sl = rng.standard_normal((9,) * n_dim)
+    planted = list(itertools.product((1, 4, 7), repeat=n_dim))
+    for node in planted:
+        for i in range(n_dim):
+            up, down = list(node), list(node)
+            up[i] += 1
+            down[i] -= 1
+            sl[tuple(up)] = sl[tuple(down)]
+    return sl, planted
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_envelope_solves_only_zero_gradient_rows_and_matches_pointwise(n_dim, monkeypatch):
+    rng = np.random.default_rng(50 + n_dim)
+    sl, planted = _planted_zero_gradients(n_dim, rng)
+    h = 0.125
+    diag, cross, grad = _slice_diag_diffs(sl, h), _slice_cross_diffs(sl, h), _slice_gradient(sl, h)
+    sent = _count_eigen_rows(monkeypatch)
+    low, high = _plaplace_envelope_value(2.5, diag, cross, grad, operators._Workspace(sl.shape))
+    assert sent == [len(planted)]
+    # the pointwise envelope on every interior row, bit for bit
+    inner_cross = {k: _interior(c, sl.shape) for k, c in cross.items()}
+    hess = _hessian_stack([_interior(d, sl.shape) for d in diag], inner_cross)
+    hess = hess.reshape(-1, n_dim, n_dim)
+    grads = np.stack([_interior(g, sl.shape).ravel() for g in grad], -1)
+    point = np.array([envelope_residuals(m, q, 2.5) for m, q in zip(hess, grads)])
+    assert np.array_equal(point[:, 0], _interior(high, sl.shape).ravel())
+    assert np.array_equal(point[:, 1], _interior(low, sl.shape).ravel())
+    zero = np.all(grads == 0.0, axis=-1)
+    assert zero.sum() == len(planted)
+    # in 1-D both extreme eigenvalues are the one entry
+    assert np.all(point[zero, 0] > point[zero, 1]) == (n_dim > 1)
+    # the residual takes the same path, one stack of planted rows per level
+    grid = Grid(n_dim=n_dim, h=h, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-9)
+    u = GridFunction(grid=grid, data=np.stack([sl, sl, sl]))
+    sent.clear()
+    res = pde_residual(u, PLaplaceOp(PLaplaceParams(2.5)), sample(lambda x, t: 0.0, grid),
+                       zero_gradient="envelope")
+    assert sent == [len(planted)] * 2
+    # u_t = f = 0: the residual is the distance of 0 to [low, high], with its sign
+    want = _interior(np.maximum(-high, 0.0) + np.minimum(-low, 0.0), sl.shape)
+    assert np.array_equal(res.data[1][(slice(1, -1),) * n_dim], want)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_envelope_at_zero_gradient_is_max_and_min_of_the_extreme_values(p):
+    rng = np.random.default_rng(int(10 * p))
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        m = _sym(rng.standard_normal((n, n)))
+        e = np.linalg.eigvalsh(m)
+        ends = (np.trace(m) + (p - 2.0) * e[0], np.trace(m) + (p - 2.0) * e[-1])
+        sub, sup = envelope_residuals(m, np.zeros(n), p)
+        assert (sub, sup) == pytest.approx((max(ends), min(ends)), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: normalized_p_laplacian(np.eye(2), np.ones(3), 3.0),
+        lambda: normalized_p_laplacian(np.eye(2), [np.nan, 1.0], 3.0),
+        lambda: normalized_p_laplacian(np.eye(2), [1.0, 0.0], 0.5),
+        lambda: normalized_p_laplacian(np.eye(2), [1.0, 0.0], np.inf),
+        lambda: envelope_residuals(np.eye(2), np.zeros(3), 3.0),
+        lambda: envelope_residuals(np.eye(2), [0.0, np.inf], 3.0),
+        lambda: envelope_residuals(np.eye(2), np.zeros(2), 0.5),
+    ],
+    ids=["nplap-shape", "nplap-nan", "nplap-p", "nplap-p-inf", "env-shape", "env-inf", "env-p"],
+)
+def test_pointwise_p_laplace_rejects_malformed_input(call):
+    with pytest.raises(InputError):
+        call()
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
@@ -545,7 +633,7 @@ def test_plaplace_slice_values_keep_their_summation_order(n_dim):
     for p, eps in ((3.0, 0.1), (1.5, 0.0)):
         value = _slice_operator_value(PLaplaceOp(PLaplaceParams(p=p, epsilon=eps)), sl, h)
         assert np.array_equal(value, trace + (p - 2.0) * (quad / (norm2 + eps * eps)))
-    low, high = _plaplace_envelope_value(2.5, sl, h)
+    low, high = _plaplace_envelope_value(2.5, diag, cross, grad, operators._Workspace(sl.shape))
     smooth = trace + 0.5 * (quad / norm2)
     assert np.array_equal(low, smooth) and np.array_equal(high, smooth)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from puccilab.errors import BlowUpError, CFLViolationError, InputError
-from puccilab.grid import Grid, GridFunction, sample
+from puccilab.grid import Grid, GridFunction, _ball_mask, sample
 from puccilab.linalg import jacobi_eigh_batch
 from puccilab.operators import (
     EllipticityPair,
@@ -20,7 +20,6 @@ from puccilab.operators import (
 )
 from puccilab.solver import (
     DirichletProblem,
-    _interior_ball_mask,
     cfl_limit,
     epsilon_continuation,
     solve_dirichlet,
@@ -262,7 +261,7 @@ def _reference_operator(op, sl, h):
 def _reference_march(prob):
     grid = prob.grid
     inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
-    mask_inner = _interior_ball_mask(grid)[inner]
+    mask_inner = _ball_mask(grid, grid.spatial_extent)[inner]
 
     def field(fld, level):
         if isinstance(fld, GridFunction):
@@ -388,7 +387,7 @@ def test_blow_up_in_boundary_data_names_its_level(bad_node, k):
     # for k = 0 that is the bottom level, at a corner no stencil reads.
     grid = small_grid(h=0.25)
     bad_x = [grid.axis_coords(i)[j] for i, j in enumerate(bad_node)]
-    assert not _interior_ball_mask(grid)[bad_node]
+    assert not _ball_mask(grid, grid.spatial_extent)[bad_node]
 
     def g(mesh, t):
         value = mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
@@ -420,7 +419,7 @@ def test_march_leaves_every_lattice_edge_node_to_g(grid):
     u = solve_dirichlet(prob)
     edge = np.ones(grid.spatial_shape, dtype=bool)
     edge[tuple(slice(1, -1) for _ in range(grid.n_dim))] = False
-    assert _interior_ball_mask(grid)[edge].any() == grid.stagger
+    assert _ball_mask(grid, grid.spatial_extent)[edge].any() == grid.stagger
     assert np.array_equal(u.data[:, edge], sample(_wavy_g, grid).data[:, edge])
 
 
@@ -447,7 +446,7 @@ def test_callables_see_the_shell_and_the_step_slabs_only(grid_name):
     nodes = np.stack([np.broadcast_to(x, shape).reshape(-1) for x in grid.coordinate_mesh()])
     inner = np.zeros(shape, dtype=bool)
     inner[tuple(slice(1, -1) for _ in shape)] = True
-    shell = ~(_interior_ball_mask(grid) & inner).reshape(-1)
+    shell = ~(_ball_mask(grid, grid.spatial_extent) & inner).reshape(-1)
     lo = np.ravel_multi_index((1,) * grid.n_dim, shape)
     hi = np.ravel_multi_index(tuple(s - 2 for s in shape), shape) + 1
     times = list(grid.time_values)
