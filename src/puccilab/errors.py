@@ -5,9 +5,13 @@ family at once.  Below it sit two bases that the CLI maps onto its exit
 codes: ValidationError (exit 1) for input that is wrong before any
 numerics run, and NumericalError (exit 2) for failures met while
 computing.  Every concrete error derives from exactly one of them.
+The two converters at the end turn a library caller's non-numeric
+input into an InputError instead of a raw numpy error.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "PucciLabError",
@@ -85,3 +89,28 @@ class FaceDataError(ValidationError):
 
 class ConfigError(ValidationError):
     """Scenario configuration failed validation."""
+
+
+def _real_number(value, what: str) -> float:
+    """value as a float, or InputError naming what.
+
+    Text is refused although float() would parse it: a number given as
+    a string is a caller's mistake, as it is in a config (ConfigError).
+    """
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a real number, got {value!r}") from exc
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """value as a float array, or InputError naming what (text refused too)."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind not in "biufO":
+            raise TypeError(f"dtype {a.dtype}")
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be real numbers, got {value!r}") from exc

@@ -16,6 +16,7 @@ per-column reductions over a time window) are computed once and kept.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -28,6 +29,8 @@ from .errors import (
     DegenerateCylinderError,
     GridFileError,
     InputError,
+    _real_array,
+    _real_number,
 )
 from .linalg import SymMatrix
 
@@ -363,28 +366,44 @@ def restrict(
 class CylinderIndex:
     """Discrete Q_r(center): |x - x0| < r strictly, t0 - r^2 < t <= t0.
 
-    Nodes are stored as a boolean spatial mask plus the time levels in
-    the window; node_list materializes explicit (level, multi-index)
-    pairs on demand.  contained records whether the continuum cylinder
-    fits inside the lattice box, which the decay regressions use to
-    drop clipped scales.
+    A cylinder lives on its bounding box: box holds one index range per
+    spatial axis (the nodes within r of x0 along it, one node of margin,
+    clipped to the lattice), box_mask the ball's nodes inside the box,
+    and axis_offsets the offsets x_i - x0_i along each axis of the box.
+    Columns come in row-major order inside the box, which is the
+    lattice's row-major order restricted to it, so no method here reads
+    or builds an array the size of the lattice; spatial_mask embeds
+    box_mask in the lattice for callers that want the whole picture.
+    The time levels of the window are listed; node_list materializes
+    explicit (level, multi-index) pairs on demand.  contained records
+    whether the continuum cylinder fits inside the lattice box, which
+    the decay regressions use to drop clipped scales.
     """
 
     grid: Grid
     center_x: np.ndarray
     center_t: float
     radius: float
-    spatial_mask: np.ndarray
+    box: tuple[slice, ...]
+    box_mask: np.ndarray
+    axis_offsets: tuple[np.ndarray, ...]
     time_levels: np.ndarray
     contained: bool
 
     @property
+    def spatial_mask(self) -> np.ndarray:
+        """The cylinder's columns as a boolean mask over the whole lattice."""
+        mask = np.zeros(self.grid.spatial_shape, dtype=bool)
+        mask[self.box] = self.box_mask
+        return mask
+
+    @property
     def node_count(self) -> int:
-        return int(self.spatial_mask.sum()) * len(self.time_levels)
+        return int(np.count_nonzero(self.box_mask)) * len(self.time_levels)
 
     @property
     def node_list(self) -> list[tuple[int, tuple[int, ...]]]:
-        where = np.argwhere(self.spatial_mask)
+        where = np.argwhere(self.box_mask) + [b.start for b in self.box]
         return [
             (int(m), tuple(int(i) for i in idx))
             for m in self.time_levels
@@ -392,12 +411,11 @@ class CylinderIndex:
         ]
 
     def spatial_offsets(self) -> np.ndarray:
-        """Offsets x - x0 of the masked spatial columns, shape (k, n)."""
-        grid = self.grid
-        where = np.argwhere(self.spatial_mask)
-        cols = np.empty((where.shape[0], grid.n_dim))
-        for i in range(grid.n_dim):
-            cols[:, i] = grid.axis_coords(i)[where[:, i]] - self.center_x[i]
+        """Offsets x - x0 of the cylinder's spatial columns, shape (k, n)."""
+        where = self.box_mask.nonzero()
+        cols = np.empty((where[0].size, self.grid.n_dim))
+        for i, (offsets, idx) in enumerate(zip(self.axis_offsets, where)):
+            cols[:, i] = offsets[idx]
         return cols
 
     def time_offsets(self) -> np.ndarray:
@@ -414,7 +432,7 @@ class CylinderIndex:
         if u.grid != self.grid:
             raise InputError("grid function lives on a different grid")
         lo, hi = self.window
-        return u.data[lo : hi + 1][:, self.spatial_mask]
+        return u.data[(slice(lo, hi + 1),) + self.box][:, self.box_mask]
 
     def column_reductions(self, u: GridFunction) -> tuple[np.ndarray, ...]:
         """Per-column mean, min and max of u over the window, each (columns,).
@@ -425,26 +443,36 @@ class CylinderIndex:
         """
         if u.grid != self.grid:
             raise InputError("grid function lives on a different grid")
-        return tuple(r[self.spatial_mask] for r in u.window_reductions(*self.window))
+        reductions = u.window_reductions(*self.window)
+        return tuple(r[self.box][self.box_mask] for r in reductions)
 
 
-def _ball_mask(grid: Grid, r: float, x0=None, closed: bool = False) -> np.ndarray:
-    """The lattice nodes of the open ball |x - x0| < r, x0 the origin by default.
+def _ball_mask(
+    grid: Grid, r: float, closed: bool = False, box=None, offsets=None
+) -> np.ndarray:
+    """The lattice nodes of the open ball |x - x0| < r.
 
-    On half-space grids the face x_n = 0 is boundary, so only x_n > 0
-    nodes belong.  closed gives the closed ball |x - x0| <= r, face
-    included.  The slack only absorbs rounding in the dist**2 sums.
+    box is one index range per axis and offsets the x_i - x0_i along
+    each axis of it; by default the box is the whole lattice and x0 the
+    origin.  The mask covers the box only.  On half-space grids the
+    face x_n = 0 is boundary, so only x_n > 0 nodes belong.  closed
+    gives the closed ball |x - x0| <= r, face included.  The slack only
+    absorbs rounding in the dist**2 sums.
     """
-    mesh = grid.coordinate_mesh()
-    dist2 = np.zeros(grid.spatial_shape)
-    for i in range(grid.n_dim):
-        dist2 = dist2 + (mesh[i] if x0 is None else mesh[i] - x0[i]) ** 2
+    if box is None:
+        box = tuple(slice(0, size) for size in grid.spatial_shape)
+        offsets = [grid.axis_coords(i) for i in range(grid.n_dim)]
+    # each axis's squares, shaped to broadcast along its own dimension
+    squares = [o**2 for o in offsets]
+    dist2 = squares[0].reshape((-1,) + (1,) * (grid.n_dim - 1))
+    for i in range(1, grid.n_dim):
+        dist2 = dist2 + squares[i].reshape((-1,) + (1,) * (grid.n_dim - 1 - i))
     slack = _EDGE_SLACK * r * r
     if closed:
         return dist2 <= r * r + slack
     mask = dist2 < r * r - slack
-    if grid.half_space:
-        mask &= mesh[grid.n_dim - 1] > 0.0
+    if grid.half_space and box[-1].start == 0:
+        mask[..., 0] = False  # the face, the one node with x_n = 0
     return mask
 
 
@@ -456,35 +484,49 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     On half-space grids only x_n > 0 nodes belong to the cylinder; the
     face is boundary.  A cylinder whose only spatial column sits at the
     center (or that holds no node at all) carries no usable spatial
-    information and raises.
+    information and raises.  The work is proportional to the nodes of
+    the cylinder's bounding box, not of the lattice.
     """
     x0, t0 = center
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = float(t0)
+    x0 = np.atleast_1d(_real_array(x0, "cylinder center"))
+    t0 = _real_number(t0, "cylinder time")
+    r = _real_number(r, "cylinder radius")
     if x0.shape != (grid.n_dim,):
         raise InputError(f"center has {x0.shape} coordinates, grid needs {grid.n_dim}")
-    if not (np.all(np.isfinite(x0)) and np.isfinite(t0) and np.isfinite(r)):
+    xs = x0.tolist()
+    if not all(map(math.isfinite, [*xs, t0, r])):
         raise InputError("cylinder center and radius must be finite")
     if r <= 0.0:
         raise InputError(f"cylinder radius must be positive, got {r}")
 
-    mask = _ball_mask(grid, r, x0)
+    # Every radius past the farthest node and the deepest level gives
+    # the same cylinder, so the tests run at most at twice that reach:
+    # r * r and its slack then stay finite however large r is.
+    far = math.hypot(*(grid.spatial_extent + abs(c) for c in xs))
+    reach = min(r, 2.0 * math.hypot(far, math.sqrt(abs(t0) + grid.time_extent)) + 1.0)
+
+    box, offsets = [], []
+    for i, c in enumerate(xs):
+        coords = grid.axis_coords(i)
+        lo = max(int(np.searchsorted(coords, c - reach)) - 1, 0)
+        hi = min(int(np.searchsorted(coords, c + reach, side="right")) + 1, coords.size)
+        box.append(slice(lo, hi))
+        offsets.append(coords[lo:hi] - c)
+    box = tuple(box)
+    mask = _ball_mask(grid, reach, box=box, offsets=offsets)
     times = grid.time_values
-    t_slack = _EDGE_SLACK * (1.0 + abs(t0) + r * r)
-    in_window = (times > t0 - r * r + t_slack) & (times <= t0 + t_slack)
+    t_slack = _EDGE_SLACK * (1.0 + abs(t0) + reach * reach)
+    in_window = (times > t0 - reach * reach + t_slack) & (times <= t0 + t_slack)
     levels = np.nonzero(in_window)[0]
 
-    n_columns = int(mask.sum())
+    n_columns = int(np.count_nonzero(mask))
     spatially_trivial = False
     if n_columns == 1:
         # A single column is still usable when it sits away from the
         # center (half-space cylinders at the face in one dimension);
         # a lone column at the center carries no spatial information.
-        col = np.argwhere(mask)[0]
-        offset = np.array(
-            [grid.axis_coords(i)[col[i]] - x0[i] for i in range(grid.n_dim)]
-        )
-        spatially_trivial = bool(np.linalg.norm(offset) < 0.25 * grid.h)
+        col = np.array([o[w[0]] for o, w in zip(offsets, mask.nonzero())])
+        spatially_trivial = bool(np.linalg.norm(col) < 0.25 * grid.h)
     if n_columns == 0 or spatially_trivial or len(levels) == 0:
         raise DegenerateCylinderError(
             f"Q_{r}(x0={x0.tolist()}, t0={t0}) holds {n_columns} spatial "
@@ -492,33 +534,33 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
             f"tau={grid.tau}; too small to use"
         )
 
+    extent, slack = grid.spatial_extent, _EDGE_SLACK
     if grid.half_space:
         # Face-centered cylinders are the intended half cylinders and
         # count as contained; for interior centers the face clips the
         # ball like any other boundary.
-        on_face = abs(x0[grid.n_dim - 1]) < 0.25 * grid.h
-        last_lo_ok = on_face or x0[grid.n_dim - 1] - r >= -_EDGE_SLACK
+        on_face = abs(xs[-1]) < 0.25 * grid.h
+        last_lo_ok = on_face or xs[-1] - reach >= -slack
     else:
-        last_lo_ok = bool(
-            x0[grid.n_dim - 1] - r >= -grid.spatial_extent - _EDGE_SLACK
-        )
-    contained = bool(
-        np.all(x0 + r <= grid.spatial_extent + _EDGE_SLACK)
-        and np.all(x0[: grid.n_dim - 1] - r >= -grid.spatial_extent - _EDGE_SLACK)
+        last_lo_ok = xs[-1] - reach >= -extent - slack
+    contained = (
+        all(c + reach <= extent + slack for c in xs)
+        and all(c - reach >= -extent - slack for c in xs[:-1])
         and last_lo_ok
-        and t0 - r * r >= -grid.time_extent - _EDGE_SLACK
-        and t0 <= _EDGE_SLACK
+        and t0 - reach * reach >= -grid.time_extent - slack
+        and t0 <= slack
     )
 
-    mask.flags.writeable = False
-    levels.flags.writeable = False
-    x0.flags.writeable = False
+    for arr in (mask, levels, x0, *offsets):
+        arr.flags.writeable = False
     return CylinderIndex(
         grid=grid,
         center_x=x0,
         center_t=t0,
-        radius=float(r),
-        spatial_mask=mask,
+        radius=r,
+        box=box,
+        box_mask=mask,
+        axis_offsets=tuple(offsets),
         time_levels=levels,
         contained=contained,
     )

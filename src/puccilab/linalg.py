@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _real_array
 
 __all__ = [
     "SymMatrix",
@@ -47,7 +47,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        a = _real_array(self.entries, "matrix entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -75,7 +75,7 @@ class EigenResult:
 def _as_entries(m) -> np.ndarray:
     if isinstance(m, SymMatrix):
         return m.entries
-    return SymMatrix(np.asarray(m, dtype=float)).entries
+    return SymMatrix(m).entries
 
 
 def _eigvals_2(a: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularGradientError
+from .errors import InputError, SingularGradientError, _real_array, _real_number
 from .grid import GridFunction
 from .linalg import SymMatrix, _as_entries, jacobi_eigh_batch
 
@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 
+def _store_reals(params, *names: str) -> None:
+    """Store the named fields of a frozen parameter object as floats."""
+    for name in names:
+        object.__setattr__(params, name, _real_number(getattr(params, name), name))
+
+
 @dataclass(frozen=True)
 class EllipticityPair:
     """Ellipticity box 0 < lam <= Lam for the extremal operators."""
@@ -71,6 +77,7 @@ class EllipticityPair:
     Lam: float
 
     def __post_init__(self):
+        _store_reals(self, "lam", "Lam")
         if not (np.isfinite(self.lam) and np.isfinite(self.Lam)):
             raise InputError("ellipticity constants must be finite")
         if not 0.0 < self.lam <= self.Lam:
@@ -87,6 +94,7 @@ class PLaplaceParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        _store_reals(self, "p", "epsilon")
         if not (np.isfinite(self.p) and self.p > 1.0):
             raise InputError(f"p must be finite and > 1, got {self.p}")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
@@ -134,6 +142,7 @@ class HeatOp:
     lam: float = 1.0
 
     def __post_init__(self):
+        _store_reals(self, "lam")
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise InputError(f"heat coefficient must be positive, got {self.lam}")
 
@@ -208,7 +217,7 @@ def pucci_minus(m, ell: EllipticityPair) -> float:
 
 def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
     """Coefficient matrix I + (p-2) q x q / (|q|^2 + eps^2)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    q = np.atleast_1d(_real_array(q, "gradient"))
     if not np.all(np.isfinite(q)):
         raise InputError("gradient must be finite")
     qq = float(q @ q)
@@ -226,7 +235,7 @@ def _point_stencils(m, q, p: float):
     """m and q as one-row stencils with a one-row workspace, p checked."""
     PLaplaceParams(p)
     diag, cross = _matrix_stencils(m)
-    q = np.asarray(q, dtype=float)
+    q = _real_array(q, "gradient")
     if q.shape != (len(diag),) or not np.all(np.isfinite(q)):
         raise InputError(f"gradient must be {len(diag)} finite numbers, got {q.tolist()}")
     return diag, cross, [q[i : i + 1] for i in range(len(diag))], _Workspace.for_rows(1)

@@ -18,7 +18,10 @@ Every fit is read off three per-column reductions (mean, min and max
 over the cylinder's time window), never off the (levels x columns)
 block of values.  The field computes those once per distinct window
 and keeps them, so the scales and centers that share a window (all the
-clipped scales, all the centers at one t0) share the work.
+clipped scales, all the centers at one t0) share the work.  A cylinder
+is a bounding box plus the ball's mask inside it (see CylinderIndex),
+and a fit reads the reductions and the column offsets through that box
+only, so one fit costs in proportion to its cylinder, not the lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateFitError, FaceDataError, InputError
+from .errors import (
+    AlignmentError,
+    DegenerateFitError,
+    FaceDataError,
+    InputError,
+    _real_array,
+)
 from .grid import CylinderIndex, Grid, GridFunction, cylinder_nodes
 
 __all__ = [
@@ -96,7 +105,11 @@ def _fit_over_cylinder(
     if boundary:
         design = offsets[:, n - 1 : n]
     else:
-        design = np.hstack([np.ones((offsets.shape[0], 1)), offsets])
+        # lstsq copies its matrix column by column, so a Fortran-ordered
+        # design is filled faster and gives LAPACK the same numbers
+        design = np.empty((offsets.shape[0], n + 1), order="F")
+        design[:, 0] = 1.0
+        design[:, 1:] = offsets
     coef, _, rank, _ = np.linalg.lstsq(design, mean_values, rcond=None)
     if rank < needed:
         raise DegenerateFitError(
@@ -112,7 +125,7 @@ def _fit_over_cylinder(
         a = float(coef[0])
         b = np.asarray(coef[1:], dtype=float)
         predicted = coef[0] + offsets @ coef[1:]
-    sup_error = float(max(np.max(col_max - predicted), np.max(predicted - col_min)))
+    sup_error = max(float((col_max - predicted).max()), float((predicted - col_min).max()))
     b.flags.writeable = False
     return LinearFit(a=a, b=b, sup_error=sup_error, cylinder=cyl)
 
@@ -168,7 +181,7 @@ class DecayReport:
 def _max_scales(grid: Grid, center, eta: float) -> int:
     """Largest K with at least three nodes per axis inside Q_{eta^K}."""
     x0, _ = center
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_1d(_real_array(x0, "decay center"))
     best = -1
     for k in range(0, 64):
         r = eta**k
@@ -288,7 +301,7 @@ def boundary_decay_sequence(
     if center is None:
         center = (np.zeros(grid.n_dim), 0.0)
     x0, t0 = center
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_1d(_real_array(x0, "decay center"))
     if abs(x0[grid.n_dim - 1]) > 1e-12:
         raise InputError(
             f"boundary decay centers on the face x_n = 0, got x_n = {x0[-1]}"

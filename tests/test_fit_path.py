@@ -8,6 +8,7 @@ import copy
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,3 +274,39 @@ def test_threads_sharing_a_field_reduce_each_window_once(monkeypatch):
     assert len(calls) == len([k for k in u._memo if isinstance(k, tuple)])
     for got, want in zip(results, serial):
         assert np.array_equal(got, want)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_small_cylinder_costs_the_same_on_any_lattice():
+    # Q_{3h} holds the same 5 x 5 block of columns on a 65^2 and on a
+    # 257^2 lattice; with the window memo warm, nothing of its fit may
+    # scale with the lattice (a lattice-sized mask alone is 66 KB here)
+    peaks = {}
+    for h in (1.0 / 32, 1.0 / 128):
+        grid = Grid(n_dim=2, h=h, tau=h * h, time_extent=16 * h * h)
+        rng = np.random.default_rng(3)
+        u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+        center = (np.zeros(2), 0.0)
+        cyl = cylinder_nodes(grid, center, 3 * h)
+        best_linear_fit(u, cyl)
+        peaks[grid.spatial_shape[0]] = {
+            "fit": _traced_peak(lambda: best_linear_fit(u, cyl)),
+            "values": _traced_peak(lambda: cyl.values(u)),
+            "reductions": _traced_peak(lambda: cyl.column_reductions(u)),
+            "cylinder": _traced_peak(lambda: cylinder_nodes(grid, center, 3 * h)),
+        }
+    small, large = peaks[65], peaks[257]
+    for key in ("fit", "values", "reductions"):
+        assert large[key] <= small[key], (key, peaks)
+    # the cylinder reads each axis's coordinates once: a few axis-length
+    # arrays, never a lattice-sized one
+    assert large["cylinder"] - small["cylinder"] <= 4 * 8 * 257, peaks

@@ -70,20 +70,81 @@ def test_axis_layout():
     assert gh.time_value(0) == -1.0
 
 
+_PLAIN2 = dict(n_dim=2, h=0.25, tau=0.125)
+_HALF2 = dict(n_dim=2, h=0.25, tau=0.125, half_space=True)
+_STAG2 = dict(n_dim=2, h=0.25, tau=0.125, stagger=True)
+
+
 @pytest.mark.parametrize(
     "kwargs,center,r",
     [
-        (dict(n_dim=2, h=0.25, tau=0.125), (np.zeros(2), 0.0), 0.8),
-        (dict(n_dim=2, h=0.25, tau=0.125), (np.array([0.25, -0.5]), -0.125), 0.6),
+        (_PLAIN2, (np.zeros(2), 0.0), 0.8),
+        (_PLAIN2, (np.array([0.25, -0.5]), -0.125), 0.6),
         (dict(n_dim=1, h=0.125, tau=0.0625, stagger=True), (np.zeros(1), 0.0), 0.5),
-        (dict(n_dim=2, h=0.25, tau=0.125, half_space=True), (np.zeros(2), 0.0), 0.7),
+        (_HALF2, (np.zeros(2), 0.0), 0.7),
         (dict(n_dim=3, h=0.5, tau=0.25), (np.zeros(3), 0.0), 1.0),
+        # edge-clipped, between nodes, below one step, beyond the lattice
+        (_PLAIN2, (np.array([0.875, -1.0]), 0.0), 0.6),
+        (_PLAIN2, (np.array([0.1, -0.37]), -0.3), 0.45),
+        (_PLAIN2, (np.array([0.1, 0.1]), 0.0), 0.2),
+        (_PLAIN2, (np.array([-0.3, 0.7]), 0.0), 5.0),
+        (_PLAIN2, (np.array([1.3, 0.0]), 0.0), 0.5),
+        (dict(n_dim=1, h=0.125, tau=0.0625), (np.array([0.95]), -0.125), 0.3),
+        (dict(n_dim=1, h=0.125, tau=0.0625, half_space=True), (np.array([0.06]), 0.0), 0.1),
+        (_HALF2, (np.array([-0.9, 0.3]), -0.25), 0.45),
+        (_HALF2, (np.array([0.5, 0.0]), 0.0), 9.0),
+        (_STAG2, (np.array([0.0, 0.0]), 0.0), 0.6),
+        (_STAG2, (np.array([-0.6, 0.875]), -0.125), 0.4),
+        (dict(n_dim=3, h=0.25, tau=0.25), (np.array([0.6, -0.9, 0.25]), -0.25), 0.55),
+        (dict(n_dim=3, h=0.25, tau=0.25, half_space=True), (np.array([0.0, 0.3, 0.0]), 0.0), 0.6),
+        (dict(n_dim=3, h=0.25, tau=0.25, stagger=True), (np.array([0.1, 0.0, -0.9]), 0.0), 3.0),
     ],
 )
 def test_cylinder_matches_brute_force(kwargs, center, r):
     grid = Grid(**kwargs)
     cyl = cylinder_nodes(grid, center, r)
     assert sorted(cyl.node_list) == sorted(brute_force_cylinder(grid, center[0], center[1], r))
+    # the box-local columns are the lattice's row-major columns, in order
+    mask = cyl.spatial_mask
+    where = np.argwhere(mask)
+    offsets = np.stack(
+        [grid.axis_coords(i)[where[:, i]] - center[0][i] for i in range(grid.n_dim)], axis=1
+    )
+    assert np.array_equal(cyl.spatial_offsets(), offsets)
+    rng = np.random.default_rng(len(where))
+    u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+    assert np.array_equal(cyl.values(u), u.data[cyl.time_levels][:, mask])
+    whole = u.window_reductions(*cyl.window)
+    for got, want in zip(cyl.column_reductions(u), whole):
+        assert np.array_equal(got, want[mask])
+    # the box: every node within r of x0 along the axis, one node of margin
+    for i, span in enumerate(cyl.box):
+        dist = np.abs(grid.axis_coords(i) - center[0][i])
+        inside = np.zeros(dist.size, dtype=bool)
+        inside[span] = True
+        assert inside[dist < r].all()
+        assert (dist[inside] <= r + grid.h).all()
+
+
+def test_an_overflowing_radius_holds_every_node():
+    grid = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.25)
+    interior = {idx for idx in np.ndindex(grid.spatial_shape)}
+    for r in (1e155, 1e300, np.finfo(float).max):
+        cyl = cylinder_nodes(grid, (np.zeros(2), 0.0), r)
+        assert cyl.radius == r and not cyl.contained
+        assert np.array_equal(cyl.time_levels, np.arange(grid.n_time_levels))
+        assert {idx for _, idx in cyl.node_list} == interior
+    # a large finite square gives the same cylinder as a huge one, and
+    # below t0 the window never gains a level above it
+    t0 = grid.time_value(10)
+    for r in (1e3, 1e150, 1e300):
+        cyl = cylinder_nodes(grid, (np.array([0.3, -0.1]), t0), r)
+        assert np.array_equal(cyl.time_levels, np.arange(11))
+        assert cyl.spatial_mask.all()
+    gh = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.25, half_space=True)
+    cyl = cylinder_nodes(gh, (np.zeros(2), 0.0), 1e300)
+    off_face = np.broadcast_to(gh.coordinate_mesh()[1] > 0.0, gh.spatial_shape)
+    assert np.array_equal(cyl.spatial_mask, off_face)
 
 
 @pytest.mark.parametrize("layout", ["plain", "half_space", "stagger"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from puccilab import operators
 from puccilab.errors import InputError, SingularGradientError
-from puccilab.grid import Grid, GridFunction, restrict, sample
+from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict, sample
 from puccilab.linalg import SymMatrix, jacobi_eigh_batch
 from puccilab.operators import (
     ClassReport,
@@ -38,6 +38,7 @@ from puccilab.operators import (
     pucci_minus,
     pucci_plus,
 )
+from puccilab.regularity import decay_sequence
 from puccilab.solver import DirichletProblem, solve_dirichlet
 from test_linalg import CLOSED_FORM_TOL, _sym
 
@@ -607,6 +608,47 @@ def test_envelope_at_zero_gradient_is_max_and_min_of_the_extreme_values(p):
 def test_pointwise_p_laplace_rejects_malformed_input(call):
     with pytest.raises(InputError):
         call()
+
+
+_GRID = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.25)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: normalized_p_laplacian(np.eye(2), ["a", 1], 3.0),
+        lambda: normalized_p_laplacian(np.eye(2), ["1", 1], 3.0),
+        lambda: normalized_p_laplacian(np.eye(2), [1, 1], "3"),
+        lambda: envelope_residuals(np.eye(2), [0, 0], None),
+        lambda: p_laplace_coeff(["a", 1], PLaplaceParams(3.0)),
+        lambda: EllipticityPair("1", 2.0),
+        lambda: EllipticityPair(1.0, [2.0]),
+        lambda: PLaplaceParams(2.0, "0.1"),
+        lambda: HeatOp(lam=1j),
+        lambda: pucci_plus([["a", 0], [0, 1]], EllipticityPair(1, 2)),
+        lambda: SymMatrix([[object(), 0], [0, 1]]),
+        lambda: cylinder_nodes(_GRID, (["a", 0], 0.0), 0.5),
+        lambda: cylinder_nodes(_GRID, ([0, 0], "0"), 0.5),
+        lambda: cylinder_nodes(_GRID, ([0, 0], 0.0), "0.5"),
+        lambda: decay_sequence(sample(lambda x, t: x[0] + 0.0 * t, _GRID), (["a", 0], 0.0)),
+    ],
+    ids=[
+        "nplap-text-q", "nplap-numeric-text-q", "nplap-text-p", "env-none-p",
+        "coeff-text-q", "ellipticity-text", "ellipticity-list", "plaplace-text-eps",
+        "heat-complex", "pucci-text-matrix", "symmatrix-object", "cylinder-text-center",
+        "cylinder-text-time", "cylinder-text-radius", "decay-text-center",
+    ],
+)
+def test_non_numeric_library_input_is_an_input_error(call):
+    with pytest.raises(InputError, match="real number"):
+        call()
+
+
+def test_parameters_are_stored_as_floats():
+    assert EllipticityPair(1, 2) == EllipticityPair(1.0, 2.0)
+    assert type(EllipticityPair(1, 2).Lam) is float
+    params = PLaplaceParams(np.float64(2.5), 0)
+    assert type(params.p) is float and type(params.epsilon) is float
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
