@@ -90,11 +90,12 @@ class Grid:
     stagger: bool = False
 
     def __post_init__(self):
-        if int(self.n_dim) != self.n_dim or self.n_dim < 1:
+        n_dim = _real_number(self.n_dim, "n_dim")
+        if not (math.isfinite(n_dim) and n_dim == int(n_dim) and n_dim >= 1):
             raise InputError(f"n_dim must be a positive integer, got {self.n_dim}")
-        object.__setattr__(self, "n_dim", int(self.n_dim))
+        object.__setattr__(self, "n_dim", int(n_dim))
         for name in ("h", "tau", "spatial_extent", "time_extent"):
-            val = float(getattr(self, name))
+            val = _real_number(getattr(self, name), name)
             if not np.isfinite(val) or val <= 0.0:
                 raise InputError(f"{name} must be positive and finite, got {val}")
             object.__setattr__(self, name, val)
@@ -508,8 +509,8 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     box, offsets = [], []
     for i, c in enumerate(xs):
         coords = grid.axis_coords(i)
-        lo = max(int(np.searchsorted(coords, c - reach)) - 1, 0)
-        hi = min(int(np.searchsorted(coords, c + reach, side="right")) + 1, coords.size)
+        lo = max(int(coords.searchsorted(c - reach)) - 1, 0)
+        hi = min(int(coords.searchsorted(c + reach, side="right")) + 1, coords.size)
         box.append(slice(lo, hi))
         offsets.append(coords[lo:hi] - c)
     box = tuple(box)

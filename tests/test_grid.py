@@ -54,6 +54,9 @@ def test_grid_validation():
         Grid(n_dim=2, h=0.25, tau=0.3)
     with pytest.raises(InputError):
         Grid(n_dim=1, h=0.25, tau=0.25, half_space=True, stagger=True)
+    for bad in (dict(n_dim="a"), dict(n_dim=None), dict(n_dim=np.inf), dict(h="0.25"), dict(tau=[0.25])):
+        with pytest.raises(InputError):
+            Grid(**{**dict(n_dim=2, h=0.25, tau=0.25), **bad})
 
 
 def test_axis_layout():
@@ -282,6 +285,13 @@ def test_file_format_rejects_corruption(tmp_path):
     nojson.write_bytes(text[0] + b"\nnot-json\n" + text[2])
     with pytest.raises(GridFileError):
         read_gridfn(nojson)
+
+    textual = tmp_path / "textual.puc"
+    meta = text[1].replace(b'"h": 0.5', b'"h": "half"')
+    assert meta != text[1]
+    textual.write_bytes(text[0] + b"\n" + meta + b"\n" + text[2])
+    with pytest.raises(GridFileError, match="h must be a real number"):
+        read_gridfn(textual)
 
 
 def test_restrict_sub_box():
