@@ -461,7 +461,6 @@ def _ball_mask(
     absorbs rounding in the dist**2 sums.
     """
     if box is None:
-        box = tuple(slice(0, size) for size in grid.spatial_shape)
         offsets = [grid.axis_coords(i) for i in range(grid.n_dim)]
     # each axis's squares, shaped to broadcast along its own dimension
     squares = [o**2 for o in offsets]
@@ -472,7 +471,7 @@ def _ball_mask(
     if closed:
         return dist2 <= r * r + slack
     mask = dist2 < r * r - slack
-    if grid.half_space and box[-1].start == 0:
+    if grid.half_space and (box is None or box[-1].start == 0):
         mask[..., 0] = False  # the face, the one node with x_n = 0
     return mask
 

@@ -30,13 +30,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DegenerateFitError,
-    FaceDataError,
-    InputError,
-    _real_array,
-)
+from .errors import AlignmentError, DegenerateFitError, FaceDataError, InputError, _real_array
 from .grid import CylinderIndex, Grid, GridFunction, cylinder_nodes
 
 __all__ = [
