@@ -488,7 +488,7 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     the cylinder's bounding box, not of the lattice.
     """
     x0, t0 = center
-    x0 = np.atleast_1d(_real_array(x0, "cylinder center"))
+    x0 = np.array(_real_array(x0, "cylinder center"), ndmin=1)  # a copy: it is frozen below
     t0 = _real_number(t0, "cylinder time")
     r = _real_number(r, "cylinder radius")
     if x0.shape != (grid.n_dim,):

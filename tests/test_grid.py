@@ -180,6 +180,14 @@ def test_cylinder_degenerate_cases():
     assert offs.shape[0] == 1 and abs(offs[0, 0] - 0.25) < 1e-15
 
 
+def test_cylinder_leaves_the_callers_center_writable():
+    grid = Grid(n_dim=2, h=0.25, tau=0.125)
+    x0 = np.array([0.25, 0.0])
+    cyl = cylinder_nodes(grid, (x0, 0.0), 0.6)
+    x0[0] = 0.5
+    assert not cyl.center_x.flags.writeable and cyl.center_x[0] == 0.25
+
+
 def test_cylinder_contained_flag():
     grid = Grid(n_dim=2, h=0.25, tau=0.0625)
     assert cylinder_nodes(grid, (np.zeros(2), 0.0), 1.0).contained
