@@ -3,10 +3,12 @@
 Usage:
     puccilab <subcommand> --config cfg.json --out results/ [--threads N] [--verbose]
 
-Each subcommand runs one scenario tag from the config file; the tag
-and the subcommand must agree, which catches copy-paste mistakes in
-sweep batches.  Exit codes: 0 ran to completion (fail verdicts are
-results, not errors), 1 validation problem, 2 numerical failure.
+Each subcommand runs one scenario tag from the config file, as paired
+in scenarios.SCENARIOS; the tag and the subcommand must agree, which
+catches copy-paste mistakes in sweep batches.  Every subcommand accepts
+--threads, but only sweep-p reads it.  Exit codes: 0 ran to completion
+(fail verdicts are results, not errors), 1 validation problem, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -16,20 +18,9 @@ import sys
 
 from ..errors import ConfigError, NumericalError, ValidationError
 from .config import load_config
-from .scenarios import execute
+from .scenarios import SCENARIOS, execute
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = {
-    "solve": "solve",
-    "check": "class_check",
-    "decay": "decay",
-    "boundary": "boundary",
-    "counterexample": "counterexample",
-    "sweep-p": "p_sweep",
-    "sweep-ellipticity": "ellipticity_sweep",
-    "eps-continuation": "eps_sweep",
-}
 
 
 class _UsageError(Exception):
@@ -47,15 +38,13 @@ def _build_parser() -> _Parser:
         description="Finite-difference studies of extremal parabolic operators.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, tag in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run a '{tag}' scenario config")
+    for tag, scenario in SCENARIOS.items():
+        p = sub.add_parser(scenario.subcommand, help=f"run a '{tag}' scenario config")
+        p.set_defaults(tag=tag)
         p.add_argument("--config", required=True, help="path to the JSON scenario config")
         p.add_argument("--out", required=True, help="directory for report files")
         p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for sweep items (0 = auto)",
+            "--threads", type=int, default=1, help="worker threads for sweep-p (0 = auto)"
         )
         p.add_argument(
             "--verbose", action="store_true", help="name the scenario and config file on stderr"
@@ -72,13 +61,12 @@ def main(argv=None) -> int:
         print(f"puccilab: error: {exc}", file=sys.stderr)
         return 1
 
-    expected_tag = _SUBCOMMANDS[args.subcommand]
     try:
         config = load_config(args.config)
-        if config.scenario != expected_tag:
+        if config.scenario != args.tag:
             raise ConfigError(
                 f"config declares scenario {config.scenario!r} but the "
-                f"'{args.subcommand}' subcommand runs {expected_tag!r}"
+                f"'{args.subcommand}' subcommand runs {args.tag!r}"
             )
         if args.verbose:
             print(f"running {config.scenario} from {args.config}", file=sys.stderr)

@@ -1,21 +1,23 @@
 """Scenario runners tying solver and decay analysis into desk-scale studies.
 
-Each run_* function is a plain Python entry point; ``execute`` passes a
-parsed ScenarioConfig onto them (only the keys the config sets, so the
-runners' own defaults apply) and renders report.json and report.csv
-from the result dataclasses they return.
+Each run_* function is a plain Python entry point.  ``SCENARIOS`` holds
+one record per config tag (CLI subcommand, executor, config keys), which
+config.py and cli.py read.  Executors pass the keys a ScenarioConfig sets
+onto the runners, so the runners' own defaults apply; ``execute`` renders
+report.json and report.csv from the result dataclasses they return.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import zip_longest
 
 import numpy as np
 
-from ..errors import ConfigError, InputError, PucciLabError
+from ..errors import InputError, PucciLabError
 from ..grid import Grid, GridFunction, restrict, sample, write_gridfn
 from ..operators import (
     EllipticityPair,
@@ -49,6 +51,8 @@ __all__ = [
     "run_p_sweep",
     "run_ellipticity_sweep",
     "run_boundary_study",
+    "SCENARIOS",
+    "OPERATOR_KINDS",
     "execute",
 ]
 
@@ -242,7 +246,7 @@ def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, 
             boundary_decay_sequence(u, eta=eta, K=K, center=pt).alpha_est
             for pt in boundary_points
         )
-        return u, PSweepRow(
+        return PSweepRow(
             p=p,
             status="ok",
             verdict=membership.verdict,
@@ -253,7 +257,7 @@ def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, 
             boundary_alphas=boundary_alphas,
         )
     except PucciLabError as exc:
-        return None, PSweepRow(p=p, status=f"failed: {exc}")
+        return PSweepRow(p=p, status=f"failed: {exc}")
 
 
 def run_p_sweep(
@@ -287,10 +291,9 @@ def run_p_sweep(
     f_bound = _field_sup(f, grid) if p_list else 0.0
 
     def work(p):
-        _, row = _sweep_one_p(
+        return _sweep_one_p(
             p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, K
         )
-        return row
 
     p_values = [float(p) for p in p_list]
     if threads == 1 or len(p_values) <= 1:
@@ -336,7 +339,7 @@ def run_ellipticity_sweep(
     """
     deltas = [float(d) for d in delta_list]
     if any(d < 0.0 for d in deltas):
-        raise ConfigError(f"ellipticity offsets must be >= 0, got {deltas}")
+        raise InputError(f"ellipticity offsets must be >= 0, got {deltas}")
     f_bound = _field_sup(f, grid) if deltas else 0.0
     rows = []
     for delta in deltas:
@@ -452,21 +455,6 @@ def run_boundary_study(
 # Config-driven execution (the CLI surface).
 
 
-def _given(section: dict, *keys, **renamed) -> dict:
-    """The runner arguments a config section sets, by key or renamed=key.
-
-    Keys the config leaves out are not passed, so the runner's own
-    defaults apply.
-    """
-    names = {key: key for key in keys} | renamed
-    return {arg: section[key] for arg, key in names.items() if key in section}
-
-
-def _point(spec):
-    """An [x_1..x_n, t] config list as the (x, t) pair the runners take."""
-    return np.asarray(spec[:-1]), spec[-1]
-
-
 def _cells(rows, columns):
     """CSV cells: the named attributes of each result row."""
     return [[getattr(row, c) for c in columns] for row in rows]
@@ -485,21 +473,11 @@ def _membership_rows(report, prefix=""):
     return [[prefix + c, getattr(report, c)] for c in _MEMBERSHIP_COLUMNS]
 
 
-def _build_operator(op, grid):
-    kind = op["kind"]
-    if kind == "heat":
-        return HeatOp(**_given(op, "lam"))
-    if kind == "p_laplace":
-        return PLaplaceOp(PLaplaceParams(p=op["p"], epsilon=op.get("epsilon", grid.h)))
-    ell = EllipticityPair(op["lam"], op["Lam"])
-    return PucciPlusOp(ell) if kind == "pucci_plus" else PucciMinusOp(ell)
-
-
 def _exec_solve(config, out_dir, threads):
     grid = config.grid
-    f, g = config.data["f"], config.data["g"]
-    op = _build_operator(config.operator, grid)
-    u = solve_dirichlet(DirichletProblem(op_tag=op, f=f, g=g, grid=grid))
+    params = dict(config.operator)
+    op = OPERATOR_KINDS[params.pop("kind")].build(params, grid)
+    u = solve_dirichlet(DirichletProblem(op_tag=op, grid=grid, **config.data))
     os.makedirs(out_dir, exist_ok=True)
     write_gridfn(u, os.path.join(out_dir, "solution.puc"))
     payload = {"sup_norm": u.sup_norm, "files": ["solution.puc"]}
@@ -508,37 +486,32 @@ def _exec_solve(config, out_dir, threads):
 
 
 def _exec_class_check(config, out_dir, threads):
-    u = config.data["u"]
     op = config.operator
     report = class_membership(
-        field_on_grid(u, config.grid),
+        field_on_grid(config.data["u"], config.grid),
         EllipticityPair(op["lam"], op["Lam"]),
         op["f_bound"],
-        **_given(op, tol="tolerance"),
+        op.get("tolerance"),
     )
     return {"membership": asdict(report)}, ["quantity", "value"], _membership_rows(report)
 
 
 def _exec_decay(config, out_dir, threads):
     grid = config.grid
-    u = config.data["u"]
-    an = config.analysis
-    center = _point(an.get("center", [0.0] * (grid.n_dim + 1)))
-    report = decay_sequence(field_on_grid(u, grid), center, **_given(an, "eta", "K"))
+    an = dict(config.analysis)
+    center = an.pop("center", ([0.0] * grid.n_dim, 0.0))
+    report = decay_sequence(field_on_grid(config.data["u"], grid), center, **an)
     return {"decay": decay_report_payload(report)}, *decay_report_rows(report)
 
 
 def _exec_boundary(config, out_dir, threads):
     grid = config.grid
-    an = config.analysis
-    affine = config.data["affine_part"]
-    kwargs = _given(an, "eta", "K", "c1", "alpha") | _given(config.operator, "lam")
-    if "points" in an:
-        kwargs["points"] = [_point(pt) for pt in an["points"]]
-    mode = "u" if "u" in config.data else "g"
-    kwargs[mode] = config.data[mode]
+    data = dict(config.data)
+    affine = data.pop("affine_part")
+    # data is left holding exactly one of u (sample mode) and g (solve mode)
     report = run_boundary_study(
-        grid, affine_value=affine["value"], affine_gradient=affine["gradient"], **kwargs
+        grid, affine_value=affine["value"], affine_gradient=affine["gradient"],
+        **data, **config.operator, **config.analysis,
     )
     payload = {
         "boundary": {
@@ -555,9 +528,7 @@ def _exec_boundary(config, out_dir, threads):
 
 
 def _exec_counterexample(config, out_dir, threads):
-    report = run_counterexample(
-        config.operator["delta"], config.grid, **_given(config.analysis, "eta", "K")
-    )
+    report = run_counterexample(grid=config.grid, **config.operator, **config.analysis)
     # the report's fields, with the decay report as plain data and the
     # interface ratio under its report key
     payload = asdict(replace(report, decay=None))
@@ -574,18 +545,10 @@ def _exec_counterexample(config, out_dir, threads):
 
 
 def _exec_p_sweep(config, out_dir, threads):
-    an = config.analysis
-    f, g = config.data["f"], config.data["g"]
+    an = dict(config.analysis)
     table = run_p_sweep(
-        config.operator["p_list"],
-        alpha_target=an.get("alpha", 0.9),
-        grid=config.grid,
-        f=f,
-        g=g,
-        seed=config.seed,
-        threads=threads,
-        **_given(config.operator, "epsilon"),
-        **_given(an, "n_points", "eta", "K"),
+        alpha_target=an.pop("alpha", 0.9), grid=config.grid, seed=config.seed,
+        threads=threads, **config.operator, **config.data, **an,
     )
     # boundary_points is left out of the report
     payload = {
@@ -597,39 +560,107 @@ def _exec_p_sweep(config, out_dir, threads):
 
 
 def _exec_ellipticity_sweep(config, out_dir, threads):
-    f, g = config.data["f"], config.data["g"]
     rows = run_ellipticity_sweep(
-        config.operator["delta_list"], config.grid, f, g, **_given(config.analysis, "eta", "K")
+        grid=config.grid, **config.operator, **config.data, **config.analysis
     )
     payload = {"rows": [asdict(r) for r in rows]}
     return payload, list(_ELLIPTICITY_COLUMNS), _cells(rows, _ELLIPTICITY_COLUMNS)
 
 
 def _exec_eps_sweep(config, out_dir, threads):
-    f, g = config.data["f"], config.data["g"]
-    op = config.operator
-    _, report = epsilon_continuation(op["p"], op["eps_schedule"], f, g, config.grid)
+    _, report = epsilon_continuation(grid=config.grid, **config.operator, **config.data)
     # the last epsilon has no successor, so its distance cell is empty
     rows = list(zip_longest(report.epsilons, report.distances))
     return asdict(report), ["epsilon", "distance_to_next"], rows
 
 
-_EXECUTORS = {
-    "solve": _exec_solve,
-    "class_check": _exec_class_check,
-    "decay": _exec_decay,
-    "boundary": _exec_boundary,
-    "counterexample": _exec_counterexample,
-    "p_sweep": _exec_p_sweep,
-    "ellipticity_sweep": _exec_ellipticity_sweep,
-    "eps_sweep": _exec_eps_sweep,
+# ---------------------------------------------------------------------------
+# The scenario table: every config tag and the keys it reads.
+
+
+@dataclass(frozen=True)
+class OperatorKind:
+    """A solve operator kind: build(section without kind, grid), and its keys."""
+
+    build: Callable
+    keys: tuple
+    required: tuple = ()
+
+
+_LAM_PAIR = ("lam", "Lam")
+
+OPERATOR_KINDS = {
+    "heat": OperatorKind(lambda params, grid: HeatOp(**params), ("lam",)),
+    "pucci_plus": OperatorKind(
+        lambda params, grid: PucciPlusOp(EllipticityPair(**params)), _LAM_PAIR, _LAM_PAIR
+    ),
+    "pucci_minus": OperatorKind(
+        lambda params, grid: PucciMinusOp(EllipticityPair(**params)), _LAM_PAIR, _LAM_PAIR
+    ),
+    # epsilon defaults to the grid spacing
+    "p_laplace": OperatorKind(
+        lambda params, grid: PLaplaceOp(PLaplaceParams(**{"epsilon": grid.h, **params})),
+        ("p", "epsilon"),
+        ("p",),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A config tag: the subcommand that runs it, its executor, its keys.
+
+    operator, data and analysis are the keys each section may set, and
+    required those a config must set, in whichever section allows them
+    (no two sections share a key name).  An operator section that may
+    set kind also takes that kind's keys from OPERATOR_KINDS.
+    """
+
+    subcommand: str
+    executor: Callable
+    operator: tuple = ()
+    data: tuple = ()
+    analysis: tuple = ()
+    required: tuple = ()
+
+
+SCENARIOS = {
+    "solve": Scenario(
+        "solve", _exec_solve, operator=("kind",), data=("f", "g"), required=("kind", "f", "g")
+    ),
+    "class_check": Scenario(
+        "check", _exec_class_check, operator=("lam", "Lam", "f_bound", "tolerance"),
+        data=("u",), required=("lam", "Lam", "f_bound", "u"),
+    ),
+    "decay": Scenario(
+        "decay", _exec_decay, data=("u",), analysis=("eta", "K", "center"), required=("u",)
+    ),
+    "boundary": Scenario(
+        "boundary", _exec_boundary, operator=("lam",), data=("affine_part", "u", "g"),
+        analysis=("eta", "K", "c1", "alpha", "points"), required=("affine_part",),
+    ),
+    "counterexample": Scenario(
+        "counterexample", _exec_counterexample, operator=("delta",), analysis=("eta", "K"),
+        required=("delta",),
+    ),
+    "p_sweep": Scenario(
+        "sweep-p", _exec_p_sweep, operator=("p_list", "epsilon"), data=("f", "g"),
+        analysis=("alpha", "n_points", "eta", "K"), required=("p_list", "f", "g"),
+    ),
+    "ellipticity_sweep": Scenario(
+        "sweep-ellipticity", _exec_ellipticity_sweep, operator=("delta_list",),
+        data=("f", "g"), analysis=("eta", "K"), required=("delta_list", "f", "g"),
+    ),
+    "eps_sweep": Scenario(
+        "eps-continuation", _exec_eps_sweep, operator=("p", "eps_schedule"), data=("f", "g"),
+        required=("p", "eps_schedule", "f", "g"),
+    ),
 }
 
 
 def execute(config, out_dir: str, threads: int = 1):
     """Run the configured scenario and write report.json / report.csv."""
-    runner = _EXECUTORS[config.scenario]
-    payload, header, rows = runner(config, out_dir, threads)
+    payload, header, rows = SCENARIOS[config.scenario].executor(config, out_dir, threads)
     document = {
         "provenance": provenance(config.grid, config.seed, config.scenario),
         "result": payload,

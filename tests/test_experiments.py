@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,19 @@ from puccilab.experiments import (
     make_field,
     parse_config,
     run_counterexample,
+    run_ellipticity_sweep,
     run_p_sweep,
 )
 from puccilab.experiments import cli as cli_module
+from puccilab.experiments import config as config_module
 from puccilab.experiments.cli import main as cli_main
-from puccilab.experiments.scenarios import execute, sample_interior_points
+from puccilab.experiments.config import SCENARIO_TAGS
+from puccilab.experiments.scenarios import (
+    OPERATOR_KINDS,
+    SCENARIOS,
+    execute,
+    sample_interior_points,
+)
 from puccilab.grid import Grid, sample
 
 np.random.seed(42)
@@ -100,13 +109,9 @@ def test_config_requires_scenario_fields():
 
 
 def test_config_checks_study_points():
-    raw = solve_raw(
-        scenario="class_check",
-        operator={"lam": 1.0, "Lam": 1.0, "f_bound": 0.0},
-        data={"u": "quadratic_caloric"},
-        analysis={"points": [[0.0, 0.0]]},  # needs n + 1 entries
-    )
-    with pytest.raises(ConfigError, match="point"):
+    raw = boundary_raw()
+    raw["analysis"] = {"points": [[0.0, 0.0]]}  # needs n + 1 entries
+    with pytest.raises(ConfigError, match=re.escape("[x_1..x_n, t] lists of length 3")):
         parse_config(raw)
 
 
@@ -279,6 +284,14 @@ def test_p_sweep_isolates_per_p_failures():
     assert table.rows[1].status.startswith("failed")
     assert "tau/h" in table.rows[1].status
     assert not table.all_ok
+
+
+def test_ellipticity_sweep_rejects_negative_offsets_as_input_errors():
+    # a library call, not a config: InputError, not ConfigError
+    zero = lambda mesh, t: 0.0
+    with pytest.raises(InputError, match="offsets") as info:
+        run_ellipticity_sweep([-0.1], sweep_grid(), zero, zero)
+    assert not isinstance(info.value, ConfigError)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +527,29 @@ def test_report_bytes_match_the_reference(tmp_path, case):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
+def test_scenario_table_matches_the_cli_parsers_and_references():
+    assert SCENARIO_TAGS == tuple(SCENARIOS)
+    parser = cli_module._build_parser()
+    subcommands = [scenario.subcommand for scenario in SCENARIOS.values()]
+    assert len(set(subcommands)) == len(subcommands)
+    for tag, scenario in SCENARIOS.items():
+        args = parser.parse_args([scenario.subcommand, "--config", "c.json", "--out", "o"])
+        assert args.tag == tag
+        assert callable(scenario.executor)
+        keys = scenario.operator + scenario.data + scenario.analysis
+        assert len(set(keys)) == len(keys)  # no key in two sections
+        assert set(scenario.required) <= set(keys)
+        assert set(keys) <= set(config_module._PARSERS)
+    for kind in OPERATOR_KINDS.values():
+        assert set(kind.required) <= set(kind.keys) <= set(config_module._PARSERS)
+    # every tag has a reference report pinning its bytes
+    referenced = set()
+    for case in os.listdir(REPORTS):
+        with open(os.path.join(REPORTS, case, "config.json")) as fh:
+            referenced.add(json.load(fh)["scenario"])
+    assert referenced == set(SCENARIOS)
+
+
 # ---------------------------------------------------------------------------
 # Malformed numbers: typed ConfigErrors, never raw tracebacks.
 
@@ -559,6 +595,68 @@ def test_cli_malformed_numbers_are_validation_errors(tmp_path, capsys, subcomman
     assert "Traceback" not in err
 
 
+def _with(raw, **sections):
+    """A copy of raw with keys added to the named sections."""
+    raw = copy.deepcopy(raw)
+    for name, keys in sections.items():
+        raw.setdefault(name, {}).update(keys)
+    return raw
+
+
+_CHECK = {
+    "scenario": "class_check",
+    "grid": dict(GRID_2D),
+    "operator": {"lam": 1.0, "Lam": 1.0, "f_bound": 0.0},
+    "data": {"u": "quadratic_caloric"},
+}
+_DECAY = {"scenario": "decay", "grid": dict(GRID_2D), "data": {"u": "quadratic_caloric"}}
+_ELLIPTICITY = {
+    "scenario": "ellipticity_sweep",
+    "grid": dict(GRID_2D),
+    "operator": {"delta_list": [0.0, 0.5]},
+    "data": {"f": "zero", "g": {"name": "constant", "value": 1.0}},
+}
+_AFFINE = {"value": 0.0, "gradient": [0.0, 0.0]}
+
+
+# Keys that a scenario, or a solve kind, does not read: each is named in
+# the error before any of them is typed or built (ghost.puc is never read).
+@pytest.mark.parametrize(
+    "subcommand, raw, unread",
+    [
+        ("solve", solve_raw(operator={"kind": "heat", "p": 0.5, "Lam": -3}), ["Lam", "p"]),
+        ("solve", solve_raw(operator={"kind": "pucci_plus", "lam": 1.0, "Lam": 2.0,
+                                      "epsilon": 0.1}), ["epsilon"]),
+        ("solve", solve_raw(operator={"kind": "pucci_minus", "lam": 1.0, "Lam": 2.0,
+                                      "p": 3.0}), ["p"]),
+        ("solve", solve_raw(operator={"kind": "p_laplace", "p": 3.0, "lam": 1.0}), ["lam"]),
+        ("solve", solve_raw(analysis={"K": 3}), ["K"]),
+        ("check", _with(_CHECK, analysis={"center": [0.0, 0.0, 0.0]}), ["center"]),
+        ("decay", _with(_DECAY, analysis={"n_points": 3, "alpha": 0.9}), ["alpha", "n_points"]),
+        ("boundary", _with(boundary_raw(), data={"f": "zero"}), ["f"]),
+        ("counterexample", _with(ce_raw(), data={"f": "zero"}), ["f"]),
+        ("sweep-p", _with(_sweep_raw(), analysis={"points": [[0.0, 0.0, 0.0]]}), ["points"]),
+        ("sweep-p", _with(_sweep_raw(), analysis={"center": [0.0, 0.0, 0.0], "c1": 1.0}),
+         ["c1", "center"]),
+        ("sweep-ellipticity", _with(_ELLIPTICITY, analysis={"alpha": 0.9}), ["alpha"]),
+        ("eps-continuation",
+         _with(_eps_raw([0.1, 0.05]), data={"u": {"file": "ghost.puc"}, "affine_part": _AFFINE}),
+         ["affine_part", "u"]),
+    ],
+)
+def test_config_rejects_keys_the_scenario_does_not_read(tmp_path, capsys, subcommand, raw,
+                                                          unread):
+    fragment = f"unknown key(s) {unread}"
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        parse_config(raw, base_dir=str(tmp_path))
+    cfg = write_config(tmp_path, "unread.json", raw)
+    rc = cli_main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("puccilab: ") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_config_number_helper_rejects_non_numbers():
     for value in ("2", None, True, [2.0], {"p": 2}, float("nan"), float("inf"), 10**400):
         with pytest.raises(ConfigError, match="operator.p"):
@@ -583,15 +681,14 @@ _BASES = [
         "grid": dict(GRID_2D),
         "operator": {"lam": 1.0, "Lam": 1.0, "f_bound": 0.0, "tolerance": 1e-3},
         "data": {"u": "quadratic_caloric"},
-        "analysis": {"points": [[0.0, 0.0, -0.1]], "center": [0.0, 0.0, 0.0]},
     },
     {
         "scenario": "decay",
         "grid": dict(GRID_2D),
         "data": {"u": {"name": "affine", "value": 1.0, "gradient": [0.5, 0.5]}},
-        "analysis": {"eta": 0.5, "K": 3, "alpha": 0.9, "c1": 1.0},
+        "analysis": {"eta": 0.5, "K": 3, "center": [0.0, 0.0, 0.0]},
     },
-    boundary_raw(),
+    dict(boundary_raw(), analysis={"points": [[0.0, 0.0, -0.1]], "alpha": 0.9, "c1": 1.0}),
     ce_raw(),
     {
         "scenario": "ellipticity_sweep",
