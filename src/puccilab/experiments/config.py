@@ -15,13 +15,22 @@ preconditions still apply when the scenario runs.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, GridFileError, InputError
 from ..grid import Grid
-from .fields import make_field
+from .fields import (
+    _ABOVE_ONE,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _REAL,
+    _REALS,
+    _UNIT_INTERVAL,
+    _real,
+    _reals,
+    make_field,
+)
 from .scenarios import OPERATOR_KINDS, SCENARIOS
 
 __all__ = ["ScenarioConfig", "parse_config", "load_config", "SCENARIO_TAGS"]
@@ -61,57 +70,6 @@ def _require(section: dict, keys, where: str) -> None:
     missing = [k for k in keys if k not in section]
     if missing:
         raise ConfigError(f"section '{where}' is missing required key(s) {missing}")
-
-
-# A range: a test on the typed number, and the words a message states it in.
-_ANY = (lambda x: True, "")
-_ABOVE_ONE = (lambda x: x > 1.0, "> 1")
-_POSITIVE = (lambda x: x > 0.0, "> 0")
-_NONNEGATIVE = (lambda x: x >= 0.0, ">= 0")
-_UNIT_INTERVAL = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
-
-
-def _real(rng=_ANY, integer=False):
-    """A parser for one finite JSON number in rng, an int when integer is set.
-
-    Every numeric config value goes through one of these, so a string, a
-    list, a boolean, NaN or infinity becomes a ConfigError naming its key.
-    """
-
-    def parse(value, where, *_):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number, got {value!r}")
-        if integer:
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{where} must be an integer, got {value!r}")
-            x = int(value)
-        else:
-            try:
-                x = float(value)
-            except OverflowError:
-                x = math.inf
-            if not math.isfinite(x):
-                raise ConfigError(f"{where} must be finite, got {value!r}")
-        if not rng[0](x):
-            raise ConfigError(f"{where} must be {rng[1]}, got {x}")
-        return x
-
-    return parse
-
-
-def _reals(rng=_ANY):
-    item = _real(rng)
-
-    def parse(value, where, *_):
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-    return parse
-
-
-_REAL = _real()
-_REALS = _reals()
 
 
 def _flag(value, where, *_):
@@ -222,10 +180,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         name: _section(raw, name, keys, required, tag, grid, base_dir)
         for name, keys in allowed.items()
     }
-    # The two rules that tie keys together.
+    # The rules that tie keys together.
     if tag == "boundary" and ("u" in sections["data"]) == ("g" in sections["data"]):
         raise ConfigError(
             "boundary study needs exactly one of data.u (sample mode) or data.g (solve mode)"
+        )
+    if tag == "boundary" and "u" in sections["data"] and "lam" in sections["operator"]:
+        raise ConfigError(
+            "operator.lam sets the heat flow of solve mode; a boundary study in "
+            "sample mode (data.u) solves nothing"
         )
     if tag == "boundary" and not grid.half_space:
         raise ConfigError("boundary study needs grid.half_space = true")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import zip_longest
 
@@ -167,7 +166,7 @@ def run_counterexample(
             "the counterexample grid must stagger the last axis so the "
             "interface falls between nodes"
         )
-    u = sample(make_field({"name": "counterexample", "delta": delta}, grid.n_dim), grid)
+    u = sample(make_field({"name": "counterexample", "delta": float(delta)}, grid.n_dim), grid)
     membership = class_membership(u, EllipticityPair(1.0, 1.0 + delta), f_bound=2.0)
     ratio = _interface_second_diff_ratio(u)
     decay = decay_sequence(u, (np.zeros(grid.n_dim), 0.0), eta=eta, K=K)
@@ -239,11 +238,13 @@ def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, 
         u = solve_dirichlet(prob)
         ell = EllipticityPair(params.lam, params.Lam)
         membership = _membership_inside_ball(u, ell, f_bound)
+        # only the exponents are read, so the clipped scales are not fitted
         alphas = tuple(
-            decay_sequence(u, pt, eta=eta, K=K).alpha_est for pt in points
+            decay_sequence(u, pt, eta=eta, K=K, fit_clipped=False).alpha_est
+            for pt in points
         )
         boundary_alphas = tuple(
-            boundary_decay_sequence(u, eta=eta, K=K, center=pt).alpha_est
+            boundary_decay_sequence(u, eta=eta, K=K, center=pt, fit_clipped=False).alpha_est
             for pt in boundary_points
         )
         return PSweepRow(
@@ -299,6 +300,10 @@ def run_p_sweep(
     if threads == 1 or len(p_values) <= 1:
         rows = [work(p) for p in p_values]
     else:
+        # imported here: it pulls in logging and queue, which a serial
+        # sweep and every other scenario never need
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = threads if threads > 0 else min(len(p_values), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, p_values))
@@ -348,7 +353,9 @@ def run_ellipticity_sweep(
             prob = DirichletProblem(op_tag=PucciPlusOp(ell), f=f, g=g, grid=grid)
             u = solve_dirichlet(prob)
             membership = _membership_inside_ball(u, ell, f_bound)
-            decay = decay_sequence(u, (np.zeros(grid.n_dim), 0.0), eta=eta, K=K)
+            decay = decay_sequence(
+                u, (np.zeros(grid.n_dim), 0.0), eta=eta, K=K, fit_clipped=False
+            )
             rows.append(
                 EllipticityRow(
                     delta=delta,

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -131,18 +132,32 @@ class Grid:
     def node_count(self) -> int:
         return self.n_time_levels * int(np.prod(self.spatial_shape))
 
-    def axis_coords(self, axis: int) -> np.ndarray:
-        """Coordinates along one spatial axis, exact lattice multiples."""
+    def __getstate__(self):
+        # the cached coordinate arrays are rebuilt on demand, not pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _axis_coords(self) -> tuple[np.ndarray, ...]:
         n_half = self.steps_per_half_width
-        last = axis == self.n_dim - 1
-        if last and self.half_space:
-            idx = np.arange(0, n_half + 1)
-            return idx * self.h
-        if last and self.stagger:
-            idx = np.arange(-n_half, n_half)
-            return idx * self.h + 0.5 * self.h
-        idx = np.arange(-n_half, n_half + 1)
-        return idx * self.h
+        axes = []
+        for axis in range(self.n_dim):
+            last = axis == self.n_dim - 1
+            if last and self.half_space:
+                coords = np.arange(0, n_half + 1) * self.h
+            elif last and self.stagger:
+                coords = np.arange(-n_half, n_half) * self.h + 0.5 * self.h
+            else:
+                coords = np.arange(-n_half, n_half + 1) * self.h
+            coords.flags.writeable = False
+            axes.append(coords)
+        return tuple(axes)
+
+    def axis_coords(self, axis: int) -> np.ndarray:
+        """Coordinates along one spatial axis, exact lattice multiples.
+
+        Built once per grid and read-only, like time_values.
+        """
+        return self._axis_coords[axis]
 
     def coordinate_mesh(self) -> list[np.ndarray]:
         """Sparse spatial meshgrid, broadcastable to spatial_shape."""
@@ -152,10 +167,12 @@ class Grid:
     def time_value(self, level: int) -> float:
         return (level - (self.n_time_levels - 1)) * self.tau
 
-    @property
+    @cached_property
     def time_values(self) -> np.ndarray:
         m = self.n_time_levels - 1
-        return (np.arange(m + 1) - m) * self.tau
+        times = (np.arange(m + 1) - m) * self.tau
+        times.flags.writeable = False
+        return times
 
     def node_coordinates(self, level: int, spatial_index: tuple[int, ...]):
         x = np.array(
@@ -243,8 +260,9 @@ class GridFunction:
         Each is one read-only spatial slice.  They are computed once per
         window and kept; at most _WINDOW_SLOTS windows stay (the oldest
         is dropped first), so the memo holds at most 3 * _WINDOW_SLOTS
-        slices and never O(levels x nodes).  The six windows of the
-        10-point p-sweep benchmark on a 129^2 box hold 2.4 MB.
+        slices and never O(levels x nodes).  The p-sweep benchmark (10
+        points at t0 = 0 on a 129^2 box, clipped scales not fitted)
+        keeps the five windows of its contained scales, 2.0 MB.
         """
         key = (int(lo), int(hi))
         if not 0 <= key[0] <= key[1] < self.grid.n_time_levels:
@@ -476,6 +494,54 @@ def _ball_mask(
     return mask
 
 
+def _cylinder_center(grid: Grid, center) -> tuple[np.ndarray, float]:
+    """center = (x0, t0) checked against the grid: a copy of x0, and t0."""
+    x0, t0 = center
+    x0 = np.array(_real_array(x0, "cylinder center"), ndmin=1)  # a copy: it is frozen later
+    t0 = _real_number(t0, "cylinder time")
+    if x0.shape != (grid.n_dim,):
+        raise InputError(f"center has {x0.shape} coordinates, grid needs {grid.n_dim}")
+    if not all(map(math.isfinite, [*x0.tolist(), t0])):
+        raise InputError("cylinder center must be finite")
+    return x0, t0
+
+
+def _reach(grid: Grid, xs: list, t0: float, r: float) -> float:
+    """r, clamped to twice the distance to the farthest node and level.
+
+    Every radius past that reach gives the same cylinder, so the tests
+    run at most at it: r * r and its slack then stay finite however
+    large r is.
+    """
+    far = math.hypot(*(grid.spatial_extent + abs(c) for c in xs))
+    return min(r, 2.0 * math.hypot(far, math.sqrt(abs(t0) + grid.time_extent)) + 1.0)
+
+
+def _contained(grid: Grid, xs: list, t0: float, r: float) -> bool:
+    """Whether the continuum cylinder Q_r(xs, t0) fits inside the lattice box.
+
+    The one definition of a clipped scale: cylinder_nodes records it,
+    and the decay sequences test it before building a cylinder.
+    """
+    reach = _reach(grid, xs, t0, r)
+    extent, slack = grid.spatial_extent, _EDGE_SLACK
+    if grid.half_space:
+        # Face-centered cylinders are the intended half cylinders and
+        # count as contained; for interior centers the face clips the
+        # ball like any other boundary.
+        on_face = abs(xs[-1]) < 0.25 * grid.h
+        last_lo_ok = on_face or xs[-1] - reach >= -slack
+    else:
+        last_lo_ok = xs[-1] - reach >= -extent - slack
+    return (
+        all(c + reach <= extent + slack for c in xs)
+        and all(c - reach >= -extent - slack for c in xs[:-1])
+        and last_lo_ok
+        and t0 - reach * reach >= -grid.time_extent - slack
+        and t0 <= slack
+    )
+
+
 def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     """Nodes of the discrete parabolic cylinder Q_r(center).
 
@@ -487,23 +553,14 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     information and raises.  The work is proportional to the nodes of
     the cylinder's bounding box, not of the lattice.
     """
-    x0, t0 = center
-    x0 = np.array(_real_array(x0, "cylinder center"), ndmin=1)  # a copy: it is frozen below
-    t0 = _real_number(t0, "cylinder time")
+    x0, t0 = _cylinder_center(grid, center)
     r = _real_number(r, "cylinder radius")
-    if x0.shape != (grid.n_dim,):
-        raise InputError(f"center has {x0.shape} coordinates, grid needs {grid.n_dim}")
-    xs = x0.tolist()
-    if not all(map(math.isfinite, [*xs, t0, r])):
-        raise InputError("cylinder center and radius must be finite")
+    if not math.isfinite(r):
+        raise InputError("cylinder radius must be finite")
     if r <= 0.0:
         raise InputError(f"cylinder radius must be positive, got {r}")
-
-    # Every radius past the farthest node and the deepest level gives
-    # the same cylinder, so the tests run at most at twice that reach:
-    # r * r and its slack then stay finite however large r is.
-    far = math.hypot(*(grid.spatial_extent + abs(c) for c in xs))
-    reach = min(r, 2.0 * math.hypot(far, math.sqrt(abs(t0) + grid.time_extent)) + 1.0)
+    xs = x0.tolist()
+    reach = _reach(grid, xs, t0, r)
 
     box, offsets = [], []
     for i, c in enumerate(xs):
@@ -529,27 +586,10 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
         spatially_trivial = bool(np.linalg.norm(col) < 0.25 * grid.h)
     if n_columns == 0 or spatially_trivial or len(levels) == 0:
         raise DegenerateCylinderError(
-            f"Q_{r}(x0={x0.tolist()}, t0={t0}) holds {n_columns} spatial "
+            f"Q_{r}(x0={xs}, t0={t0}) holds {n_columns} spatial "
             f"column(s) and {len(levels)} time level(s) on h={grid.h}, "
             f"tau={grid.tau}; too small to use"
         )
-
-    extent, slack = grid.spatial_extent, _EDGE_SLACK
-    if grid.half_space:
-        # Face-centered cylinders are the intended half cylinders and
-        # count as contained; for interior centers the face clips the
-        # ball like any other boundary.
-        on_face = abs(xs[-1]) < 0.25 * grid.h
-        last_lo_ok = on_face or xs[-1] - reach >= -slack
-    else:
-        last_lo_ok = xs[-1] - reach >= -extent - slack
-    contained = (
-        all(c + reach <= extent + slack for c in xs)
-        and all(c - reach >= -extent - slack for c in xs[:-1])
-        and last_lo_ok
-        and t0 - reach * reach >= -grid.time_extent - slack
-        and t0 <= slack
-    )
 
     for arr in (mask, levels, x0, *offsets):
         arr.flags.writeable = False
@@ -562,7 +602,7 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
         box_mask=mask,
         axis_offsets=tuple(offsets),
         time_levels=levels,
-        contained=contained,
+        contained=_contained(grid, xs, t0, r),
     )
 
 

@@ -22,6 +22,10 @@ clipped scales, all the centers at one t0) share the work.  A cylinder
 is a bounding box plus the ball's mask inside it (see CylinderIndex),
 and a fit reads the reductions and the column offsets through that box
 only, so one fit costs in proportion to its cylinder, not the lattice.
+Clipped scales never enter the exponent, so callers that read only
+alpha_est pass fit_clipped=False: the clipped scales, which are the
+coarsest and largest, then get no cylinder, no window reduction and
+no fit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import AlignmentError, DegenerateFitError, FaceDataError, InputError, _real_array
-from .grid import CylinderIndex, Grid, GridFunction, cylinder_nodes
+from .grid import (
+    CylinderIndex,
+    Grid,
+    GridFunction,
+    _contained,
+    _cylinder_center,
+    cylinder_nodes,
+)
 
 __all__ = [
     "LinearFit",
@@ -151,7 +162,9 @@ class DecayReport:
     alpha_est = (log-log regression slope) - 1, clamped into (0, 1];
     scales flagged resolved (error at roundoff) or clipped (cylinder
     not contained in the lattice box) are excluded from the regression
-    but keep their fits in entries.  When fewer than two scales remain,
+    but keep their fits in entries, unless the sequence ran with
+    fit_clipped=False: entries then start at the first contained scale,
+    whose step_exponent is None.  When fewer than two scales remain,
     alpha_est is 1 by convention (nothing measurable disagrees).
     """
 
@@ -250,15 +263,40 @@ def _assemble_report(
     )
 
 
+def _fitted_scales(
+    u: GridFunction, center, eta: float, K: int, boundary: bool, fit_clipped: bool
+) -> list[tuple[int, LinearFit, bool]]:
+    """(k, fit, clipped) for k = 0..K; clipped scales only when fit_clipped.
+
+    The center is checked up front, so a malformed one fails alike
+    when every scale is skipped; containment is the test cylinder_nodes
+    records, asked before any node is built.
+    """
+    x0, t0 = _cylinder_center(u.grid, center)
+    xs = x0.tolist()
+    scales = []
+    for k in range(K + 1):
+        r = eta**k
+        if not fit_clipped and not _contained(u.grid, xs, t0, r):
+            continue
+        cyl = cylinder_nodes(u.grid, center, r)
+        fit = _fit_over_cylinder(u, cyl, boundary=boundary)
+        scales.append((k, fit, not cyl.contained))
+    return scales
+
+
 def decay_sequence(
-    u: GridFunction, center, eta: float = 0.5, K: int | None = None
+    u: GridFunction, center, eta: float = 0.5, K: int | None = None,
+    fit_clipped: bool = True,
 ) -> DecayReport:
     """Affine-fit errors on Q_{eta^k}(center) for k = 0..K.
 
     K defaults to the deepest scale keeping three nodes per axis.
     center is (x0, t0); it is normally a node, but any point inside
     the box is accepted so staggered-interface studies can center on
-    the hyperplane between nodes.
+    the hyperplane between nodes.  With fit_clipped false the clipped
+    scales are neither built nor fitted and entries lists only the
+    contained ones; alpha_est and regression_residual are the same.
     """
     if not 0.0 < eta < 1.0:
         raise InputError(f"eta must lie in (0, 1), got {eta}")
@@ -266,11 +304,7 @@ def decay_sequence(
         K = _max_scales(u.grid, center, eta)
     if K < 0:
         raise InputError(f"K must be >= 0, got {K}")
-    scales = []
-    for k in range(K + 1):
-        cyl = cylinder_nodes(u.grid, center, eta**k)
-        fit = _fit_over_cylinder(u, cyl, boundary=False)
-        scales.append((k, fit, not cyl.contained))
+    scales = _fitted_scales(u, center, eta, K, boundary=False, fit_clipped=fit_clipped)
     return _assemble_report(u, center, eta, scales, mode="interior")
 
 
@@ -280,12 +314,14 @@ def boundary_decay_sequence(
     K: int | None = None,
     center=None,
     face_tol: float | None = None,
+    fit_clipped: bool = True,
 ) -> DecayReport:
     """One-parameter fits a * x_n over half cylinders at a face point.
 
     The field must vanish on the face {x_n = 0}: this is the reduced
     setting after subtracting the affine part of the boundary data.
     The fitted slopes live in entry b[n-1] of each scale's fit.
+    fit_clipped is as in decay_sequence.
     """
     grid = u.grid
     if not grid.half_space:
@@ -311,11 +347,7 @@ def boundary_decay_sequence(
         )
     if K is None:
         K = _max_scales(grid, (x0, t0), eta)
-    scales = []
-    for k in range(K + 1):
-        cyl = cylinder_nodes(grid, (x0, t0), eta**k)
-        fit = _fit_over_cylinder(u, cyl, boundary=True)
-        scales.append((k, fit, not cyl.contained))
+    scales = _fitted_scales(u, (x0, t0), eta, K, boundary=True, fit_clipped=fit_clipped)
     return _assemble_report(u, (x0, t0), eta, scales, mode="boundary")
 
 
@@ -343,22 +375,24 @@ def coefficient_cauchy_check(
     if c1 <= 0.0:
         raise InputError(f"c1 must be positive, got {c1}")
     eta = report.eta
-    fits = report.fits
     margins = []
     worst_ratio = 0.0
-    for k in range(1, len(fits)):
+    for prev, cur in zip(report.entries, report.entries[1:]):
+        # each bound is read at the entry's own k, so a report that
+        # starts past k = 0 (clipped scales left out) is checked as well
+        k = cur.k
+        if k != prev.k + 1:
+            raise InputError(f"Cauchy check needs consecutive scales, got k = {prev.k}, {k}")
         if report.mode == "boundary":
-            n = len(fits[k].b)
-            delta = abs(fits[k].b[n - 1] - fits[k - 1].b[n - 1])
+            n = len(cur.fit.b)
+            delta = abs(cur.fit.b[n - 1] - prev.fit.b[n - 1])
             unit_bound = eta ** ((k - 1) * alpha)
-            bound = c1 * unit_bound
         else:
-            delta = abs(fits[k].a - fits[k - 1].a) + eta**k * float(
-                np.linalg.norm(fits[k].b - fits[k - 1].b)
+            delta = abs(cur.fit.a - prev.fit.a) + eta**k * float(
+                np.linalg.norm(cur.fit.b - prev.fit.b)
             )
             unit_bound = 2.0 * eta ** ((k - 1) * (1.0 + alpha))
-            bound = c1 * unit_bound
-        margins.append(bound - delta)
+        margins.append(c1 * unit_bound - delta)
         worst_ratio = max(worst_ratio, delta / unit_bound)
     passed = all(m >= 0.0 for m in margins)
     return CauchyCheckReport(

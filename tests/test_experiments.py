@@ -4,6 +4,8 @@ import copy
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +148,61 @@ def test_config_boundary_constraints():
     del neither["data"]["g"]
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config(neither)
+
+
+_REPORTS = os.path.join(os.path.dirname(__file__), "data", "reports")
+
+
+def test_sample_mode_boundary_study_rejects_operator_lam(tmp_path, capsys):
+    # lam sets the heat flow that solve mode marches; sample mode marches nothing
+    with open(os.path.join(_REPORTS, "boundary_sample", "config.json")) as fh:
+        raw = json.load(fh)
+    parse_config(raw, base_dir=str(tmp_path))
+    raw["operator"] = {"lam": -5.0}
+    with pytest.raises(ConfigError, match="sample mode"):
+        parse_config(raw, base_dir=str(tmp_path))
+    cfg = write_config(tmp_path, "lam.json", raw)
+    rc = cli_main(["boundary", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("puccilab: ") and "operator.lam" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"name": "constant", "value": True}, "value"),
+        ({"name": "constant", "value": "2.5"}, "value"),
+        ({"name": "constant", "value": float("nan")}, "value"),
+        ({"name": "quadratic_caloric", "lam": "1"}, "lam"),
+        ({"name": "odd_cubic_caloric", "lam": None}, "lam"),
+        ({"name": "p_quadratic", "p": [3.0]}, "p"),
+        ({"name": "affine", "value": 1.0, "gradient": [0.5, "0.5"]}, "gradient"),
+        ({"name": "affine", "value": 1.0, "gradient": "ab"}, "gradient"),
+        ({"name": "counterexample", "delta": 0}, "delta"),
+    ],
+)
+def test_field_parameters_go_through_the_typed_converter(tmp_path, capsys, spec, key):
+    with pytest.raises(ConfigError, match=key):
+        make_field(spec, 2)
+    raw = _with(_ELLIPTICITY, data={"g": spec})
+    cfg = write_config(tmp_path, "field.json", raw)
+    rc = cli_main(["sweep-ellipticity", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("puccilab: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_cli_start_imports_no_thread_pool():
+    # concurrent.futures pulls in logging and queue; only a threaded
+    # p-sweep needs it, so it is imported there
+    code = "import sys, puccilab.experiments.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_file_errors(tmp_path):

@@ -13,10 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import puccilab.experiments.scenarios as scenarios
 import puccilab.grid as grid_module
 import puccilab.regularity as regularity
-from puccilab.errors import InputError
-from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict
+from puccilab.errors import DegenerateCylinderError, InputError
+from puccilab.experiments import make_field, run_ellipticity_sweep, run_p_sweep
+from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict, sample
 from puccilab.regularity import (
     best_linear_fit,
     boundary_decay_sequence,
@@ -310,3 +312,205 @@ def test_a_small_cylinder_costs_the_same_on_any_lattice():
     # the cylinder reads each axis's coordinates once: a few axis-length
     # arrays, never a lattice-sized one
     assert large["cylinder"] - small["cylinder"] <= 4 * 8 * 257, peaks
+
+
+# ---------------------------------------------------------------------------
+# Exponent-only sequences: fit_clipped=False builds and fits no clipped scale.
+
+
+def kinked_field(half_space=False, stagger=False, n_dim=2, h=1.0 / 16, time_extent=1.0 / 16):
+    """|x - p|^1.5 plus a drift, or x_n |x - p|^0.5 on half-space grids (zero face).
+
+    The kink at p gives exponents inside (0, 1) near it, so the
+    regressions compared below are not clamped to a convention.
+    """
+    grid = Grid(
+        n_dim=n_dim, h=h, tau=h * h / 4, time_extent=time_extent,
+        half_space=half_space, stagger=stagger,
+    )
+    p = [0.1] * (n_dim - 1) + [0.0 if half_space else 0.1]
+
+    def expr(mesh, t):
+        dist = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, p)))
+        if half_space:
+            return mesh[-1] * np.sqrt(dist) * (1.0 + t)
+        return dist**1.5 + t * mesh[0]
+
+    return sample(expr, grid)
+
+
+# (field, decay center x0, t0, eta, K): centers near the kink, near the
+# box edge and on it (every scale clipped), windows ending below t = 0
+FIT_CLIPPED_CASES = [
+    (dict(n_dim=1, h=1.0 / 64), (0.09375,), 0.0, 0.75, 12),
+    (dict(n_dim=1, h=1.0 / 64), (0.9375,), 0.0, 0.6, 8),
+    (dict(n_dim=1, h=1.0 / 64), (1.0,), 0.0, 0.5, 4),
+    (dict(), (0.125, 0.125), 0.0, 0.75, 9),
+    (dict(), (0.875, -0.8125), -1.0 / 64, 0.6, 5),
+    (dict(), (-0.25, 0.5), -0.5 / 16, 0.75, 9),
+    (dict(), (1.0, 0.0), 0.0, 0.5, 3),
+    (dict(), (0.0, 0.0), 0.0, 0.75, 0),
+    (dict(n_dim=3, h=1.0 / 8), (0.125, 0.125, 0.125), 0.0, 0.7, 5),
+    (dict(n_dim=3, h=1.0 / 8), (0.75, -0.625, 0.0), 0.0, 0.7, 5),
+    (dict(stagger=True), (0.125, 0.09375), 0.0, 0.75, 9),
+    (dict(stagger=True), (0.8125, 0.90625), 0.0, 0.6, 5),
+    (dict(half_space=True), (0.125, 0.25), 0.0, 0.75, 9),
+    (dict(half_space=True), (-0.5, 0.0625), 0.0, 0.75, 9),
+]
+BOUNDARY_CLIPPED_CASES = [
+    (dict(), (0.0, 0.0), 0.0, 0.75, 9),
+    (dict(), (0.875, 0.0), -1.0 / 64, 0.6, 5),
+    (dict(), (1.0, 0.0), 0.0, 0.5, 3),
+    (dict(n_dim=1, h=1.0 / 64), (0.0,), 0.0, 0.75, 12),
+    (dict(n_dim=3, h=1.0 / 8), (0.25, -0.75, 0.0), 0.0, 0.7, 5),
+]
+
+
+def assert_lean_is_the_contained_suffix(full, lean):
+    assert lean.alpha_est.hex() == full.alpha_est.hex()
+    assert lean.regression_residual.hex() == full.regression_residual.hex()
+    contained = [e for e in full.entries if not e.clipped]
+    assert full.entries[len(full.entries) - len(contained):] == tuple(contained)
+    assert len(lean.entries) == len(contained)
+    for mine, theirs in zip(lean.entries, contained):
+        assert mine.k == theirs.k
+        assert mine.fit.a == theirs.fit.a and mine.sup_error == theirs.sup_error
+        assert np.array_equal(mine.fit.b, theirs.fit.b)
+        assert (mine.resolved, mine.clipped) == (theirs.resolved, False)
+
+
+@pytest.mark.parametrize("layout,x0,t0,eta,K", FIT_CLIPPED_CASES)
+def test_skipping_clipped_scales_keeps_the_exponent_bits(layout, x0, t0, eta, K):
+    u = kinked_field(**layout)
+    center = (np.array(x0), t0)
+    full = decay_sequence(u, center, eta=eta, K=K)
+    lean = decay_sequence(u, center, eta=eta, K=K, fit_clipped=False)
+    assert_lean_is_the_contained_suffix(full, lean)
+
+
+@pytest.mark.parametrize("layout,x0,t0,eta,K", BOUNDARY_CLIPPED_CASES)
+def test_boundary_skipping_clipped_scales_keeps_the_exponent_bits(layout, x0, t0, eta, K):
+    u = kinked_field(half_space=True, **layout)
+    center = (np.array(x0), t0)
+    full = boundary_decay_sequence(u, eta=eta, K=K, center=center)
+    lean = boundary_decay_sequence(u, eta=eta, K=K, center=center, fit_clipped=False)
+    assert_lean_is_the_contained_suffix(full, lean)
+
+
+def test_the_clipped_cases_cover_both_ends():
+    # some cases regress on an unclamped exponent, some clip every scale
+    alphas, empty = [], 0
+    for layout, x0, t0, eta, K in FIT_CLIPPED_CASES:
+        lean = decay_sequence(kinked_field(**layout), (np.array(x0), t0), eta=eta, K=K,
+                              fit_clipped=False)
+        alphas.append(lean.alpha_est)
+        empty += lean.entries == ()
+    assert empty >= 3
+    assert sum(0.0 < a < 1.0 for a in alphas) >= 6, alphas
+
+
+@pytest.mark.parametrize(
+    "center",
+    [
+        (["a", 1.0], 0.0),
+        (np.zeros(3), 0.0),
+        (np.zeros(2), "now"),
+        (np.array([np.nan, 0.0]), 0.0),
+        (np.zeros(2), np.inf),
+    ],
+)
+def test_malformed_centers_fail_alike_when_every_scale_is_skipped(center):
+    # K = 2 at t0 = 0 on a box of depth 1/16 clips every scale, so no
+    # cylinder is built in the lean run: the center is checked up front
+    u = kinked_field()
+    for fit_clipped in (True, False):
+        with pytest.raises(InputError):
+            decay_sequence(u, center, eta=0.5, K=2, fit_clipped=fit_clipped)
+
+
+def test_a_window_past_the_lattice_clips_every_scale_unbuilt():
+    u = kinked_field()
+    late = (np.zeros(2), 0.5)
+    with pytest.raises(DegenerateCylinderError):
+        decay_sequence(u, late, eta=0.5, K=2)
+    lean = decay_sequence(u, late, eta=0.5, K=2, fit_clipped=False)
+    assert lean.entries == () and lean.alpha_est == 1.0 and lean.regression_residual == 0.0
+
+
+def _sweep_field_grid():
+    # eta = 0.75, K = 6 at T = 1/8: scales 4..6 are contained at every
+    # sweep point, 0..3 are clipped in time
+    return Grid(n_dim=2, h=1.0 / 16, tau=2.0**-11, time_extent=0.125, half_space=True)
+
+
+def _counting_cylinders(monkeypatch):
+    contained = []
+    real = regularity.cylinder_nodes
+
+    def counting(*args, **kwargs):
+        cyl = real(*args, **kwargs)
+        contained.append(cyl.contained)
+        return cyl
+
+    monkeypatch.setattr(regularity, "cylinder_nodes", counting)
+    return contained
+
+
+def _fitting_every_scale(monkeypatch):
+    """Make the sweeps fit their clipped scales too, as the default does."""
+    for name in ("decay_sequence", "boundary_decay_sequence"):
+        real = getattr(scenarios, name)
+        monkeypatch.setattr(
+            scenarios, name,
+            lambda *args, _real=real, fit_clipped=False, **kwargs: _real(*args, **kwargs),
+        )
+
+
+def test_sweeps_build_no_clipped_cylinder(monkeypatch):
+    zero = lambda mesh, t: 0.0
+    g = make_field({"name": "quadratic_caloric"}, 2)
+    # boundary fits need a field vanishing on the face
+    g_odd = make_field({"name": "odd_cubic_caloric"}, 2)
+    p_args = ([2.0, 2.25], 0.5, _sweep_field_grid(), zero, g_odd)
+    p_kwargs = dict(n_points=3, seed=1, eta=0.75, K=6)
+    e_args = ([0.5], Grid(n_dim=2, h=1.0 / 16, tau=2.0**-11, time_extent=0.125), zero, g)
+    e_kwargs = dict(eta=0.75, K=6)
+
+    contained = _counting_cylinders(monkeypatch)
+    table = run_p_sweep(*p_args, **p_kwargs)
+    assert table.all_ok
+    # per exponent: each point's contained scales, and its face projection's
+    centers = [(np.array(x), t) for x, t in table.points + table.boundary_points]
+    inside = sum(
+        cylinder_nodes(p_args[2], c, 0.75**k).contained for c in centers for k in range(7)
+    )
+    assert 0 < inside < 7 * len(centers)
+    assert contained == [True] * (2 * inside)
+    contained.clear()
+    rows = run_ellipticity_sweep(*e_args, **e_kwargs)
+    assert rows[0].status == "ok"
+    assert contained == [True] * 3  # scales 4..6 at the origin
+
+    # the same rows as when every scale is fitted
+    _fitting_every_scale(monkeypatch)
+    contained.clear()
+    assert run_p_sweep(*p_args, **p_kwargs) == table
+    assert run_ellipticity_sweep(*e_args, **e_kwargs) == rows
+    assert contained.count(False) == 2 * (7 * len(centers) - inside) + 4
+
+
+def test_sweeps_no_longer_fail_on_a_degenerate_clipped_scale():
+    # On this 5^2 lattice of depth 1/16 both scales, r = 1 and 0.4, are
+    # clipped in time, and Q_0.4 holds only its center column: the sweep
+    # reads no fit of either, so its rows succeed with the conventional
+    # exponent 1, while a full decay sequence still refuses the scale.
+    zero = lambda mesh, t: 0.0
+    g = make_field({"name": "quadratic_caloric"}, 2)
+    grid = Grid(n_dim=2, h=0.5, tau=2.0**-6, time_extent=2.0**-4)
+    table = run_p_sweep([2.0], 0.5, grid, zero, g, n_points=2, seed=0, eta=0.4, K=1)
+    assert table.rows[0].status == "ok" and table.rows[0].alphas == (1.0, 1.0)
+    (row,) = run_ellipticity_sweep([0.5], grid, zero, g, eta=0.4, K=1)
+    assert row.status == "ok" and row.alpha_est == 1.0
+    u = sample(g, grid)
+    with pytest.raises(DegenerateCylinderError, match="1 spatial column"):
+        decay_sequence(u, (np.zeros(2), 0.0), eta=0.4, K=1)

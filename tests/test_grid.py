@@ -1,5 +1,8 @@
 """Lattice, cylinder enumeration, stencils, and the file format."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,26 @@ def test_axis_layout():
     assert np.allclose(gh.axis_coords(1), np.arange(0, 5) * 0.25)
     assert gh.time_value(gh.n_time_levels - 1) == 0.0
     assert gh.time_value(0) == -1.0
+
+
+@pytest.mark.parametrize("layout", [{}, {"half_space": True}, {"stagger": True}])
+def test_coordinate_arrays_are_built_once_and_read_only(layout):
+    g = Grid(n_dim=2, h=0.25, tau=0.125, **layout)
+    fresh = Grid(n_dim=2, h=0.25, tau=0.125, **layout)
+    arrays = [g.axis_coords(0), g.axis_coords(1), g.time_values]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    assert g.axis_coords(1) is arrays[1] and g.time_values is arrays[2]
+    assert np.array_equal(g.time_values, (np.arange(9) - 8) * 0.125)
+    # the caches are no part of the value: equality, hash and pickle bytes
+    # match a grid that built none, and a copy builds its own
+    assert g == fresh and hash(g) == hash(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert clone == g
+        assert "_axis_coords" not in vars(clone) and "time_values" not in vars(clone)
+        assert np.array_equal(clone.axis_coords(1), arrays[1])
 
 
 _PLAIN2 = dict(n_dim=2, h=0.25, tau=0.125)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,27 @@ def test_cauchy_check_threshold_is_sharp():
     assert len(tight.margins) == len(rep.entries) - 1
     with pytest.raises(InputError):
         coefficient_cauchy_check(rep, c1=0.0, alpha=rep.alpha_est)
+
+
+@pytest.mark.parametrize("mode", ["interior", "boundary"])
+def test_cauchy_check_reads_each_scales_own_k(mode):
+    # T = 1/16 clips scales 0 and 1 in time, so the lean report starts
+    # at k = 2; its bounds must be those of k = 3.., not of 1..
+    grid = Grid(n_dim=2, h=1.0 / 32, tau=2.0**-10, time_extent=1.0 / 16, half_space=True)
+    u = sample(lambda mesh, t: mesh[1] ** 3 + 6.0 * mesh[1] * t + mesh[0] ** 2 * mesh[1], grid)
+    if mode == "interior":
+        center = (np.array([0.0, 0.5]), 0.0)
+        full, lean = (decay_sequence(u, center, eta=0.5, K=4, fit_clipped=c) for c in (True, False))
+    else:
+        full, lean = (boundary_decay_sequence(u, eta=0.5, K=4, fit_clipped=c) for c in (True, False))
+    assert [e.k for e in lean.entries] == [2, 3, 4]
+    whole = coefficient_cauchy_check(full, c1=1.0, alpha=0.5)
+    part = coefficient_cauchy_check(lean, c1=1.0, alpha=0.5)
+    assert part.margins == whole.margins[2:]
+    assert part.mode == mode
+    gap = replace(lean, entries=(lean.entries[0], lean.entries[2]))
+    with pytest.raises(InputError, match="consecutive"):
+        coefficient_cauchy_check(gap, c1=1.0, alpha=0.5)
 
 
 def half_space_cubic(h=1.0 / 32, tau=2.0**-10, T=0.25):
