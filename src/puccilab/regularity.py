@@ -586,7 +586,7 @@ def global_report(
 
 def decay_report_rows(report: DecayReport) -> tuple[list, list]:
     """CSV header and one row per scale: k, radius, a, b components, E_k, step exponent."""
-    n = len(report.entries[0].fit.b)
+    n = len(report.center_x)  # a lean report may list no scale at all
     header = ["k", "radius", "a", *(f"b{i + 1}" for i in range(n)), "E_k", "step_exponent"]
     rows = [
         [e.k, e.radius, e.fit.a, *e.fit.b.tolist(), e.sup_error, e.step_exponent]

@@ -22,6 +22,7 @@ from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict, sample
 from puccilab.regularity import (
     best_linear_fit,
     boundary_decay_sequence,
+    decay_report_rows,
     decay_sequence,
     global_report,
     pointwise_c1a_norm,
@@ -435,6 +436,8 @@ def test_a_window_past_the_lattice_clips_every_scale_unbuilt():
         decay_sequence(u, late, eta=0.5, K=2)
     lean = decay_sequence(u, late, eta=0.5, K=2, fit_clipped=False)
     assert lean.entries == () and lean.alpha_est == 1.0 and lean.regression_residual == 0.0
+    header, rows = decay_report_rows(lean)
+    assert header[3:5] == ["b1", "b2"] and rows == []
 
 
 def _sweep_field_grid():
