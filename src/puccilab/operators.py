@@ -182,15 +182,17 @@ class PLaplaceOp:
 # Pointwise operators.
 
 
-def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="value"):
+def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="value", scale=1.0):
     """M+ or M- from the sums of the positive and the negative eigenvalues.
 
     The result goes to the workspace buffer named key (see _Workspace).
+    scale multiplies both ellipticity constants; membership passes the
+    workspace's scale there, which turns raw lattice sums into values.
     """
     ws = ws or _Workspace.for_rows(pos.size)
     a, b = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
-    value = np.multiply(a, pos, out=ws.buf(key))
-    value += np.multiply(b, neg, out=ws.buf("tmp"))
+    value = np.multiply(a * scale, pos, out=ws.buf(key))
+    value += np.multiply(b * scale, neg, out=ws.buf("tmp"))
     return value
 
 
@@ -243,7 +245,8 @@ def _point_stencils(m, q, p: float):
 
 def normalized_p_laplacian(m, q, p: float) -> float:
     """tr(a(q) M) with a(q) = I + (p-2) q x q / |q|^2; needs q != 0."""
-    _, value, zero = _plaplace_value(p, 0.0, *_point_stencils(m, q, p))
+    diag, cross, grad, ws = _point_stencils(m, q, p)
+    _, value, zero = _plaplace_value(p, 0.0, diag, cross.items(), grad, ws)
     if zero.size:
         raise SingularGradientError(
             "normalized p-Laplacian undefined at q = 0; use envelope_residuals"
@@ -282,20 +285,63 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
 # without a workspace, a kernel runs the same code on a fresh one.  The
 # arrays a kernel returns are workspace buffers: they hold their values
 # until the next kernel call on the same workspace.
+#
+# The kernels return raw lattice differences when the workspace was made
+# for a power-of-two step h = 2^k: the second differences in units of
+# h^2 (up - 2 center + dn), the cross differences in units of 4 h^2 and
+# the gradient in units of 2 h (the workspace's units).  Scaling by an
+# exact power of two commutes with every later add, multiply and divide
+# bit for bit while the values stay in the normal range, so each
+# consumer folds the units into a multiply that it already makes and
+# gets the bits of the divided differences:
+#   - the march multiplies by tau / h^2 instead of tau, and adds a scalar
+#     forcing as f h^2;
+#   - membership multiplies the Pucci sums by Lam / h^2 and lam / h^2;
+#   - the p-Laplacian adds eps^2 4 h^2 to |Du|^2 and weighs its cross
+#     terms by 1/2 instead of 2, and its value carries the units of h^2;
+#   - Gershgorin compares each d_i with the |c_ij| / 4;
+#   - the Hessians sent to the eigen-solver are scaled to their values
+#     first, so the solver sees the numbers of the divided differences.
+# Any other h, and a workspace made without h, has units 1: the kernels
+# divide as written above and every folded factor is the plain one.
+
+
+def _lattice_units(h) -> tuple[float, float, float]:
+    """(h^2, 4 h^2, 2 h) for a power of two h, else (1, 1, 1).
+
+    Only 2^-64 <= h <= 2^64 counts, so that the units, their
+    reciprocals and their products with operator constants stay far
+    inside the normal range.
+    """
+    mant, exp = math.frexp(h)
+    if mant == 0.5 and -63 <= exp <= 65:
+        h2 = h * h
+        return h2, 4.0 * h2, 2.0 * h
+    return 1.0, 1.0, 1.0
 
 
 class _Workspace:
-    """The flat layout of one level shape, and buffers of length hi - lo.
+    """The flat layout of one level shape, its stencil units, and buffers of length hi - lo.
 
     strides are the axis strides in elements, [lo, hi) is the flat range
     of the stencils, and valid and ghost mark its interior nodes and its
-    ghosts.  Buffers are allocated on first use.  A march or a membership pass makes one and
-    hands it to every slice, so its step temporaries are allocated once
-    per pass instead of once per step.  Workspaces are never shared:
-    threads marching at the same time each make their own.
+    ghosts.  units are (u_d, u_c, u_g): a second difference, a cross
+    difference and a gradient component from the kernels are their
+    values times these (see _lattice_units; 1 when h is None), and
+    scale = 1 / u_d turns a second difference, a trace or an operator
+    value into its value.
+
+    Buffers are allocated on first use, and dead ones are reused: the
+    trace overwrites 2 * center once the second differences are formed,
+    and the p-Laplace march puts its quadratic form in the first second
+    difference and every cross difference in one buffer.  A march or a
+    membership pass makes one workspace and hands it to every slice, so
+    its step temporaries are allocated once per pass instead of once
+    per step.  Workspaces are never shared: threads marching at the same
+    time each make their own.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, h=None):
         self.shape = tuple(shape)
         self.strides = tuple(int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape)))
         self.lo = sum(self.strides)
@@ -304,11 +350,13 @@ class _Workspace:
         inner[tuple(slice(1, -1) for _ in self.shape)] = True
         self.valid = inner.reshape(-1)[self.lo : self.hi]
         self.ghost = ~self.valid
+        self.units = (1.0, 1.0, 1.0) if h is None else _lattice_units(h)
+        self.scale = 1.0 / self.units[0]
         self._buffers = {}
 
     @classmethod
     def for_rows(cls, rows: int) -> "_Workspace":
-        """Buffers for a plain stack of rows: a 1-D level with no ghosts."""
+        """Buffers for a plain stack of rows: a 1-D level with no ghosts, units 1."""
         return cls((rows + 2,))
 
     def buf(self, key, dtype=float) -> np.ndarray:
@@ -341,12 +389,16 @@ def _flat(sl: np.ndarray) -> np.ndarray:
 def _divide(values: np.ndarray, den: float) -> np.ndarray:
     """values / den in place, with the bits of the division.
 
-    When den is +-2^k and 1/den is finite, x * (1/den) and x / den have
-    the same real value and both are correctly rounded, so they agree
-    bit for bit, and a multiply pass costs about half a division pass.
-    Every other divisor (0.1, 2^-1074 whose reciprocal overflows, 0,
-    inf, nan) divides.
+    A kernel divides by its divisor over the workspace's unit for it, so
+    den is 1 for raw differences, and then nothing is done.  When den is
+    +-2^k and 1/den is finite, x * (1/den) and x / den have the same real
+    value and both are correctly rounded, so they agree bit for bit, and
+    a multiply pass costs about half a division pass.  Every other
+    divisor (0.1, 2^-1074 whose reciprocal overflows, 0, inf, nan)
+    divides.
     """
+    if den == 1.0:
+        return values
     mant, exp = math.frexp(den)
     if abs(mant) == 0.5 and exp >= -1022:
         return np.multiply(values, 1.0 / den, out=values)
@@ -356,47 +408,54 @@ def _divide(values: np.ndarray, den: float) -> np.ndarray:
 def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     ws = ws or _Workspace(sl.shape)
     x, lo, hi = _flat(sl), ws.lo, ws.hi
-    h2 = h * h
-    # 2.0 * center is the same for every axis; it is computed once
-    twice = np.multiply(2.0, x[lo:hi], out=ws.buf("twice_center"))
+    den = h * h / ws.units[0]
+    # 2.0 * center is the same for every axis; it is computed once, in
+    # the buffer that the trace takes over
+    twice = np.multiply(2.0, x[lo:hi], out=ws.buf("trace"))
     out = []
     for i, s in enumerate(ws.strides):
         d = np.subtract(x[lo + s : hi + s], twice, out=ws.buf(("diag", i)))
         d += x[lo - s : hi - s]
-        _divide(d, h2)
+        _divide(d, den)
         out.append(d)
     return out
 
 
-def _slice_cross_diffs(
-    sl: np.ndarray, h: float, ws=None
-) -> dict[tuple[int, int], np.ndarray]:
-    ws = ws or _Workspace(sl.shape)
+def _cross_terms(sl: np.ndarray, h: float, ws, shared: bool = False):
+    """Yield ((i, j), cross difference) for i < j in ascending order.
+
+    Each goes to its own buffer, or with shared=True every one to the
+    same buffer, formed just before it is yielded.
+    """
     x, lo, hi = _flat(sl), ws.lo, ws.hi
-    h2 = h * h
-    out = {}
+    den = 4.0 * (h * h) / ws.units[1]
     for i, si in enumerate(ws.strides):
         for j in range(i + 1, len(ws.strides)):
             sj = ws.strides[j]
             c = np.subtract(
                 x[lo + si + sj : hi + si + sj],
                 x[lo + si - sj : hi + si - sj],
-                out=ws.buf(("cross", i, j)),
+                out=ws.buf("cross" if shared else ("cross", i, j)),
             )
             c -= x[lo - si + sj : hi - si + sj]
             c += x[lo - si - sj : hi - si - sj]
-            _divide(c, 4.0 * h2)
-            out[(i, j)] = c
-    return out
+            yield (i, j), _divide(c, den)
+
+
+def _slice_cross_diffs(
+    sl: np.ndarray, h: float, ws=None
+) -> dict[tuple[int, int], np.ndarray]:
+    return dict(_cross_terms(sl, h, ws or _Workspace(sl.shape)))
 
 
 def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     ws = ws or _Workspace(sl.shape)
     x, lo, hi = _flat(sl), ws.lo, ws.hi
+    den = 2.0 * h / ws.units[2]
     out = []
     for i, s in enumerate(ws.strides):
         g = np.subtract(x[lo + s : hi + s], x[lo - s : hi - s], out=ws.buf(("grad", i)))
-        _divide(g, 2.0 * h)
+        _divide(g, den)
         out.append(g)
     return out
 
@@ -409,22 +468,23 @@ def _slice_time_diff(sl: np.ndarray, prev: np.ndarray, tau: float, ws=None) -> n
     return _divide(dt, tau)
 
 
-def _hessian_stack(diag, cross) -> np.ndarray:
+def _hessian_stack(diag, cross, units=(1.0, 1.0)) -> np.ndarray:
+    """The (..., n, n) Hessians of diag and cross, each divided by its unit."""
     n = len(diag)
     shape = diag[0].shape
     hess = np.zeros(shape + (n, n))
     for i in range(n):
-        hess[..., i, i] = diag[i]
+        np.divide(diag[i], units[0], out=hess[..., i, i])
     for (i, j), val in cross.items():
-        hess[..., i, j] = val
-        hess[..., j, i] = val
+        np.divide(val, units[1], out=hess[..., i, j])
+        hess[..., j, i] = hess[..., i, j]
     return hess
 
 
-def _row_stack(diag, cross, rows) -> np.ndarray:
-    """The Hessians of the given flat positions, as a (rows, n, n) stack."""
+def _row_stack(diag, cross, rows, ws) -> np.ndarray:
+    """The Hessians of the given flat positions, as a (rows, n, n) stack of values."""
     return _hessian_stack(
-        [d.take(rows) for d in diag], {key: c.take(rows) for key, c in cross.items()}
+        [d.take(rows) for d in diag], {key: c.take(rows) for key, c in cross.items()}, ws.units
     )
 
 
@@ -454,11 +514,17 @@ def _eigen_sign_sums(diag, cross, ws=None):
     negative semidefinite and gets (0, trace).  Only the other rows are
     gathered into a Hessian stack and eigen-solved; the ghosts of a
     level's range never are.  Rows with a non-finite entry are never
-    certified, so the eigen-solver still rejects them.
+    certified, so the eigen-solver still rejects them.  The sums are in
+    the units of diag (see _Workspace).
     """
     ws = ws or _Workspace.for_rows(diag[0].size)
     n = len(diag)
-    absc = {key: np.abs(c, out=ws.buf(("abs",) + key)) for key, c in cross.items()}
+    # |c_ij| in the units of diag: a raw cross difference is 4 h^2 c_ij
+    to_diag = ws.units[0] / ws.units[1]
+    absc = {}
+    for key, c in cross.items():
+        a = absc[key] = np.abs(c, out=ws.buf(("abs",) + key))
+        np.multiply(a, to_diag, out=a)
     neg_radius, hit = ws.buf("neg_radius"), ws.buf("hit", bool)
     # The trace and the radii overflow only for entries near the float
     # range; such rows stay uncertified and go to the eigen-solver.
@@ -484,27 +550,35 @@ def _eigen_sign_sums(diag, cross, ws=None):
     np.copyto(neg, trace, where=nsd)
     if rest.any():
         rows = np.flatnonzero(rest)
-        values = jacobi_eigh_batch(_row_stack(diag, cross, rows))
-        pos[rows], neg[rows] = _eigen_value_sums(values)
+        values = jacobi_eigh_batch(_row_stack(diag, cross, rows, ws))
+        pos[rows], neg[rows] = _eigen_value_sums(np.multiply(values, ws.units[0], out=values))
     return pos, neg
 
 
-def _plaplace_forms(diag, cross, grad, ws):
-    """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice."""
+def _plaplace_forms(diag, cross, grad, ws, quad):
+    """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice, in the workspace's units.
+
+    cross yields ((i, j), cross difference) pairs: a dict's items, or
+    _cross_terms.  The quadratic form goes to the buffer quad, which may
+    be diag[0]'s: that is read only by the trace and the form's first
+    term.
+    """
     trace = _slice_trace(diag, ws)
     # |Du|^2 sums the squares g_i^2 and the quadratic form the terms
-    # g_i^2 d_i, then the cross terms, each in ascending order
+    # g_i^2 d_i, then the cross terms 2 g_i g_j c_ij, each in ascending
+    # order; their factor 2 becomes 1/2 for raw differences (2 u_d / u_c)
+    twice = 2.0 * ws.units[0] / ws.units[1]
     tmp = ws.buf("tmp")
     norm2 = np.multiply(grad[0], grad[0], out=ws.buf("norm2"))
-    quad = np.multiply(norm2, diag[0], out=ws.buf("quad"))
+    quad = np.multiply(norm2, diag[0], out=quad)
     for i in range(1, len(diag)):
         square = np.multiply(grad[i], grad[i], out=tmp)
         norm2 += square
         quad += np.multiply(square, diag[i], out=tmp)
-    for (i, j), val in cross.items():
+    for (i, j), val in cross:
         np.multiply(grad[i], grad[j], out=tmp)
         tmp *= val
-        np.multiply(2.0, tmp, out=tmp)
+        np.multiply(twice, tmp, out=tmp)
         quad += tmp
     return trace, norm2, quad
 
@@ -512,20 +586,24 @@ def _plaplace_forms(diag, cross, grad, ws):
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
-def _plaplace_value(p: float, eps: float, diag, cross, grad, ws):
+def _plaplace_value(p: float, eps: float, diag, cross, grad, ws, quad=None):
     """trace + (p-2) quad / (|Du|^2 + eps^2) over a slice or a stack of rows.
 
-    Returns the trace, the value and the interior positions whose
-    denominator is 0, i.e. a zero gradient at eps^2 = 0.  The value
-    there is a placeholder (the quotient is taken as 0) until the caller
-    raises or applies the envelope rule.  At eps^2 > 0 the step runs no
-    zero test.  The value is written to the quad buffer, so the trace
-    stays readable.
+    cross yields pairs, as for _plaplace_forms.  Returns the trace, the value (both in the units of diag) and the
+    interior positions whose denominator is 0, i.e. a zero gradient at
+    eps^2 = 0.  The value there is a placeholder (the quotient is taken
+    as 0) until the caller raises or applies the envelope rule.  At
+    eps^2 > 0 the step runs no zero test.  The value is written to the
+    buffer quad (the workspace's "quad" by default), so the trace stays
+    readable.
     """
-    trace, norm2, quad = _plaplace_forms(diag, cross, grad, ws)
-    den = np.add(norm2, eps * eps, out=norm2)
+    quad = ws.buf("quad") if quad is None else quad
+    trace, norm2, quad = _plaplace_forms(diag, cross, grad, ws, quad)
+    # eps^2 in the units of |Du|^2
+    eps2 = eps * eps * (ws.units[2] * ws.units[2])
+    den = np.add(norm2, eps2, out=norm2)
     zero = _NO_ROWS
-    if eps * eps == 0.0:
+    if eps2 == 0.0:
         singular = den == 0.0
         zero = np.flatnonzero(singular & ws.valid)
         den[singular] = 1.0  # keeps the division quiet at those rows and the ghosts
@@ -541,19 +619,24 @@ def _plaplace_envelope_value(p: float, diag, cross, grad, ws):
     gradient they are the smaller and the larger of tr + (p-2) e over
     the extreme eigenvalues e of the Hessian: the subsolution test reads
     the larger, the supersolution test the smaller, whatever the sign of
-    p - 2.  Only those rows are eigen-solved.
+    p - 2.  Only those rows are eigen-solved.  Both come scaled to
+    values, whatever the workspace's units.
     """
-    trace, value, zero = _plaplace_value(p, 0.0, diag, cross, grad, ws)
-    low, high = value, value.copy()
+    trace, value, zero = _plaplace_value(p, 0.0, diag, cross.items(), grad, ws)
+    low = np.multiply(value, ws.scale, out=value)
+    high = low.copy()
     if zero.size:
-        extremes = jacobi_eigh_batch(_row_stack(diag, cross, zero))[:, [0, -1]]
-        ends = trace[zero, None] + (p - 2.0) * extremes
+        extremes = jacobi_eigh_batch(_row_stack(diag, cross, zero, ws))[:, [0, -1]]
+        ends = trace[zero, None] * ws.scale + (p - 2.0) * extremes
         low[zero], high[zero] = ends.min(axis=1), ends.max(axis=1)
     return low, high
 
 
 def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
-    """Evaluate the tagged spatial operator over the interior of a slice."""
+    """The tagged spatial operator over the interior of a slice, in the workspace's units.
+
+    Times ws.scale it is the operator's value.
+    """
     ws = ws or _Workspace(sl.shape)
     diag = _slice_diag_diffs(sl, h, ws)
     if isinstance(op, HeatOp):
@@ -563,8 +646,17 @@ def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
         pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
         return _pucci_combine(pos, neg, op.ell, isinstance(op, PucciPlusOp), ws)
     if isinstance(op, PLaplaceOp):
-        cross, grad = _slice_cross_diffs(sl, h, ws), _slice_gradient(sl, h, ws)
-        _, value, zero = _plaplace_value(op.params.p, op.params.epsilon, diag, cross, grad, ws)
+        # each cross difference is formed in one buffer just before its
+        # term is added, and the value lands in diag[0]'s buffer
+        _, value, zero = _plaplace_value(
+            op.params.p,
+            op.params.epsilon,
+            diag,
+            _cross_terms(sl, h, ws, shared=True),
+            _slice_gradient(sl, h, ws),
+            ws,
+            quad=diag[0],
+        )
         if zero.size:
             raise SingularGradientError(
                 "zero discrete gradient met with epsilon^2 = 0; evaluate through "
@@ -607,7 +699,7 @@ def class_membership(
     worst_node: tuple[int, tuple[int, ...]] = (1, (1,) * grid.n_dim)
     worst_key = np.inf
 
-    ws = _Workspace(grid.spatial_shape)
+    ws = _Workspace(grid.spatial_shape, grid.h)
     # ghosts can overflow where no interior node does; a non-finite
     # interior Hessian still reaches the eigen-solver and raises, and a
     # non-finite interior slack warns
@@ -617,8 +709,8 @@ def class_membership(
             pos, neg = _eigen_sign_sums(
                 _slice_diag_diffs(sl, grid.h, ws), _slice_cross_diffs(sl, grid.h, ws), ws
             )
-            m_plus = _pucci_combine(pos, neg, ell, True, ws, "m_plus")
-            m_minus = _pucci_combine(pos, neg, ell, False, ws, "m_minus")
+            m_plus = _pucci_combine(pos, neg, ell, True, ws, "m_plus", ws.scale)
+            m_minus = _pucci_combine(pos, neg, ell, False, ws, "m_minus", ws.scale)
             dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
             # dt - m_minus + f_bound and f_bound - (dt - m_plus), in place
             sub_slack = np.subtract(dt, m_minus, out=m_minus)
@@ -672,7 +764,7 @@ def pde_residual(
     envelope = (
         isinstance(op, PLaplaceOp) and op.params.epsilon == 0.0 and zero_gradient == "envelope"
     )
-    ws = _Workspace(grid.spatial_shape)
+    ws = _Workspace(grid.spatial_shape, grid.h)
     lo, hi = ws.lo, ws.hi
     # ghosts can overflow where no interior node does; a non-finite
     # interior residual warns and raises, naming its level and node
@@ -692,7 +784,8 @@ def pde_residual(
                 res = np.subtract(dt, rhs, out=dt)
                 value = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
             else:
-                value = np.subtract(dt, _slice_operator_value(op, sl, grid.h, ws), out=dt)
+                value = _slice_operator_value(op, sl, grid.h, ws)
+                value = np.subtract(dt, np.multiply(value, ws.scale, out=value), out=dt)
                 value -= rhs
             bad = _warn_unless_finite(value, ws, "the residual")
             if bad is not None:

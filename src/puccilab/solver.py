@@ -19,7 +19,13 @@ constant field.
 The march's own arithmetic allocates nothing per step: the stencils
 write into one workspace that the march creates for itself (never a
 module-level one, so threads can march at the same time), and each
-level is written in place into the preallocated history.  A level is
+level is written in place into the preallocated history.  On a
+power-of-two h the stencils return raw lattice differences, and the
+operator value comes in units of h^2; the step multiplies it by
+tau / h^2 instead of tau, and adds a scalar forcing as f h^2 (an array
+forcing takes one more pass, which scales the value first).  The
+scaling is exact, so each level keeps the bits of the divided
+stencils.  A level is
 stepped as one flat vector, on the range [lo, hi) that holds its
 interior nodes and the ghost positions between interior rows (see
 operators._Workspace).  Each step first writes the stepped range into
@@ -142,7 +148,7 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     shape = grid.spatial_shape
     if any(s < 3 for s in shape):
         raise InputError("grid has no interior column to update")
-    ws = _Workspace(shape)
+    ws = _Workspace(shape, grid.h)
     lo, hi = ws.lo, ws.hi
     stepped = np.zeros(int(np.prod(shape)), dtype=bool)
     stepped[lo:hi] = _ball_mask(grid, grid.spatial_extent).reshape(-1)[lo:hi] & ws.valid
@@ -160,7 +166,7 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     slab_shape = (shape[0] - 2,) + shape[1:]
     f_range = slice(lo - slab, hi - slab)
     finite = np.empty(shape, dtype=bool)
-    tau = grid.tau
+    tau, scale, unit = grid.tau, ws.scale, ws.units[0]
 
     u = np.empty((grid.n_time_levels,) + shape)
     flat = u.reshape(grid.n_time_levels, -1)
@@ -170,11 +176,18 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.n_time_levels):
             if m > 0:
-                # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation
+                # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation;
+                # the operator value comes in the units of h^2 (see
+                # operators._Workspace), which tau / h^2 takes out
                 value = _slice_operator_value(prob.op_tag, u[m - 1], grid.h, ws)
                 forcing = _field_values(prob.f, grid, m - 1, slab_mesh, slabs, slab_shape)
-                value += forcing if forcing.ndim == 0 else forcing.reshape(-1)[f_range]
-                np.multiply(tau, value, out=value)
+                if forcing.ndim == 0:
+                    value += forcing * unit
+                    np.multiply(tau * scale, value, out=value)
+                else:
+                    np.multiply(value, scale, out=value)
+                    value += forcing.reshape(-1)[f_range]
+                    np.multiply(tau, value, out=value)
                 np.add(flat[m - 1, lo:hi], value, out=flat[m, lo:hi])
                 boundary = _field_values(prob.g, grid, m, shell_coords, shell, shell.shape)
                 flat[m, shell] = boundary

@@ -833,3 +833,28 @@ def test_divide_divides_when_no_exact_reciprocal_exists():
             got = operators._divide(values.copy(), den)
         assert not np.array_equal(by_reciprocal, want)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "n_dim, op, bound",
+    [
+        (2, PLaplaceOp(PLaplaceParams(p=2.5, epsilon=1.0 / 64)), 8),
+        (3, PucciPlusOp(EllipticityPair(1.0, 2.0)), 20),
+    ],
+    ids=["2d-p-flow", "3d-pucci"],
+)
+def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
+    # Every buffer of a workspace is as long as the stencil range, and a
+    # march reads them all at every step: their count is the step's cache
+    # footprint.  Pucci data with a saddle send rows through the gather.
+    h = 1.0 / 64 if n_dim == 2 else 1.0 / 8
+    grid = Grid(n_dim=n_dim, h=h, tau=h * h / 16, spatial_extent=1.0, time_extent=h * h / 16)
+    sl = sample(lambda x, t: np.sin(3.0 * x[0]) * np.cos(2.0 * x[1]) + x[0] * x[-1], grid).data[1]
+    sent = _count_eigen_rows(monkeypatch)
+    ws = operators._Workspace(sl.shape, h)
+    assert ws.units == (h * h, 4.0 * h * h, 2.0 * h)
+    _slice_operator_value(op, sl, h, ws)
+    buffers = list(ws._buffers.values())
+    assert all(b.shape == (ws.hi - ws.lo,) for b in buffers)
+    assert len(buffers) <= bound
+    assert sum(sent) > 0 or isinstance(op, PLaplaceOp)

@@ -1,10 +1,12 @@
 """Explicit marching: exactness, monotonicity, stability guards."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from puccilab import operators
 from puccilab.errors import BlowUpError, CFLViolationError, InputError
 from puccilab.grid import Grid, GridFunction, _ball_mask, sample
 from puccilab.linalg import jacobi_eigh_batch
@@ -17,6 +19,8 @@ from puccilab.operators import (
     PucciPlusOp,
     _eigen_value_sums,
     _hessian_stack,
+    class_membership,
+    pde_residual,
 )
 from puccilab.solver import (
     DirichletProblem,
@@ -483,3 +487,176 @@ def test_stored_forcing_and_boundary_data_march_like_the_callables(grid_name):
         op_tag=op, f=sample(_wavy_f, grid), g=sample(_wavy_g, grid), grid=grid
     )
     assert np.array_equal(solve_dirichlet(stored).data, u_callable.data)
+
+
+# ---------------------------------------------------------------------------
+# Raw lattice differences against references that divide at each stencil.
+#
+# On a power-of-two h the stencil kernels return raw differences, and
+# membership, the residual and the march fold the units into multiplies
+# they already make.  Their results must keep the bits of the references
+# below, which divide at every stencil, on every grid of _GRIDS (h = 0.1
+# runs the dividing kernels).
+
+
+def _saddle_g(mesh, t):
+    """_wavy_g plus an indefinite quadratic: many Hessians are uncertified."""
+    return _wavy_g(mesh, t) + mesh[0] ** 2 - 2.0 * mesh[-1] ** 2 + 3.0 * mesh[0] * mesh[-1]
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_membership(u, ell, f_bound):
+    """class_membership's slacks and worst node, from _reference_operator."""
+    grid = u.grid
+    inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
+    worst = {True: np.inf, False: np.inf}
+    worst_key, worst_node = np.inf, (1, (1,) * grid.n_dim)
+    for m in range(1, grid.n_time_levels):
+        sl = u.data[m]
+        dt = (sl[inner] - u.data[m - 1][inner]) / grid.tau
+        m_plus = _reference_operator(PucciPlusOp(ell), sl, grid.h)
+        m_minus = _reference_operator(PucciMinusOp(ell), sl, grid.h)
+        for is_sub, slack in ((True, dt - m_minus + f_bound), (False, f_bound - (dt - m_plus))):
+            k = int(np.argmin(slack))
+            val = float(slack.flat[k])
+            worst[is_sub] = min(worst[is_sub], val)
+            if val < worst_key:
+                worst_key = val
+                worst_node = (m, tuple(int(i) + 1 for i in np.unravel_index(k, slack.shape)))
+    return worst[True], worst[False], worst_node
+
+
+def _reference_stencils(sl, h):
+    """Second differences, cross differences and gradient, each divided."""
+    n = sl.ndim
+
+    def at(moves):
+        shift = [moves.get(k, 0) for k in range(n)]
+        return sl[tuple(slice(1 + s, d - 1 + s) for s, d in zip(shift, sl.shape))]
+
+    diag = [(at({i: 1}) - 2.0 * at({}) + at({i: -1})) / (h * h) for i in range(n)]
+    cross = {
+        (i, j): (at({i: 1, j: 1}) - at({i: 1, j: -1}) - at({i: -1, j: 1}) + at({i: -1, j: -1}))
+        / (4.0 * (h * h))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    grad = [(at({i: 1}) - at({i: -1})) / (2.0 * h) for i in range(n)]
+    return diag, cross, grad
+
+
+def _reference_envelope_residual(u, p, f):
+    """pde_residual(u, exact p-Laplacian, f, zero_gradient='envelope')."""
+    grid = u.grid
+    inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
+    out = np.zeros_like(u.data)
+    zero_rows = 0
+    for m in range(1, grid.n_time_levels):
+        diag, cross, grad = _reference_stencils(u.data[m], grid.h)
+        trace = sum(diag[1:], diag[0])
+        norm2 = sum((g * g for g in grad[1:]), grad[0] * grad[0])
+        quad = grad[0] * grad[0] * diag[0]
+        for i in range(1, grid.n_dim):
+            quad = quad + grad[i] * grad[i] * diag[i]
+        for (i, j), val in cross.items():
+            quad = quad + 2.0 * (grad[i] * grad[j] * val)
+        zero = norm2 == 0.0
+        low = trace + (p - 2.0) * (quad / np.where(zero, 1.0, norm2))
+        high = low.copy()
+        if zero.any():
+            extremes = jacobi_eigh_batch(_hessian_stack(diag, cross)[zero])[:, [0, -1]]
+            ends = trace[zero][:, None] + (p - 2.0) * extremes
+            low[zero], high[zero] = ends.min(axis=1), ends.max(axis=1)
+            zero_rows += int(zero.sum())
+        res = (u.data[m][inner] - u.data[m - 1][inner]) / grid.tau - f.data[m][inner]
+        out[m][inner] = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
+    return out, zero_rows
+
+
+def _planted_zero_gradients(u):
+    """u with an exactly vanishing centered gradient at interior nodes three steps apart."""
+    data = u.data.copy()
+    starts = [range(2, s - 2, 3) for s in u.grid.spatial_shape]
+    for node in itertools.product(*starts):
+        for i in range(u.grid.n_dim):
+            up, down = list(node), list(node)
+            up[i] += 1
+            down[i] -= 1
+            data[(slice(None), *up)] = data[(slice(None), *down)]
+    return GridFunction(grid=u.grid, data=data)
+
+
+def _eigen_rows(monkeypatch):
+    """Record the number of rows of every stack that operators hands the eigen-solver."""
+    sent = []
+
+    def counting(mats):
+        sent.append(int(np.prod(mats.shape[:-2])))
+        return jacobi_eigh_batch(mats)
+
+    monkeypatch.setattr(operators, "jacobi_eigh_batch", counting)
+    return sent
+
+
+@pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+def test_membership_equals_the_dividing_reference_bitwise(grid_name, monkeypatch):
+    grid = _GRIDS[grid_name]
+    u = sample(_saddle_g, grid)
+    sent = _eigen_rows(monkeypatch)
+    report = class_membership(u, _ELL, f_bound=0.5)
+    sub, sup, node = _reference_membership(u, _ELL, 0.5)
+    assert _bits(report.worst_sub_slack, report.worst_super_slack) == _bits(sub, sup)
+    assert report.worst_node == node
+    # the saddle sends uncertified rows through the gather path
+    assert (sum(sent) > 0) == (grid.n_dim > 1)
+
+
+@pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+@pytest.mark.parametrize("op_name", sorted(_OPS) + ["p=2.5, eps=0"])
+def test_residual_equals_the_dividing_reference_bitwise(op_name, grid_name):
+    grid = _GRIDS[grid_name]
+    op = _OPS.get(op_name, PLaplaceOp(PLaplaceParams(p=2.5, epsilon=0.0)))
+    u, f = sample(_saddle_g, grid), sample(_wavy_f, grid)
+    inner = tuple(slice(1, -1) for _ in range(grid.n_dim))
+    want = np.zeros_like(u.data)
+    for m in range(1, grid.n_time_levels):
+        dt = (u.data[m][inner] - u.data[m - 1][inner]) / grid.tau
+        want[m][inner] = dt - _reference_operator(op, u.data[m], grid.h) - f.data[m][inner]
+    got = pde_residual(u, op, f)
+    assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+@pytest.mark.parametrize("p", [1.5, 2.5])
+def test_envelope_residual_equals_the_dividing_reference_bitwise(p, grid_name, monkeypatch):
+    grid = _GRIDS[grid_name]
+    u, f = _planted_zero_gradients(sample(_saddle_g, grid)), sample(_wavy_f, grid)
+    op = PLaplaceOp(PLaplaceParams(p=p, epsilon=0.0))
+    sent = _eigen_rows(monkeypatch)
+    got = pde_residual(u, op, f, zero_gradient="envelope")
+    want, zero_rows = _reference_envelope_residual(u, p, f)
+    assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
+    # every planted node is an envelope row, eigen-solved and nothing else
+    assert zero_rows > 0 and sum(sent) == zero_rows
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("grid_name", sorted(_GRIDS))
+@pytest.mark.parametrize("op_name", sorted(_OPS))
+def test_march_and_membership_keep_their_bits_far_from_unit_scale(op_name, grid_name, scale):
+    # raw products leave the normal range at other magnitudes than the
+    # divided ones (gradient squares underflow earlier, quotients
+    # overflow later); at 1e+-100 both stay inside it
+    grid = _GRIDS[grid_name]
+    g = lambda mesh, t: scale * _wavy_g(mesh, t)
+    f = lambda mesh, t: scale * _wavy_f(mesh, t)
+    prob = DirichletProblem(op_tag=_OPS[op_name], f=f, g=g, grid=grid)
+    u = solve_dirichlet(prob)
+    assert np.array_equal(u.data.view(np.int64), _reference_march(prob).view(np.int64))
+    report = class_membership(u, _ELL, f_bound=scale)
+    sub, sup, node = _reference_membership(u, _ELL, scale)
+    assert _bits(report.worst_sub_slack, report.worst_super_slack) == _bits(sub, sup)
+    assert report.worst_node == node
