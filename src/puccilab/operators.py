@@ -301,7 +301,9 @@ def envelope_residuals(m, q, p: float) -> tuple[float, float]:
 #     terms by 1/2 instead of 2, and its value carries the units of h^2;
 #   - Gershgorin compares each d_i with the |c_ij| / 4;
 #   - the Hessians sent to the eigen-solver are scaled to their values
-#     first, so the solver sees the numbers of the divided differences.
+#     first, so the solver sees the numbers of the divided differences;
+#   - the residual and the envelope, which are not hot, take one more
+#     pass that scales their values.
 # Any other h, and a workspace made without h, has units 1: the kernels
 # divide as written above and every folded factor is the plain one.
 

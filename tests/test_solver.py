@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from puccilab import operators
 from puccilab.errors import BlowUpError, CFLViolationError, InputError
 from puccilab.grid import Grid, GridFunction, _ball_mask, sample
 from puccilab.linalg import jacobi_eigh_batch
@@ -29,6 +28,7 @@ from puccilab.solver import (
     solve_dirichlet,
     solve_p_laplace_regularized,
 )
+from test_operators import _count_eigen_rows
 
 np.random.seed(42)
 
@@ -576,7 +576,7 @@ def _reference_envelope_residual(u, p, f):
     return out, zero_rows
 
 
-def _planted_zero_gradients(u):
+def _plant_zero_gradients(u):
     """u with an exactly vanishing centered gradient at interior nodes three steps apart."""
     data = u.data.copy()
     starts = [range(2, s - 2, 3) for s in u.grid.spatial_shape]
@@ -589,23 +589,11 @@ def _planted_zero_gradients(u):
     return GridFunction(grid=u.grid, data=data)
 
 
-def _eigen_rows(monkeypatch):
-    """Record the number of rows of every stack that operators hands the eigen-solver."""
-    sent = []
-
-    def counting(mats):
-        sent.append(int(np.prod(mats.shape[:-2])))
-        return jacobi_eigh_batch(mats)
-
-    monkeypatch.setattr(operators, "jacobi_eigh_batch", counting)
-    return sent
-
-
 @pytest.mark.parametrize("grid_name", sorted(_GRIDS))
 def test_membership_equals_the_dividing_reference_bitwise(grid_name, monkeypatch):
     grid = _GRIDS[grid_name]
     u = sample(_saddle_g, grid)
-    sent = _eigen_rows(monkeypatch)
+    sent = _count_eigen_rows(monkeypatch)
     report = class_membership(u, _ELL, f_bound=0.5)
     sub, sup, node = _reference_membership(u, _ELL, 0.5)
     assert _bits(report.worst_sub_slack, report.worst_super_slack) == _bits(sub, sup)
@@ -633,9 +621,9 @@ def test_residual_equals_the_dividing_reference_bitwise(op_name, grid_name):
 @pytest.mark.parametrize("p", [1.5, 2.5])
 def test_envelope_residual_equals_the_dividing_reference_bitwise(p, grid_name, monkeypatch):
     grid = _GRIDS[grid_name]
-    u, f = _planted_zero_gradients(sample(_saddle_g, grid)), sample(_wavy_f, grid)
+    u, f = _plant_zero_gradients(sample(_saddle_g, grid)), sample(_wavy_f, grid)
     op = PLaplaceOp(PLaplaceParams(p=p, epsilon=0.0))
-    sent = _eigen_rows(monkeypatch)
+    sent = _count_eigen_rows(monkeypatch)
     got = pde_residual(u, op, f, zero_gradient="envelope")
     want, zero_rows = _reference_envelope_residual(u, p, f)
     assert np.array_equal(got.data.view(np.int64), want.view(np.int64))
