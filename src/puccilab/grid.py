@@ -10,7 +10,8 @@ Time levels run from -T to 0 inclusive, step tau.
 
 GridFunction data is stored time-slowest, spatial axes row-major, and
 is frozen after construction, so derived quantities (the sup norm, the
-per-column reductions over a time window) are computed once and kept.
+per-column reductions over a long time window) are computed once and
+kept.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ __all__ = [
 
 FILE_MAGIC = "PUCCILAB1"
 
-# Time windows whose column reductions one GridFunction keeps; beyond
-# this the oldest is dropped, so the memo never holds more than
-# 3 * _WINDOW_SLOTS spatial slices, however many levels the field has.
+# Time windows whose column reductions one GridFunction keeps for the
+# cylinders whose block exceeds one slice; beyond this the oldest is
+# dropped, so the memo never holds more than 3 * _WINDOW_SLOTS spatial
+# slices, however many levels the field has.
 _WINDOW_SLOTS = 32
 
 # Relative slack for the open/closed cylinder inequalities.  Node
@@ -260,9 +262,9 @@ class GridFunction:
         Each is one read-only spatial slice.  They are computed once per
         window and kept; at most _WINDOW_SLOTS windows stay (the oldest
         is dropped first), so the memo holds at most 3 * _WINDOW_SLOTS
-        slices and never O(levels x nodes).  The p-sweep benchmark (10
-        points at t0 = 0 on a 129^2 box, clipped scales not fitted)
-        keeps the five windows of its contained scales, 2.0 MB.
+        slices and never O(levels x nodes).  Only cylinders whose block
+        exceeds one slice read them (the clipped whole-history scales
+        that many centers share); the p-sweep benchmark's fits keep none.
         """
         key = (int(lo), int(hi))
         if not 0 <= key[0] <= key[1] < self.grid.n_time_levels:
@@ -313,7 +315,7 @@ def _level_sum(block: np.ndarray) -> np.ndarray:
         for level in block:
             total += level
         return total
-    lanes = block[:8].copy()
+    lanes = block[:8] + 0.0  # numpy starts from its identity, +0.0
     whole = n - n % 8
     for i in range(8, whole, 8):
         lanes += block[i : i + 8]
@@ -456,12 +458,19 @@ class CylinderIndex:
     def column_reductions(self, u: GridFunction) -> tuple[np.ndarray, ...]:
         """Per-column mean, min and max of u over the window, each (columns,).
 
-        Read off u's memoized window reductions, so cylinders that share
-        a time window (every scale clipped at the bottom, or centers at
-        the same t0) never touch the (levels x columns) block again.
+        A (levels x columns) block no larger than one lattice slice is
+        gathered and reduced along each column's contiguous levels, where
+        numpy sums pairwise as _level_sum does, so its cost follows the
+        cylinder, not the lattice.  A larger block (a clipped scale's
+        whole history, which many centers share) is never copied: it is
+        read off u's memoized window reductions.  Both give the same bits,
+        and neither holds more than the memo's three slices.
         """
         if u.grid != self.grid:
             raise InputError("grid function lives on a different grid")
+        if self.node_count <= math.prod(self.grid.spatial_shape):
+            block = np.ascontiguousarray(self.values(u).T)
+            return block.sum(axis=1) / block.shape[1], block.min(axis=1), block.max(axis=1)
         reductions = u.window_reductions(*self.window)
         return tuple(r[self.box][self.box_mask] for r in reductions)
 

@@ -1,7 +1,10 @@
-"""The fit path: fits read off memoized per-column window reductions.
+"""The fit path: fits read off per-column window reductions.
 
-The oracles here work on the full (levels x columns) block of values,
-gathered with the fancy index the fits no longer use.
+A cylinder whose (levels x columns) block fits in one lattice slice
+reduces its own gathered columns; a larger one reads the field's
+memoized whole-lattice window reductions.  Both must give the same
+bits.  The oracles here work on the full block of values, gathered with
+the fancy index of the whole-lattice mask.
 """
 
 import copy
@@ -114,31 +117,93 @@ def test_values_equals_fancy_index_gather():
         assert np.array_equal(cyl.values(u), gathered(u, cyl))
 
 
-def test_column_reductions_match_the_gathered_block():
-    u = random_field()
-    for x0, t0, r in INTERIOR_CASES:
-        cyl = cylinder_nodes(u.grid, (np.array(x0), t0), r)
-        mean, lo, hi = cyl.column_reductions(u)
-        values = gathered(u, cyl)
-        assert np.array_equal(mean, values.mean(axis=0))
-        assert np.array_equal(lo, values.min(axis=0))
-        assert np.array_equal(hi, values.max(axis=0))
-    other = random_field(half_space=True)
+def above_the_rule(cyl):
+    """Whether column_reductions reads the window memo: a block of more
+    nodes than one lattice slice."""
+    block = len(cyl.time_levels) * np.count_nonzero(cyl.box_mask)
+    return block > np.prod(cyl.grid.spatial_shape)
+
+
+def column_oracle(u, cyl):
+    """Mean, min and max of each gathered column, laid out contiguously."""
+    columns = np.ascontiguousarray(gathered(u, cyl).T)
+    return np.add.reduce(columns, axis=1) / columns.shape[1], columns.min(axis=1), columns.max(axis=1)
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# (grid, center x0, radius of the small cylinder): each window length
+# is taken at the bottom of a 301-level history (r^2 reaches past it),
+# once with the small radius, which stays within one lattice slice even
+# at 300 levels, and once with the box's half width.  The face
+# center keeps the half-space cylinder to the three columns above it.
+REDUCTION_LAYOUTS = {
+    "1-D": (dict(n_dim=1, h=1.0 / 512), (0.25,), 1.5),
+    "2-D": (dict(n_dim=2, h=1.0 / 32), (0.25, -0.5), 1.5),
+    "half-space": (dict(n_dim=2, h=1.0 / 32, half_space=True), (0.25, 0.0), 1.5),
+    "staggered": (dict(n_dim=2, h=1.0 / 32, stagger=True), (0.125, 0.015625), 1.5),
+    "3-D": (dict(n_dim=3, h=1.0 / 8), (0.125, 0.0, -0.25), 1.2),
+}
+WINDOW_LENGTHS = (1, 7, 8, 129, 300)
+
+
+@pytest.mark.parametrize("layout", sorted(REDUCTION_LAYOUTS))
+def test_column_reductions_match_the_gathered_block(layout):
+    kwargs, x0, small = REDUCTION_LAYOUTS[layout]
+    h = kwargs["h"]
+    tau = 2.0 ** np.floor(np.log2((small * h) ** 2 / 300))
+    grid = Grid(tau=tau, time_extent=300 * tau, **kwargs)
+    rng = np.random.default_rng(len(layout))
+    data = rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
+    data *= rng.uniform(0.1, 10.0, (grid.n_time_levels,) + (1,) * grid.n_dim)
+    # columns of negative zeros, whose mean is +0.0 on either side
+    data.reshape(grid.n_time_levels, -1)[:, ::7] = -0.0
+    sides = set()
+    for levels in WINDOW_LENGTHS:
+        t0 = grid.time_values[levels - 1]
+        for r in (small * h, 1.0):
+            cyl = cylinder_nodes(grid, (np.array(x0), t0), r)
+            assert len(cyl.time_levels) == levels
+            u = GridFunction(grid, data)
+            got = cyl.column_reductions(u)
+            large = bool(above_the_rule(cyl))
+            # only a block above the rule reads (and fills) the memo
+            assert [k for k in u._memo if isinstance(k, tuple)] == ([cyl.window] if large else [])
+            sides.add((levels, large))
+            assert_same_bits(got, column_oracle(u, cyl))
+            # the memo's slices give the same bits as the gather
+            mask = cyl.spatial_mask
+            assert_same_bits(got, [w[mask] for w in u.window_reductions(*cyl.window)])
+            assert not any(np.signbit(m) for m in got[0][got[0] == 0.0])
+    # a window of 1 level fits in one slice whatever the radius; every
+    # longer window is taken on both sides of the rule
+    assert sides == {(1, False)} | {(n, side) for n in WINDOW_LENGTHS[1:] for side in (False, True)}
+    other = random_field(half_space=not grid.half_space)
     with pytest.raises(InputError, match="different grid"):
         cyl.column_reductions(other)
+
+
+def test_interior_cases_fall_on_both_sides_of_the_rule():
+    u = random_field()
+    sides = [above_the_rule(cylinder_nodes(u.grid, (np.array(x0), t0), r))
+             for x0, t0, r in INTERIOR_CASES]
+    assert True in sides and False in sides
 
 
 @pytest.mark.parametrize("levels", [1, 5, 8, 13, 128, 129, 300, 1037])
 def test_level_sum_is_pairwise_along_each_column(levels):
     rng = np.random.default_rng(levels)
     block = rng.standard_normal((levels, 5, 7)) * rng.uniform(0.1, 10.0, (levels, 1, 1))
+    block[:, 0] = -0.0  # numpy sums these to +0.0
     columns = np.ascontiguousarray(block.reshape(levels, -1).T)
     expected = np.add.reduce(columns, axis=1).reshape(5, 7)
-    assert np.array_equal(grid_module._level_sum(block), expected)
+    assert grid_module._level_sum(block).tobytes() == expected.tobytes()
 
 
-def test_shared_windows_are_reduced_once(monkeypatch):
-    u = random_field()
+def _counting_window_reductions(monkeypatch):
     calls = []
     real = grid_module._window_reductions
 
@@ -147,16 +212,27 @@ def test_shared_windows_are_reduced_once(monkeypatch):
         return real(block)
 
     monkeypatch.setattr(grid_module, "_window_reductions", counting)
+    return calls
+
+
+def test_shared_windows_above_the_rule_are_reduced_once(monkeypatch):
+    u = random_field()
+    calls = _counting_window_reductions(monkeypatch)
     coords = u.grid.axis_coords(0)
     rng = np.random.default_rng(0)
     points = [(coords[rng.integers(4, len(coords) - 4, size=2)], 0.0) for _ in range(10)]
-    windows = set()
+    windows, small = set(), 0
     for pt in points:
         rep = decay_sequence(u, pt, eta=0.75, K=9)
-        windows.update(e.fit.cylinder.window for e in rep.entries)
+        for e in rep.entries:
+            if above_the_rule(e.fit.cylinder):
+                windows.add(e.fit.cylinder.window)
+            else:
+                small += 1
     # every scale past r^2 = T clips to the whole history, so the ten
-    # points share a handful of windows
-    assert len(windows) < 10
+    # points share a handful of windows, each above the rule
+    assert 0 < len(windows) < 10 and small > 0
+    assert (0, u.grid.n_time_levels - 1) in windows
     assert len(calls) == len(windows)
     stored = {k: v for k, v in u._memo.items() if isinstance(k, tuple)}
     assert set(stored) == windows
@@ -167,6 +243,25 @@ def test_shared_windows_are_reduced_once(monkeypatch):
         assert not any(s.flags.writeable for s in slices)
         assert u.window_reductions(lo, hi) is slices
     assert len(calls) == len(windows)
+
+
+def test_cylinders_below_the_rule_add_no_memo_entry(monkeypatch):
+    # the p-sweep's geometry: ten points at t0 = 0, clipped scales
+    # skipped, and every contained scale's block within one slice
+    grid = Grid(n_dim=2, h=1.0 / 16, tau=2.0**-10, time_extent=2.0**-6)
+    rng = np.random.default_rng(2)
+    u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+    calls = _counting_window_reductions(monkeypatch)
+    coords = grid.axis_coords(0)
+    fits = 0
+    for i in range(10):
+        x0 = coords[rng.integers(4, len(coords) - 4, size=2)]
+        rep = decay_sequence(u, (x0, 0.0), eta=0.75, K=9, fit_clipped=False)
+        assert not any(above_the_rule(e.fit.cylinder) for e in rep.entries)
+        fits += len(rep.entries)
+    assert fits >= 20
+    assert calls == []
+    assert list(u._memo) == ["sup_norm"]
 
 
 def test_memo_keeps_a_bounded_number_of_windows():
@@ -249,15 +344,12 @@ def test_threads_sharing_a_field_reduce_each_window_once(monkeypatch):
     u = random_field()
     coords = u.grid.axis_coords(0)
     points = [(np.array([coords[i], coords[-i - 1]]), 0.0) for i in range(6, 14)]
-    serial = [decay_sequence(random_field(), pt, eta=0.75, K=9).sup_errors for pt in points]
-    calls = []
-    real = grid_module._window_reductions
-
-    def counting(block):
-        calls.append(block.shape[0])
-        return real(block)
-
-    monkeypatch.setattr(grid_module, "_window_reductions", counting)
+    serial = [decay_sequence(random_field(), pt, eta=0.75, K=9) for pt in points]
+    large = {e.fit.cylinder.window for rep in serial for e in rep.entries
+             if above_the_rule(e.fit.cylinder)}
+    # the sup errors compared below come from fits on both sides of the rule
+    assert large and not all(above_the_rule(e.fit.cylinder) for e in serial[0].entries)
+    calls = _counting_window_reductions(monkeypatch)
     results = [None] * len(points)
 
     def work(i):
@@ -274,9 +366,10 @@ def test_threads_sharing_a_field_reduce_each_window_once(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(calls) == len([k for k in u._memo if isinstance(k, tuple)])
+    assert len(calls) == len(large)
+    assert {k for k in u._memo if isinstance(k, tuple)} == large
     for got, want in zip(results, serial):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.sup_errors.tobytes()
 
 
 def _traced_peak(run):
@@ -291,24 +384,27 @@ def _traced_peak(run):
 
 def test_a_small_cylinder_costs_the_same_on_any_lattice():
     # Q_{3h} holds the same 5 x 5 block of columns on a 65^2 and on a
-    # 257^2 lattice; with the window memo warm, nothing of its fit may
-    # scale with the lattice (a lattice-sized mask alone is 66 KB here)
+    # 257^2 lattice; nothing of its fit may scale with the lattice (a
+    # lattice-sized mask alone is 66 KB here), neither the first fit on
+    # a fresh field nor a later one
     peaks = {}
     for h in (1.0 / 32, 1.0 / 128):
         grid = Grid(n_dim=2, h=h, tau=h * h, time_extent=16 * h * h)
         rng = np.random.default_rng(3)
-        u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+        data = rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
+        u = GridFunction(grid, data)
         center = (np.zeros(2), 0.0)
         cyl = cylinder_nodes(grid, center, 3 * h)
-        best_linear_fit(u, cyl)
+        cold = _traced_peak(lambda: best_linear_fit(u, cyl))
         peaks[grid.spatial_shape[0]] = {
+            "cold fit": cold,
             "fit": _traced_peak(lambda: best_linear_fit(u, cyl)),
             "values": _traced_peak(lambda: cyl.values(u)),
             "reductions": _traced_peak(lambda: cyl.column_reductions(u)),
             "cylinder": _traced_peak(lambda: cylinder_nodes(grid, center, 3 * h)),
         }
     small, large = peaks[65], peaks[257]
-    for key in ("fit", "values", "reductions"):
+    for key in ("cold fit", "fit", "values", "reductions"):
         assert large[key] <= small[key], (key, peaks)
     # the cylinder reads each axis's coordinates once: a few axis-length
     # arrays, never a lattice-sized one
