@@ -127,7 +127,8 @@ def above_the_rule(cyl):
 def column_oracle(u, cyl):
     """Mean, min and max of each gathered column, laid out contiguously."""
     columns = np.ascontiguousarray(gathered(u, cyl).T)
-    return np.add.reduce(columns, axis=1) / columns.shape[1], columns.min(axis=1), columns.max(axis=1)
+    mean = np.add.reduce(columns, axis=1) / columns.shape[1]
+    return mean, columns.min(axis=1), columns.max(axis=1)
 
 
 def assert_same_bits(got, want):
@@ -135,62 +136,64 @@ def assert_same_bits(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-# (grid, center x0, radius of the small cylinder): each window length
-# is taken at the bottom of a 301-level history (r^2 reaches past it),
-# once with the small radius, which stays within one lattice slice even
-# at 300 levels, and once with the box's half width.  The face
+def assert_reductions_on_their_side(data, cyl):
+    """column_reductions on a fresh field: the oracle's bits and the
+    memo's, signed zeros included, and a memo entry exactly when the
+    block is above the rule.  Returns whether it is."""
+    u = GridFunction(cyl.grid, data)
+    got = cyl.column_reductions(u)
+    large = bool(above_the_rule(cyl))
+    assert [k for k in u._memo if isinstance(k, tuple)] == ([cyl.window] if large else [])
+    assert_same_bits(got, column_oracle(u, cyl))
+    mask = cyl.spatial_mask
+    assert_same_bits(got, [w[mask] for w in u.window_reductions(*cyl.window)])
+    assert not np.signbit(got[0][got[0] == 0.0]).any()
+    return large
+
+
+# (grid, center x0, radius of the small cylinder in steps): each window
+# length is taken at the bottom of a 301-level history (r^2 reaches past
+# it), once with the small radius, which stays within one lattice slice
+# even at 300 levels, and once with the box's half width.  The face
 # center keeps the half-space cylinder to the three columns above it.
-REDUCTION_LAYOUTS = {
-    "1-D": (dict(n_dim=1, h=1.0 / 512), (0.25,), 1.5),
-    "2-D": (dict(n_dim=2, h=1.0 / 32), (0.25, -0.5), 1.5),
-    "half-space": (dict(n_dim=2, h=1.0 / 32, half_space=True), (0.25, 0.0), 1.5),
-    "staggered": (dict(n_dim=2, h=1.0 / 32, stagger=True), (0.125, 0.015625), 1.5),
-    "3-D": (dict(n_dim=3, h=1.0 / 8), (0.125, 0.0, -0.25), 1.2),
-}
+REDUCTION_LAYOUTS = [
+    (dict(n_dim=1, h=1.0 / 512), (0.25,), 1.5),
+    (dict(n_dim=2, h=1.0 / 32), (0.25, -0.5), 1.5),
+    (dict(n_dim=2, h=1.0 / 32, half_space=True), (0.25, 0.0), 1.5),
+    (dict(n_dim=2, h=1.0 / 32, stagger=True), (0.125, 0.015625), 1.5),
+    (dict(n_dim=3, h=1.0 / 8), (0.125, 0.0, -0.25), 1.2),
+]
 WINDOW_LENGTHS = (1, 7, 8, 129, 300)
 
 
-@pytest.mark.parametrize("layout", sorted(REDUCTION_LAYOUTS))
-def test_column_reductions_match_the_gathered_block(layout):
-    kwargs, x0, small = REDUCTION_LAYOUTS[layout]
-    h = kwargs["h"]
-    tau = 2.0 ** np.floor(np.log2((small * h) ** 2 / 300))
-    grid = Grid(tau=tau, time_extent=300 * tau, **kwargs)
-    rng = np.random.default_rng(len(layout))
-    data = rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
-    data *= rng.uniform(0.1, 10.0, (grid.n_time_levels,) + (1,) * grid.n_dim)
-    # columns of negative zeros, whose mean is +0.0 on either side
-    data.reshape(grid.n_time_levels, -1)[:, ::7] = -0.0
-    sides = set()
-    for levels in WINDOW_LENGTHS:
-        t0 = grid.time_values[levels - 1]
-        for r in (small * h, 1.0):
-            cyl = cylinder_nodes(grid, (np.array(x0), t0), r)
-            assert len(cyl.time_levels) == levels
-            u = GridFunction(grid, data)
-            got = cyl.column_reductions(u)
-            large = bool(above_the_rule(cyl))
-            # only a block above the rule reads (and fills) the memo
-            assert [k for k in u._memo if isinstance(k, tuple)] == ([cyl.window] if large else [])
-            sides.add((levels, large))
-            assert_same_bits(got, column_oracle(u, cyl))
-            # the memo's slices give the same bits as the gather
-            mask = cyl.spatial_mask
-            assert_same_bits(got, [w[mask] for w in u.window_reductions(*cyl.window)])
-            assert not any(np.signbit(m) for m in got[0][got[0] == 0.0])
-    # a window of 1 level fits in one slice whatever the radius; every
-    # longer window is taken on both sides of the rule
-    assert sides == {(1, False)} | {(n, side) for n in WINDOW_LENGTHS[1:] for side in (False, True)}
-    other = random_field(half_space=not grid.half_space)
-    with pytest.raises(InputError, match="different grid"):
-        cyl.column_reductions(other)
-
-
-def test_interior_cases_fall_on_both_sides_of_the_rule():
+def test_column_reductions_match_the_gathered_block():
     u = random_field()
-    sides = [above_the_rule(cylinder_nodes(u.grid, (np.array(x0), t0), r))
-             for x0, t0, r in INTERIOR_CASES]
+    sides = [
+        assert_reductions_on_their_side(u.data, cylinder_nodes(u.grid, (np.array(x0), t0), r))
+        for x0, t0, r in INTERIOR_CASES
+    ]
     assert True in sides and False in sides
+    for i, (kwargs, x0, small) in enumerate(REDUCTION_LAYOUTS):
+        h = kwargs["h"]
+        tau = 2.0 ** np.floor(np.log2((small * h) ** 2 / 300))
+        grid = Grid(tau=tau, time_extent=300 * tau, **kwargs)
+        rng = np.random.default_rng(i)
+        data = rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
+        data *= rng.uniform(0.1, 10.0, (grid.n_time_levels,) + (1,) * grid.n_dim)
+        # columns of negative zeros, whose mean is +0.0 on either side
+        data.reshape(grid.n_time_levels, -1)[:, ::7] = -0.0
+        sides = set()
+        for levels in WINDOW_LENGTHS:
+            t0 = grid.time_values[levels - 1]
+            for r in (small * h, 1.0):
+                cyl = cylinder_nodes(grid, (np.array(x0), t0), r)
+                assert len(cyl.time_levels) == levels
+                sides.add((levels, assert_reductions_on_their_side(data, cyl)))
+        # a window of 1 level fits in one slice whatever the radius; every
+        # longer window is taken on both sides of the rule
+        assert sides == {(1, False)} | {(n, b) for n in WINDOW_LENGTHS[1:] for b in (False, True)}
+    with pytest.raises(InputError, match="different grid"):
+        cyl.column_reductions(u)
 
 
 @pytest.mark.parametrize("levels", [1, 5, 8, 13, 128, 129, 300, 1037])
@@ -215,7 +218,7 @@ def _counting_window_reductions(monkeypatch):
     return calls
 
 
-def test_shared_windows_above_the_rule_are_reduced_once(monkeypatch):
+def test_shared_windows_are_reduced_once(monkeypatch):
     u = random_field()
     calls = _counting_window_reductions(monkeypatch)
     coords = u.grid.axis_coords(0)
@@ -254,7 +257,7 @@ def test_cylinders_below_the_rule_add_no_memo_entry(monkeypatch):
     calls = _counting_window_reductions(monkeypatch)
     coords = grid.axis_coords(0)
     fits = 0
-    for i in range(10):
+    for _ in range(10):
         x0 = coords[rng.integers(4, len(coords) - 4, size=2)]
         rep = decay_sequence(u, (x0, 0.0), eta=0.75, K=9, fit_clipped=False)
         assert not any(above_the_rule(e.fit.cylinder) for e in rep.entries)
@@ -391,8 +394,7 @@ def test_a_small_cylinder_costs_the_same_on_any_lattice():
     for h in (1.0 / 32, 1.0 / 128):
         grid = Grid(n_dim=2, h=h, tau=h * h, time_extent=16 * h * h)
         rng = np.random.default_rng(3)
-        data = rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
-        u = GridFunction(grid, data)
+        u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
         center = (np.zeros(2), 0.0)
         cyl = cylinder_nodes(grid, center, 3 * h)
         cold = _traced_peak(lambda: best_linear_fit(u, cyl))
