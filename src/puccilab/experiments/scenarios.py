@@ -231,34 +231,22 @@ def _membership_inside_ball(u, ell, f_bound):
     )
 
 
-def _sweep_one_p(p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, K):
-    try:
-        params = PLaplaceParams(p=p, epsilon=epsilon)
-        prob = DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid)
-        u = solve_dirichlet(prob)
-        ell = EllipticityPair(params.lam, params.Lam)
-        membership = _membership_inside_ball(u, ell, f_bound)
-        # only the exponents are read, so the clipped scales are not fitted
-        alphas = tuple(
-            decay_sequence(u, pt, eta=eta, K=K, fit_clipped=False).alpha_est
-            for pt in points
-        )
-        boundary_alphas = tuple(
-            boundary_decay_sequence(u, eta=eta, K=K, center=pt, fit_clipped=False).alpha_est
-            for pt in boundary_points
-        )
-        return PSweepRow(
-            p=p,
-            status="ok",
-            verdict=membership.verdict,
-            worst_sub_slack=membership.worst_sub_slack,
-            worst_super_slack=membership.worst_super_slack,
-            alpha_min=min(alphas) if alphas else None,
-            alphas=alphas,
-            boundary_alphas=boundary_alphas,
-        )
-    except PucciLabError as exc:
-        return PSweepRow(p=p, status=f"failed: {exc}")
+def _study(op, grid, f, g, f_bound, points, eta, K, boundary_points=()):
+    """March op, check its class box op.ell, and fit decay at each point.
+
+    Returns the membership report and the exponents at points and, by face
+    fits, at boundary_points; only exponents are read, so clipped scales are not fitted.
+    """
+    u = solve_dirichlet(DirichletProblem(op_tag=op, f=f, g=g, grid=grid))
+    membership = _membership_inside_ball(u, op.ell, f_bound)
+    alphas = tuple(
+        decay_sequence(u, pt, eta=eta, K=K, fit_clipped=False).alpha_est for pt in points
+    )
+    boundary_alphas = tuple(
+        boundary_decay_sequence(u, eta=eta, K=K, center=pt, fit_clipped=False).alpha_est
+        for pt in boundary_points
+    )
+    return membership, alphas, boundary_alphas
 
 
 def run_p_sweep(
@@ -292,8 +280,22 @@ def run_p_sweep(
     f_bound = _field_sup(f, grid) if p_list else 0.0
 
     def work(p):
-        return _sweep_one_p(
-            p, grid, f, g, epsilon, f_bound, points, boundary_points, eta, K
+        try:
+            op = PLaplaceOp(PLaplaceParams(p=p, epsilon=epsilon))
+            membership, alphas, boundary_alphas = _study(
+                op, grid, f, g, f_bound, points, eta, K, boundary_points
+            )
+        except PucciLabError as exc:
+            return PSweepRow(p=p, status=f"failed: {exc}")
+        return PSweepRow(
+            p=p,
+            status="ok",
+            verdict=membership.verdict,
+            worst_sub_slack=membership.worst_sub_slack,
+            worst_super_slack=membership.worst_super_slack,
+            alpha_min=min(alphas) if alphas else None,
+            alphas=alphas,
+            boundary_alphas=boundary_alphas,
         )
 
     p_values = [float(p) for p in p_list]
@@ -346,26 +348,16 @@ def run_ellipticity_sweep(
     if any(d < 0.0 for d in deltas):
         raise InputError(f"ellipticity offsets must be >= 0, got {deltas}")
     f_bound = _field_sup(f, grid) if deltas else 0.0
+    origin = [(np.zeros(grid.n_dim), 0.0)]
     rows = []
     for delta in deltas:
         try:
-            ell = EllipticityPair(1.0, 1.0 + delta)
-            prob = DirichletProblem(op_tag=PucciPlusOp(ell), f=f, g=g, grid=grid)
-            u = solve_dirichlet(prob)
-            membership = _membership_inside_ball(u, ell, f_bound)
-            decay = decay_sequence(
-                u, (np.zeros(grid.n_dim), 0.0), eta=eta, K=K, fit_clipped=False
-            )
-            rows.append(
-                EllipticityRow(
-                    delta=delta,
-                    status="ok",
-                    verdict=membership.verdict,
-                    alpha_est=decay.alpha_est,
-                )
-            )
+            op = PucciPlusOp(EllipticityPair(1.0, 1.0 + delta))
+            membership, (alpha,), _ = _study(op, grid, f, g, f_bound, origin, eta, K)
+            row = EllipticityRow(delta, "ok", membership.verdict, alpha)
         except PucciLabError as exc:
-            rows.append(EllipticityRow(delta=delta, status=f"failed: {exc}"))
+            row = EllipticityRow(delta=delta, status=f"failed: {exc}")
+        rows.append(row)
     return tuple(rows)
 
 

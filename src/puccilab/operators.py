@@ -14,6 +14,10 @@ The per-node API mirrors the math; the membership check and the
 residual evaluator work one time slice at a time with vectorized
 stencils, since grids carry millions of nodes.
 
+The solver marches operator tags, which carry ell, the ellipticity box
+of their class (heat (lam, lam), Pucci (lam, Lam), p-Laplace (min(1,
+p-1), max(1, p-1))), cfl_coefficient, its Lam, and slice_value.
+
 The Pucci operators read only the sums of the positive and of the
 negative eigenvalues of each Hessian.  When Gershgorin's discs certify
 a Hessian semidefinite (every diagonal entry at least, or at most the
@@ -135,9 +139,25 @@ class ClassReport:
 # Operator tags, shared with the solver.
 
 
+class _OperatorTag:
+    """Base of the tags: each supplies ell and _value(sl, h, ws, second differences)."""
+
+    @property
+    def cfl_coefficient(self) -> float:
+        return self.ell.Lam
+
+    def slice_value(self, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
+        """The operator over the interior of a slice, in the workspace's units.
+
+        Times ws.scale it is the operator's value.
+        """
+        ws = ws or _Workspace(sl.shape)
+        return self._value(sl, h, ws, _slice_diag_diffs(sl, h, ws))
+
+
 @dataclass(frozen=True)
-class HeatOp:
-    """u_t = lam * trace(D^2 u) + f."""
+class HeatOp(_OperatorTag):
+    """u_t = lam * trace(D^2 u) + f, in the box (lam, lam)."""
 
     lam: float = 1.0
 
@@ -147,35 +167,61 @@ class HeatOp:
             raise InputError(f"heat coefficient must be positive, got {self.lam}")
 
     @property
-    def cfl_coefficient(self) -> float:
-        return self.lam
+    def ell(self) -> EllipticityPair:
+        return EllipticityPair(self.lam, self.lam)
+
+    def _value(self, sl, h, ws, diag):
+        trace = _slice_trace(diag, ws)
+        return np.multiply(self.lam, trace, out=trace)
 
 
 @dataclass(frozen=True)
-class PucciPlusOp:
+class _PucciOp(_OperatorTag):
+    """u_t = M(D^2 u) + f over the box ell, with M = M_plus where plus is True, else M_minus."""
+
     ell: EllipticityPair
 
-    @property
-    def cfl_coefficient(self) -> float:
-        return self.ell.Lam
+    def _value(self, sl, h, ws, diag):
+        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
+        return _pucci_combine(pos, neg, self.ell, self.plus, ws)
+
+
+class PucciPlusOp(_PucciOp):
+    plus = True
+
+
+class PucciMinusOp(_PucciOp):
+    plus = False
 
 
 @dataclass(frozen=True)
-class PucciMinusOp:
-    ell: EllipticityPair
+class PLaplaceOp(_OperatorTag):
+    """The regularized normalized p-Laplace flow, in the box (min(1, p-1), max(1, p-1))."""
 
-    @property
-    def cfl_coefficient(self) -> float:
-        return self.ell.Lam
-
-
-@dataclass(frozen=True)
-class PLaplaceOp:
     params: PLaplaceParams
 
     @property
-    def cfl_coefficient(self) -> float:
-        return self.params.Lam
+    def ell(self) -> EllipticityPair:
+        return EllipticityPair(self.params.lam, self.params.Lam)
+
+    def _value(self, sl, h, ws, diag):
+        # each cross difference is formed in one buffer just before its
+        # term is added, and the value lands in diag[0]'s buffer
+        _, value, zero = _plaplace_value(
+            self.params.p,
+            self.params.epsilon,
+            diag,
+            _cross_terms(sl, h, ws, shared=True),
+            _slice_gradient(sl, h, ws),
+            ws,
+            quad=diag[0],
+        )
+        if zero.size:
+            raise SingularGradientError(
+                "zero discrete gradient met with epsilon^2 = 0; evaluate through "
+                "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
+            )
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -634,40 +680,6 @@ def _plaplace_envelope_value(p: float, diag, cross, grad, ws):
     return low, high
 
 
-def _slice_operator_value(op, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
-    """The tagged spatial operator over the interior of a slice, in the workspace's units.
-
-    Times ws.scale it is the operator's value.
-    """
-    ws = ws or _Workspace(sl.shape)
-    diag = _slice_diag_diffs(sl, h, ws)
-    if isinstance(op, HeatOp):
-        trace = _slice_trace(diag, ws)
-        return np.multiply(op.lam, trace, out=trace)
-    if isinstance(op, (PucciPlusOp, PucciMinusOp)):
-        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
-        return _pucci_combine(pos, neg, op.ell, isinstance(op, PucciPlusOp), ws)
-    if isinstance(op, PLaplaceOp):
-        # each cross difference is formed in one buffer just before its
-        # term is added, and the value lands in diag[0]'s buffer
-        _, value, zero = _plaplace_value(
-            op.params.p,
-            op.params.epsilon,
-            diag,
-            _cross_terms(sl, h, ws, shared=True),
-            _slice_gradient(sl, h, ws),
-            ws,
-            quad=diag[0],
-        )
-        if zero.size:
-            raise SingularGradientError(
-                "zero discrete gradient met with epsilon^2 = 0; evaluate through "
-                "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
-            )
-        return value
-    raise InputError(f"unknown operator tag {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Membership and residuals.
 
@@ -786,7 +798,7 @@ def pde_residual(
                 res = np.subtract(dt, rhs, out=dt)
                 value = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
             else:
-                value = _slice_operator_value(op, sl, grid.h, ws)
+                value = op.slice_value(sl, grid.h, ws)
                 value = np.subtract(dt, np.multiply(value, ws.scale, out=value), out=dt)
                 value -= rhs
             bad = _warn_unless_finite(value, ws, "the residual")

@@ -2,10 +2,12 @@
 
 The spatial domain is the open Euclidean ball |x| < R inside the
 lattice box (intersected with x_n > 0 on half-space grids).  Interior
-nodes advance by explicit Euler with the operator and the forcing
-frozen at the current level; every other lattice node, the shell,
-copies the boundary data at every level, which makes the marched
-function a discrete Dirichlet solution on the parabolic cylinder.
+nodes advance by explicit Euler with the operator tag's slice_value
+(see operators) and the forcing frozen at the current level, under the
+CFL gate on its cfl_coefficient, the Lam of its class box ell; every
+other lattice node, the shell, copies the boundary data at every level,
+which makes the marched function a discrete Dirichlet solution on the
+parabolic cylinder.
 
 Boundary data g and forcing f may be full GridFunctions or callables
 (x, t) -> array, where x is a list of one coordinate array per axis.
@@ -44,17 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, CFLViolationError, InputError
+from .errors import BlowUpError, CFLViolationError, InputError, PucciLabError
 from .grid import Grid, GridFunction, _ball_mask
-from .operators import (
-    HeatOp,
-    PLaplaceOp,
-    PLaplaceParams,
-    PucciMinusOp,
-    PucciPlusOp,
-    _slice_operator_value,
-    _Workspace,
-)
+from .operators import PLaplaceOp, PLaplaceParams, _Workspace
 
 __all__ = [
     "DirichletProblem",
@@ -120,7 +114,7 @@ class DirichletProblem:
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise InputError("grid must be a Grid")
-        if not hasattr(self.op_tag, "cfl_coefficient"):
+        if not all(hasattr(self.op_tag, a) for a in ("cfl_coefficient", "slice_value")):
             raise InputError(f"unknown operator tag {self.op_tag!r}")
         _check_field(self.f, self.grid, "forcing f")
         _check_field(self.g, self.grid, "boundary data g")
@@ -179,7 +173,7 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
                 # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation;
                 # the operator value comes in the units of h^2 (see
                 # operators._Workspace), which tau / h^2 takes out
-                value = _slice_operator_value(prob.op_tag, u[m - 1], grid.h, ws)
+                value = prob.op_tag.slice_value(u[m - 1], grid.h, ws)
                 forcing = _field_values(prob.f, grid, m - 1, slab_mesh, slabs, slab_shape)
                 if forcing.ndim == 0:
                     value += forcing * unit
@@ -251,7 +245,7 @@ def _sup_distance(a: GridFunction, b: GridFunction, level: np.ndarray) -> float:
 def epsilon_continuation(
     p: float, eps_schedule, f, g, grid: Grid
 ) -> tuple[list[GridFunction | None], EpsilonContinuationReport]:
-    """Solve for each epsilon in a strictly decreasing schedule."""
+    """Solve for each epsilon of a strictly decreasing schedule; PucciLabErrors become failures."""
     schedule = [float(e) for e in eps_schedule]
     if len(schedule) == 0:
         raise InputError("epsilon schedule is empty")
@@ -265,7 +259,7 @@ def epsilon_continuation(
     for eps in schedule:
         try:
             solutions.append(solve_p_laplace_regularized(p, eps, f, g, grid))
-        except Exception as exc:  # noqa: BLE001 - partial report by contract
+        except PucciLabError as exc:
             solutions.append(None)
             failures.append(f"epsilon={eps!r}: {exc}")
 

@@ -343,6 +343,32 @@ def test_p_sweep_isolates_per_p_failures():
     assert not table.all_ok
 
 
+def test_ellipticity_sweep_isolates_per_delta_failures():
+    grid = sweep_grid()
+    zero = lambda mesh, t: 0.0
+    g = make_field({"name": "quadratic_caloric"}, 2)
+    # delta = 1 doubles Lam, which breaks this grid's CFL budget
+    ok, failed = run_ellipticity_sweep([0.0, 1.0], grid, zero, g, K=2)
+    assert ok.status == "ok" and ok.verdict == "pass" and ok.alpha_est is not None
+    assert failed.status.startswith("failed: ") and "tau/h" in failed.status
+    assert failed.verdict is None and failed.alpha_est is None
+
+
+def test_sweeps_read_a_stored_forcing_like_a_callable():
+    # a GridFunction forcing takes its sup from the stored field, and the
+    # rows come out as with the callable it was sampled from
+    grid = sweep_grid()
+    g = make_field({"name": "quadratic_caloric"}, 2)
+    f = lambda mesh, t: 0.5 + 0.0 * mesh[0]
+    stored = sample(f, grid)
+    assert run_ellipticity_sweep([0.25], grid, stored, g, K=2) == run_ellipticity_sweep(
+        [0.25], grid, f, g, K=2
+    )
+    table = run_p_sweep([2.5], 0.5, grid, stored, g, n_points=2, seed=1, K=2)
+    assert table == run_p_sweep([2.5], 0.5, grid, f, g, n_points=2, seed=1, K=2)
+    assert table.rows[0].status == "ok"
+
+
 def test_ellipticity_sweep_rejects_negative_offsets_as_input_errors():
     # a library call, not a config: InputError, not ConfigError
     zero = lambda mesh, t: 0.0
@@ -390,6 +416,17 @@ def test_cli_counterexample_and_determinism(tmp_path, capsys):
     assert doc["provenance"]["scenario"] == "counterexample"
     assert doc["result"]["membership"]["verdict"] == "pass"
     assert doc["result"]["strict_membership"]["verdict"] == "fail"
+
+
+def test_cli_verbose_names_the_scenario_and_config_on_stderr(tmp_path, capsys):
+    cfg = write_config(tmp_path, "solve.json", solve_raw())
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--verbose"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"running solve from {cfg}\n"
+    assert "running" not in captured.out
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_exit_codes(tmp_path, capsys):

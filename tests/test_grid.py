@@ -338,6 +338,28 @@ def test_restrict_sub_box():
         restrict(u, 2.0)
 
 
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_restrict_on_a_staggered_grid_selects_by_coordinates(n_dim):
+    grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-6, time_extent=0.125, stagger=True)
+    u = sample(lambda x, t: sum((i + 1.0) * x[i] for i in range(n_dim)) + t * t, grid)
+    extent, depth = 0.5, 2.0**-4
+    sub = restrict(u, extent, depth)
+    # every node whose coordinates lie in the closed sub-box, found one by one
+    axes = [
+        [j for j, x in enumerate(grid.axis_coords(i)) if abs(x) <= extent + 1e-12]
+        for i in range(n_dim)
+    ]
+    levels = [m for m in range(grid.n_time_levels) if grid.time_value(m) >= -depth - 1e-12]
+    assert len(axes[-1]) == 8 and len(levels) == 5
+    assert sub.grid.spatial_shape == tuple(len(a) for a in axes)
+    for i in range(n_dim):
+        assert np.array_equal(sub.grid.axis_coords(i), grid.axis_coords(i)[axes[i]])
+    assert [sub.grid.time_value(m) for m in range(sub.grid.n_time_levels)] == [
+        grid.time_value(m) for m in levels
+    ]
+    assert np.array_equal(sub.data, u.data[np.ix_(levels, *axes)])
+
+
 def test_sample_rejects_nonfinite():
     grid = Grid(n_dim=1, h=0.5, tau=0.5)
     with pytest.raises(InputError, match="level"):

@@ -27,7 +27,6 @@ from puccilab.operators import (
     _slice_cross_diffs,
     _slice_diag_diffs,
     _slice_gradient,
-    _slice_operator_value,
     _plaplace_envelope_value,
     class_membership,
     envelope_residuals,
@@ -488,8 +487,8 @@ def test_near_identity_slice_never_reaches_an_eigen_solver(monkeypatch):
         DirichletProblem(op_tag=PucciPlusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
     )
     sl = u.data[0]
-    value = _interior(_slice_operator_value(PucciPlusOp(ell), sl, grid.h), sl.shape)
-    lower = _interior(_slice_operator_value(PucciMinusOp(ell), sl, grid.h), sl.shape)
+    value = _interior(PucciPlusOp(ell).slice_value(sl, grid.h), sl.shape)
+    lower = _interior(PucciMinusOp(ell).slice_value(sl, grid.h), sl.shape)
     report = class_membership(u, ell, f_bound=0.0)
     assert calls == []
     diag = [_interior(d, sl.shape) for d in _slice_diag_diffs(sl, grid.h)]
@@ -517,14 +516,14 @@ def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
     assert certified.any() and (n_dim == 1 or not certified.all())
     ell = EllipticityPair(1.0, 1.5)
     for op, pointwise in ((PucciPlusOp(ell), pucci_plus), (PucciMinusOp(ell), pucci_minus)):
-        kernel = _interior(_slice_operator_value(op, sl, grid.h), sl.shape).ravel()
+        kernel = _interior(op.slice_value(sl, grid.h), sl.shape).ravel()
         point = np.array([pointwise(m, ell) for m in hess])
         assert np.array_equal(point, kernel)
         assert np.array_equal(point, [pointwise(SymMatrix(m), ell) for m in hess])
     # the pointwise p-Laplace forms run the same helper on a one-row stack
     grad = np.stack([_interior(g, sl.shape).ravel() for g in _slice_gradient(sl, grid.h)], -1)
     for p in (1.5, 2.0, 3.0):
-        kernel = _slice_operator_value(PLaplaceOp(PLaplaceParams(p)), sl, grid.h)
+        kernel = PLaplaceOp(PLaplaceParams(p)).slice_value(sl, grid.h)
         point = [normalized_p_laplacian(m, q, p) for m, q in zip(hess, grad)]
         assert np.array_equal(point, _interior(kernel, sl.shape).ravel())
         assert all(envelope_residuals(m, q, p) == (v, v) for m, q, v in zip(hess, grad, point))
@@ -673,7 +672,7 @@ def test_plaplace_slice_values_keep_their_summation_order(n_dim):
     for (i, j), val in cross.items():
         quad = quad + 2.0 * (grad[i] * grad[j] * val)
     for p, eps in ((3.0, 0.1), (1.5, 0.0)):
-        value = _slice_operator_value(PLaplaceOp(PLaplaceParams(p=p, epsilon=eps)), sl, h)
+        value = PLaplaceOp(PLaplaceParams(p=p, epsilon=eps)).slice_value(sl, h)
         assert np.array_equal(value, trace + (p - 2.0) * (quad / (norm2 + eps * eps)))
     low, high = _plaplace_envelope_value(2.5, diag, cross, grad, operators._Workspace(sl.shape))
     smooth = trace + 0.5 * (quad / norm2)
@@ -707,7 +706,7 @@ def test_ghost_rows_never_reach_the_eigen_solver(n_dim, monkeypatch):
     ell = EllipticityPair(1.0, 1.5)
     calls = []
     monkeypatch.setattr(operators, "jacobi_eigh_batch", lambda *a, **k: calls.append("batch"))
-    value = _slice_operator_value(PucciPlusOp(ell), sl, grid.h)
+    value = PucciPlusOp(ell).slice_value(sl, grid.h)
     u = solve_dirichlet(
         DirichletProblem(op_tag=PucciMinusOp(ell), f=lambda mesh, t: 0.0, g=g, grid=grid)
     )
@@ -766,7 +765,7 @@ def test_membership_minimum_ignores_ghost_positions(n_dim):
     ell = EllipticityPair(1.0, 2.0)
     ws = operators._Workspace(grid.spatial_shape)
     dt = operators._slice_time_diff(data[1], data[0], grid.tau)
-    flat_sub = dt - _slice_operator_value(PucciMinusOp(ell), data[1], grid.h)
+    flat_sub = dt - PucciMinusOp(ell).slice_value(data[1], grid.h)
     assert not ws.valid[np.argmin(flat_sub)]
     report = class_membership(u, ell, f_bound=0.25)
     sub, sup, node = _strided_membership(u, ell, 0.25)
@@ -853,7 +852,7 @@ def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
     sent = _count_eigen_rows(monkeypatch)
     ws = operators._Workspace(sl.shape, h)
     assert ws.units == (h * h, 4.0 * h * h, 2.0 * h)
-    _slice_operator_value(op, sl, h, ws)
+    op.slice_value(sl, h, ws)
     buffers = list(ws._buffers.values())
     assert all(b.shape == (ws.hi - ws.lo,) for b in buffers)
     assert len(buffers) <= bound

@@ -200,6 +200,44 @@ def test_epsilon_continuation_isolates_failures():
     assert len(rep.failures) == 2
 
 
+def test_epsilon_continuation_lets_a_faulty_callable_raise():
+    # only the package's own errors become failures; a bug in the
+    # caller's field is not a result
+    grid = small_grid(h=0.25)
+
+    def faulty(mesh, t):
+        raise TypeError("faulty field")
+
+    with pytest.raises(TypeError, match="faulty field"):
+        epsilon_continuation(2.5, [0.25, 0.125], ZERO, faulty, grid)
+
+
+@pytest.mark.parametrize("tag", [object(), "heat", EllipticityPair(1.0, 2.0)])
+def test_dirichlet_problem_refuses_what_is_not_an_operator_tag(tag):
+    grid = small_grid(h=0.25)
+    with pytest.raises(InputError, match="unknown operator tag"):
+        DirichletProblem(op_tag=tag, f=ZERO, g=ZERO, grid=grid)
+
+
+def test_operator_tags_carry_their_class_box():
+    ell = EllipticityPair(0.5, 2.0)
+    boxes = [
+        (HeatOp(lam=0.75), (0.75, 0.75)),
+        (PucciPlusOp(ell), (0.5, 2.0)),
+        (PucciMinusOp(ell), (0.5, 2.0)),
+        (PLaplaceOp(PLaplaceParams(p=1.5)), (0.5, 1.0)),
+        (PLaplaceOp(PLaplaceParams(p=3.5)), (1.0, 2.5)),
+    ]
+    for op, (lam, Lam) in boxes:
+        assert (op.ell.lam, op.ell.Lam) == (lam, Lam)
+        assert op.cfl_coefficient == Lam
+    # the two Pucci tags are siblings, so an isinstance test tells them apart
+    assert not isinstance(PucciMinusOp(ell), PucciPlusOp)
+    assert not isinstance(PucciPlusOp(ell), PucciMinusOp)
+    assert PucciPlusOp(ell) != PucciMinusOp(ell)
+    assert repr(PucciMinusOp(ell)) == f"PucciMinusOp(ell={ell!r})"
+
+
 # ---------------------------------------------------------------------------
 # The in-place march against an allocating reference.
 #
