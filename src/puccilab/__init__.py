@@ -35,7 +35,7 @@ from .grid import (
     sample,
     restrict,
 )
-from .linalg import SymMatrix, symmetric_eigenvalues, eig_extremes
+from .linalg import SymMatrix
 from .operators import (
     EllipticityPair,
     PLaplaceParams,

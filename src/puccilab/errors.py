@@ -5,11 +5,18 @@ family at once.  Below it sit two bases that the CLI maps onto its exit
 codes: ValidationError (exit 1) for input that is wrong before any
 numerics run, and NumericalError (exit 2) for failures met while
 computing.  Every concrete error derives from exactly one of them.
-The two converters at the end turn a library caller's non-numeric
-input into an InputError instead of a raw numpy error.
+
+The two converters at the end turn a caller's malformed input into an
+InputError instead of a raw Python or numpy error.  _real_number is the
+one checker of scalars, for the library and the config alike (config
+wraps its InputError in a ConfigError): it types each number and tests
+its range, given as one of the range tuples below.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral
 
 import numpy as np
 
@@ -91,18 +98,40 @@ class ConfigError(ValidationError):
     """Scenario configuration failed validation."""
 
 
-def _real_number(value, what: str) -> float:
-    """value as a float, or InputError naming what.
+# A range: a test on the typed number, and the words a message states it in.
+_ANY = (lambda x: True, "")
+_ABOVE_ONE = (lambda x: x > 1.0, "> 1")
+_POSITIVE = (lambda x: x > 0.0, "> 0")
+_NONNEGATIVE = (lambda x: x >= 0.0, ">= 0")
+_UNIT_INTERVAL = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_EXPONENT = (lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 
-    Text is refused although float() would parse it: a number given as
-    a string is a caller's mistake, as it is in a config (ConfigError).
+
+def _real_number(value, what: str, rng=_ANY, integer: bool = False):
+    """value as a finite float in rng, an int when integer is set, or InputError naming what.
+
+    Text and booleans are refused although float() would take them: a
+    number given as a string or as True is a caller's mistake.  An int
+    too large for a float counts as non-finite.
     """
-    if isinstance(value, (str, bytes)):
-        raise InputError(f"{what} must be a real number, got {value!r}")
+    kind = "an integer" if integer else "a real number"
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise InputError(f"{what} must be {kind}, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
+    except OverflowError:
+        x = math.inf
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a real number, got {value!r}") from exc
+        raise InputError(f"{what} must be {kind}, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    if integer:
+        if not x.is_integer():
+            raise InputError(f"{what} must be an integer, got {value!r}")
+        x = int(value) if isinstance(value, Integral) else int(x)
+    if not rng[0](x):
+        raise InputError(f"{what} must be {rng[1]}, got {x}")
+    return x
 
 
 def _real_array(value, what: str) -> np.ndarray:

@@ -18,19 +18,18 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, GridFileError, InputError
-from ..grid import Grid
-from .fields import (
+from ..errors import (
     _ABOVE_ONE,
     _NONNEGATIVE,
     _POSITIVE,
-    _REAL,
-    _REALS,
     _UNIT_INTERVAL,
-    _real,
-    _reals,
-    make_field,
+    ConfigError,
+    GridFileError,
+    InputError,
+    _real_number,
 )
+from ..grid import Grid
+from .fields import _REAL, _REALS, _real, _reals, make_field
 from .scenarios import OPERATOR_KINDS, SCENARIOS
 
 __all__ = ["ScenarioConfig", "parse_config", "load_config", "SCENARIO_TAGS"]
@@ -159,8 +158,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(tag, str) or tag not in SCENARIOS:
         raise ConfigError(f"unknown scenario {tag!r}; valid tags: {list(SCENARIO_TAGS)}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    try:
+        seed = _real_number(seed, "seed", _NONNEGATIVE, integer=True)
+    except InputError:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from None
     try:
         grid = Grid(**_section(raw, "grid", _GRID_KEYS, ("n_dim", "h", "tau"), tag, None, ""))
     except InputError as exc:

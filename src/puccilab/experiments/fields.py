@@ -4,55 +4,34 @@ A field spec is a name string, a dict {"name": ..., params...}, or
 {"file": path} pointing at a stored grid function.  Specs come from
 config files, so validation is strict: unknown names, unknown or
 missing parameters, and parameters that are not finite numbers raise
-ConfigError with the offending key.  The typed number converters here
-are the ones config.py applies to every numeric config value.
+ConfigError with the offending key.  _real and _reals, the adapters
+over errors._real_number that config.py applies to every numeric config
+value too, turn its InputError into that ConfigError.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import _ANY, _POSITIVE, ConfigError, InputError, _real_number
 from ..grid import Grid, GridFunction, read_gridfn, sample
 
 __all__ = ["make_field", "field_on_grid", "FIELD_NAMES"]
 
 
-# A range: a test on the typed number, and the words a message states it in.
-_ANY = (lambda x: True, "")
-_ABOVE_ONE = (lambda x: x > 1.0, "> 1")
-_POSITIVE = (lambda x: x > 0.0, "> 0")
-_NONNEGATIVE = (lambda x: x >= 0.0, ">= 0")
-_UNIT_INTERVAL = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
-
-
 def _real(rng=_ANY, integer=False):
-    """A parser for one finite JSON number in rng, an int when integer is set.
+    """A parser for one config number: errors._real_number, refusing with ConfigError.
 
-    Every numeric config value goes through one of these, so a string, a
-    list, a boolean, NaN or infinity becomes a ConfigError naming its key.
+    So a string, a list, a boolean, NaN or infinity names its key.
     """
 
     def parse(value, where, *_):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where} must be a number, got {value!r}")
-        if integer:
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{where} must be an integer, got {value!r}")
-            x = int(value)
-        else:
-            try:
-                x = float(value)
-            except OverflowError:
-                x = math.inf
-            if not math.isfinite(x):
-                raise ConfigError(f"{where} must be finite, got {value!r}")
-        if not rng[0](x):
-            raise ConfigError(f"{where} must be {rng[1]}, got {x}")
-        return x
+        try:
+            return _real_number(value, where, rng, integer)
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
 
     return parse
 
@@ -184,7 +163,7 @@ def make_field(spec, n_dim: int, base_dir: str = "."):
     if unknown:
         raise ConfigError(f"field {name!r} got unknown parameter(s) {sorted(unknown)}")
     typed = {k: parsers[k](v, f"field {name!r} parameter {k}") for k, v in params.items()}
-    return builder(typed, n_dim)
+    return builder(typed, _real(_POSITIVE, integer=True)(n_dim, "n_dim"))
 
 
 def field_on_grid(field, grid: Grid) -> GridFunction:

@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..errors import InputError, PucciLabError
+from ..errors import _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _real_number
 from ..grid import Grid, GridFunction, restrict, sample, write_gridfn
 from ..operators import (
     EllipticityPair,
@@ -57,6 +57,9 @@ __all__ = [
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
+# The sampled points lie in the central box of this fraction of the extent.
+_SAMPLING_BOX = 0.35
+
 
 def _radical_inverse(index: int, base: int) -> float:
     inv = 1.0
@@ -68,17 +71,17 @@ def _radical_inverse(index: int, base: int) -> float:
     return result
 
 
-def sample_interior_points(
-    grid: Grid, n_points: int, seed: int, box_fraction: float = 0.35
-):
+def sample_interior_points(grid: Grid, n_points: int, seed: int):
     """Deterministic low-discrepancy points snapped to the lattice, t = 0.
 
     The seed offsets the start of the Halton sequence, so different
     seeds give different (but reproducible) point sets.
     """
+    n_points = _real_number(n_points, "n_points", _POSITIVE, integer=True)
+    seed = _real_number(seed, "seed", _NONNEGATIVE, integer=True)
     if grid.n_dim > len(_PRIMES):
         raise InputError(f"point sampling supports up to {len(_PRIMES)} dimensions")
-    half = box_fraction * grid.spatial_extent
+    half = _SAMPLING_BOX * grid.spatial_extent
     axes = [grid.axis_coords(i) for i in range(grid.n_dim)]
     points = []
     seen = set()
@@ -154,8 +157,7 @@ def run_counterexample(
     parabolic equation with the same constant forcing can hold across
     the interface, which the strict (lam = Lam) check exposes.
     """
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise InputError(f"delta must be positive, got {delta}")
+    delta = _real_number(delta, "delta", _POSITIVE)
     if grid is None:
         grid = Grid(
             n_dim=1, h=1.0 / 128, tau=1.0 / 128, spatial_extent=1.0,
@@ -166,13 +168,13 @@ def run_counterexample(
             "the counterexample grid must stagger the last axis so the "
             "interface falls between nodes"
         )
-    u = sample(make_field({"name": "counterexample", "delta": float(delta)}, grid.n_dim), grid)
+    u = sample(make_field({"name": "counterexample", "delta": delta}, grid.n_dim), grid)
     membership = class_membership(u, EllipticityPair(1.0, 1.0 + delta), f_bound=2.0)
     ratio = _interface_second_diff_ratio(u)
     decay = decay_sequence(u, (np.zeros(grid.n_dim), 0.0), eta=eta, K=K)
     strict = class_membership(u, EllipticityPair(1.0, 1.0), f_bound=1.0)
     return CounterexampleReport(
-        delta=float(delta),
+        delta=delta,
         membership=membership,
         ratio=ratio,
         expected_ratio=1.0 / (1.0 + delta),
@@ -269,15 +271,18 @@ def run_p_sweep(
     lattice; on half-space grids their face projections get boundary
     fits as well.
     """
-    epsilon = grid.h if epsilon is None else float(epsilon)
-    points = sample_interior_points(grid, n_points, seed) if p_list else []
+    alpha_target = _real_number(alpha_target, "alpha_target")
+    threads = _real_number(threads, "threads", integer=True)
+    epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon")
+    p_values = [_real_number(p, "p") for p in p_list]
+    points = sample_interior_points(grid, n_points, seed) if p_values else []
     if grid.half_space:
         boundary_points = [
             (np.concatenate([pt[0][:-1], [0.0]]), pt[1]) for pt in points
         ]
     else:
         boundary_points = []
-    f_bound = _field_sup(f, grid) if p_list else 0.0
+    f_bound = _field_sup(f, grid) if p_values else 0.0
 
     def work(p):
         try:
@@ -298,7 +303,6 @@ def run_p_sweep(
             boundary_alphas=boundary_alphas,
         )
 
-    p_values = [float(p) for p in p_list]
     if threads == 1 or len(p_values) <= 1:
         rows = [work(p) for p in p_values]
     else:
@@ -315,7 +319,7 @@ def run_p_sweep(
         for row in rows
     ]
     return PSweepTable(
-        alpha_target=float(alpha_target),
+        alpha_target=alpha_target,
         points=tuple((tuple(x), t) for x, t in points),
         boundary_points=tuple((tuple(x), t) for x, t in boundary_points),
         rows=tuple(rows),
@@ -344,9 +348,7 @@ def run_ellipticity_sweep(
     responds to the ellipticity ratio; the trend is recorded, not
     asserted (the theory promises a direction, not numbers).
     """
-    deltas = [float(d) for d in delta_list]
-    if any(d < 0.0 for d in deltas):
-        raise InputError(f"ellipticity offsets must be >= 0, got {deltas}")
+    deltas = [_real_number(d, "ellipticity offsets", _NONNEGATIVE) for d in delta_list]
     f_bound = _field_sup(f, grid) if deltas else 0.0
     origin = [(np.zeros(grid.n_dim), 0.0)]
     rows = []
@@ -404,6 +406,7 @@ def run_boundary_study(
     """
     if not grid.half_space:
         raise InputError("boundary study needs a half-space grid")
+    affine_value = _real_number(affine_value, "affine_value")
     if (u is None) == (g is None):
         raise InputError("provide exactly one of u (sample mode) or g (solve mode)")
     if affine_gradient is None:

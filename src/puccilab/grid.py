@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    _POSITIVE,
     AlignmentError,
     BoundaryProximityError,
     DegenerateCylinderError,
@@ -93,15 +94,10 @@ class Grid:
     stagger: bool = False
 
     def __post_init__(self):
-        n_dim = _real_number(self.n_dim, "n_dim")
-        if not (math.isfinite(n_dim) and n_dim == int(n_dim) and n_dim >= 1):
-            raise InputError(f"n_dim must be a positive integer, got {self.n_dim}")
-        object.__setattr__(self, "n_dim", int(n_dim))
+        n_dim = _real_number(self.n_dim, "n_dim", _POSITIVE, integer=True)
+        object.__setattr__(self, "n_dim", n_dim)
         for name in ("h", "tau", "spatial_extent", "time_extent"):
-            val = _real_number(getattr(self, name), name)
-            if not np.isfinite(val) or val <= 0.0:
-                raise InputError(f"{name} must be positive and finite, got {val}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _real_number(getattr(self, name), name, _POSITIVE))
         if self.half_space and self.stagger:
             raise InputError("half_space and stagger both place x_n = 0; pick one")
         _int_ratio(self.spatial_extent, self.h, "spatial_extent / h")
@@ -176,15 +172,9 @@ class Grid:
         times.flags.writeable = False
         return times
 
-    def node_coordinates(self, level: int, spatial_index: tuple[int, ...]):
-        x = np.array(
-            [self.axis_coords(i)[spatial_index[i]] for i in range(self.n_dim)]
-        )
-        return x, self.time_value(level)
-
     def time_level_of(self, t: float) -> int:
         """Level index of a time value that must lie on the lattice."""
-        m = (t + self.time_extent) / self.tau
+        m = (_real_number(t, "time") + self.time_extent) / self.tau
         level = int(round(m))
         if abs(m - level) > 1e-9 or level < 0 or level >= self.n_time_levels:
             raise AlignmentError(f"time {t!r} is not a lattice level of {self}")
@@ -354,8 +344,10 @@ def restrict(
     where the scheme's stencils mix solved and copied values.
     """
     grid = u.grid
+    spatial_extent = _real_number(spatial_extent, "sub-box extent", _POSITIVE)
     if time_extent is None:
         time_extent = grid.time_extent
+    time_extent = _real_number(time_extent, "sub-box depth", _POSITIVE)
     if spatial_extent > grid.spatial_extent + 1e-12:
         raise InputError(
             f"sub-box extent {spatial_extent} exceeds the grid's {grid.spatial_extent}"
@@ -505,12 +497,15 @@ def _ball_mask(
 
 def _cylinder_center(grid: Grid, center) -> tuple[np.ndarray, float]:
     """center = (x0, t0) checked against the grid: a copy of x0, and t0."""
-    x0, t0 = center
+    try:
+        x0, t0 = center
+    except (TypeError, ValueError):
+        raise InputError(f"a center is an (x0, t0) pair, got {center!r}") from None
     x0 = np.array(_real_array(x0, "cylinder center"), ndmin=1)  # a copy: it is frozen later
     t0 = _real_number(t0, "cylinder time")
     if x0.shape != (grid.n_dim,):
         raise InputError(f"center has {x0.shape} coordinates, grid needs {grid.n_dim}")
-    if not all(map(math.isfinite, [*x0.tolist(), t0])):
+    if not all(map(math.isfinite, x0.tolist())):
         raise InputError("cylinder center must be finite")
     return x0, t0
 
@@ -563,11 +558,7 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     the cylinder's bounding box, not of the lattice.
     """
     x0, t0 = _cylinder_center(grid, center)
-    r = _real_number(r, "cylinder radius")
-    if not math.isfinite(r):
-        raise InputError("cylinder radius must be finite")
-    if r <= 0.0:
-        raise InputError(f"cylinder radius must be positive, got {r}")
+    r = _real_number(r, "cylinder radius", _POSITIVE)
     xs = x0.tolist()
     reach = _reach(grid, xs, t0, r)
 
@@ -624,6 +615,7 @@ def parabolic_boundary_nodes(grid: Grid, r: float) -> list[tuple[int, tuple[int,
     The interior of the top slice is excluded.  Half-space grids add
     the face x_n = 0 inside the ball, at every level including the top.
     """
+    r = _real_number(r, "radius", _POSITIVE)
     steps = r / grid.h
     if abs(steps - round(steps)) > 1e-9:
         raise InputError(f"radius {r} is not a multiple of the spatial step {grid.h}")

@@ -10,25 +10,19 @@ n = 1, mean -/+ hypot for n = 2, and for n = 3 the trigonometric
 solution of the characteristic cubic (Smith, Comm. ACM 4(4), 1961;
 Kopp, Int. J. Mod. Phys. C 19, 2008).  Near a double eigenvalue the
 arccos in that solution turns an O(eps) rounding into an O(sqrt(eps))
-error, so those matrices, like every matrix with n >= 4 and every
-request for eigenvectors, go to LAPACK through numpy.
+error, so those matrices, like every matrix with n >= 4, go to LAPACK
+through numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, _real_array
 
-__all__ = [
-    "SymMatrix",
-    "EigenResult",
-    "symmetric_eigenvalues",
-    "eig_extremes",
-    "jacobi_eigh_batch",
-]
+__all__ = ["SymMatrix", "jacobi_eigh_batch"]
 
 # A 3x3 matrix whose normalized determinant r lies within this distance
 # of +-1 has two eigenvalues close together; arccos is ill-conditioned
@@ -58,18 +52,6 @@ class SymMatrix:
         a = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T) + 0.0
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues sorted ascending, with orthonormal column vectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = field(default=None)
 
 
 def _as_entries(m) -> np.ndarray:
@@ -144,20 +126,3 @@ def jacobi_eigh_batch(mats: np.ndarray) -> np.ndarray:
         return _eigvals_3(a)
     return np.linalg.eigvalsh(a)
 
-
-def symmetric_eigenvalues(m, want_vectors: bool = True) -> EigenResult:
-    """Eigendecomposition of one symmetric matrix, values ascending."""
-    a = _as_entries(m)
-    if want_vectors:
-        values, vectors = np.linalg.eigh(a)
-        vectors.flags.writeable = False
-    else:
-        values, vectors = jacobi_eigh_batch(a), None
-    values.flags.writeable = False
-    return EigenResult(values=values, vectors=vectors)
-
-
-def eig_extremes(m) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    values = jacobi_eigh_batch(_as_entries(m))
-    return float(values[0]), float(values[-1])

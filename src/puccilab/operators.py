@@ -44,7 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularGradientError, _real_array, _real_number
+from .errors import (
+    _ABOVE_ONE,
+    _NONNEGATIVE,
+    _POSITIVE,
+    InputError,
+    SingularGradientError,
+    _real_array,
+    _real_number,
+)
 from .grid import GridFunction
 from .linalg import SymMatrix, _as_entries, jacobi_eigh_batch
 
@@ -67,10 +75,10 @@ __all__ = [
 ]
 
 
-def _store_reals(params, *names: str) -> None:
-    """Store the named fields of a frozen parameter object as floats."""
-    for name in names:
-        object.__setattr__(params, name, _real_number(getattr(params, name), name))
+def _store_reals(params, **ranges) -> None:
+    """Store the named fields of a frozen parameter object as floats, each in its range."""
+    for name, rng in ranges.items():
+        object.__setattr__(params, name, _real_number(getattr(params, name), name, rng))
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,8 @@ class EllipticityPair:
     Lam: float
 
     def __post_init__(self):
-        _store_reals(self, "lam", "Lam")
-        if not (np.isfinite(self.lam) and np.isfinite(self.Lam)):
-            raise InputError("ellipticity constants must be finite")
-        if not 0.0 < self.lam <= self.Lam:
+        _store_reals(self, lam=_POSITIVE, Lam=_POSITIVE)
+        if self.lam > self.Lam:
             raise InputError(
                 f"need 0 < lam <= Lam, got lam={self.lam}, Lam={self.Lam}"
             )
@@ -98,11 +104,7 @@ class PLaplaceParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        _store_reals(self, "p", "epsilon")
-        if not (np.isfinite(self.p) and self.p > 1.0):
-            raise InputError(f"p must be finite and > 1, got {self.p}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
+        _store_reals(self, p=_ABOVE_ONE, epsilon=_NONNEGATIVE)
 
     @property
     def lam(self) -> float:
@@ -162,9 +164,7 @@ class HeatOp(_OperatorTag):
     lam: float = 1.0
 
     def __post_init__(self):
-        _store_reals(self, "lam")
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise InputError(f"heat coefficient must be positive, got {self.lam}")
+        _store_reals(self, lam=_POSITIVE)
 
     @property
     def ell(self) -> EllipticityPair:
@@ -698,15 +698,13 @@ def class_membership(
     least one level above the bottom slice.  The verdict is pass when
     both worst slacks stay above -tol.
     """
-    if f_bound < 0.0 or not np.isfinite(f_bound):
-        raise InputError(f"f_bound is a sup norm and must be >= 0, got {f_bound}")
+    f_bound = _real_number(f_bound, "f_bound, a sup norm,", _NONNEGATIVE)
     grid = u.grid
     if grid.n_time_levels < 2:
         raise InputError("membership needs at least two time levels")
     if any(s < 3 for s in grid.spatial_shape):
         raise InputError("membership needs at least one interior node per axis")
-    if tol is None:
-        tol = membership_tolerance(u)
+    tol = membership_tolerance(u) if tol is None else _real_number(tol, "tol")
 
     worst_sub = np.inf
     worst_super = np.inf
@@ -770,6 +768,8 @@ def pde_residual(
     if zero_gradient not in ("raise", "envelope"):
         raise InputError(f"zero_gradient must be 'raise' or 'envelope', got {zero_gradient!r}")
     grid = u.grid
+    if not isinstance(f, GridFunction):
+        raise InputError(f"forcing term must be a GridFunction, got {type(f).__name__}")
     if f.grid != grid:
         raise InputError("forcing term lives on a different grid")
     out = np.zeros_like(u.data)

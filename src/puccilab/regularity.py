@@ -15,13 +15,16 @@ overestimates the best achievable one by at most a fixed dimensional
 factor, which cancels in the log-slope.
 
 Every fit is read off three per-column reductions (mean, min and max
-over the cylinder's time window), never off the (levels x columns)
-block of values.  The field computes those once per distinct window
-and keeps them, so the scales and centers that share a window (all the
-clipped scales, all the centers at one t0) share the work.  A cylinder
-is a bounding box plus the ball's mask inside it (see CylinderIndex),
-and a fit reads the reductions and the column offsets through that box
-only, so one fit costs in proportion to its cylinder, not the lattice.
+over the cylinder's time window).  A cylinder whose (levels x columns)
+block is no larger than one lattice slice gathers that block and
+reduces it; a larger one, such as a clipped scale's whole history,
+reads the reductions the field computes once per distinct window and
+keeps, so the scales and centers that share such a window share the
+work.  Both give the same bits (see CylinderIndex.column_reductions).
+A cylinder is a bounding box plus the ball's mask inside it (see
+CylinderIndex), and a fit reads the values and the column offsets
+through that box only, so one fit costs in proportion to its cylinder,
+not the lattice.
 Clipped scales never enter the exponent, so callers that read only
 alpha_est pass fit_clipped=False: the clipped scales, which are the
 coarsest and largest, then get no cylinder, no window reduction and
@@ -34,7 +37,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateFitError, FaceDataError, InputError, _real_array
+from .errors import (
+    _EXPONENT,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _UNIT_INTERVAL,
+    AlignmentError,
+    DegenerateFitError,
+    FaceDataError,
+    InputError,
+    _real_number,
+)
 from .grid import (
     CylinderIndex,
     Grid,
@@ -70,6 +83,10 @@ ROUNDOFF_FLOOR = 1e-13
 # Lower clamp for the headline exponent; the reported interval is
 # (0, 1], so nonpositive raw slopes land here.
 ALPHA_FLOOR = 1e-6
+
+# Face values of a half-space field count as zero up to this much of
+# 1 + sup|u| (the boundary fits and the odd reflection both need it).
+FACE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,15 +197,9 @@ class DecayReport:
     def sup_errors(self) -> np.ndarray:
         return np.array([e.sup_error for e in self.entries])
 
-    @property
-    def fits(self) -> list[LinearFit]:
-        return [e.fit for e in self.entries]
 
-
-def _max_scales(grid: Grid, center, eta: float) -> int:
-    """Largest K with at least three nodes per axis inside Q_{eta^K}."""
-    x0, _ = center
-    x0 = np.atleast_1d(_real_array(x0, "decay center"))
+def _max_scales(grid: Grid, x0: np.ndarray, eta: float) -> int:
+    """Largest K with at least three nodes per axis inside Q_{eta^K}(x0, .)."""
     best = -1
     for k in range(0, 64):
         r = eta**k
@@ -214,8 +225,8 @@ def _max_scales(grid: Grid, center, eta: float) -> int:
 
 
 def _assemble_report(
-    u: GridFunction, center, eta: float, scales: list[tuple[int, LinearFit, bool]],
-    mode: str,
+    u: GridFunction, x0: np.ndarray, t0: float, eta: float,
+    scales: list[tuple[int, LinearFit, bool]], mode: str,
 ) -> DecayReport:
     floor = ROUNDOFF_FLOOR * (1.0 + u.sup_norm)
     entries: list[DecayScale] = []
@@ -250,8 +261,6 @@ def _assemble_report(
         alpha = 1.0
         residual = 0.0
 
-    x0, t0 = center
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     return DecayReport(
         eta=float(eta),
         center_x=tuple(float(c) for c in x0),
@@ -264,25 +273,33 @@ def _assemble_report(
 
 
 def _fitted_scales(
-    u: GridFunction, center, eta: float, K: int, boundary: bool, fit_clipped: bool
+    u: GridFunction, x0: np.ndarray, t0: float, eta: float, K: int, boundary: bool,
+    fit_clipped: bool,
 ) -> list[tuple[int, LinearFit, bool]]:
     """(k, fit, clipped) for k = 0..K; clipped scales only when fit_clipped.
 
-    The center is checked up front, so a malformed one fails alike
-    when every scale is skipped; containment is the test cylinder_nodes
-    records, asked before any node is built.
+    (x0, t0) is a center _cylinder_center has checked; containment is
+    the test cylinder_nodes records, asked before any node is built.
     """
-    x0, t0 = _cylinder_center(u.grid, center)
     xs = x0.tolist()
     scales = []
     for k in range(K + 1):
         r = eta**k
         if not fit_clipped and not _contained(u.grid, xs, t0, r):
             continue
-        cyl = cylinder_nodes(u.grid, center, r)
+        cyl = cylinder_nodes(u.grid, (x0, t0), r)
         fit = _fit_over_cylinder(u, cyl, boundary=boundary)
         scales.append((k, fit, not cyl.contained))
     return scales
+
+
+def _decay_arguments(grid: Grid, center, eta, K) -> tuple[np.ndarray, float, float, int]:
+    """The checked center (x0, t0), eta and K of a decay sequence; K defaults to the deepest."""
+    x0, t0 = _cylinder_center(grid, center)
+    eta = _real_number(eta, "eta", _UNIT_INTERVAL)
+    if K is None:
+        return x0, t0, eta, _max_scales(grid, x0, eta)
+    return x0, t0, eta, _real_number(K, "K", _NONNEGATIVE, integer=True)
 
 
 def decay_sequence(
@@ -298,14 +315,17 @@ def decay_sequence(
     scales are neither built nor fitted and entries lists only the
     contained ones; alpha_est and regression_residual are the same.
     """
-    if not 0.0 < eta < 1.0:
-        raise InputError(f"eta must lie in (0, 1), got {eta}")
-    if K is None:
-        K = _max_scales(u.grid, center, eta)
-    if K < 0:
-        raise InputError(f"K must be >= 0, got {K}")
-    scales = _fitted_scales(u, center, eta, K, boundary=False, fit_clipped=fit_clipped)
-    return _assemble_report(u, center, eta, scales, mode="interior")
+    x0, t0, eta, K = _decay_arguments(u.grid, center, eta, K)
+    scales = _fitted_scales(u, x0, t0, eta, K, boundary=False, fit_clipped=fit_clipped)
+    return _assemble_report(u, x0, t0, eta, scales, mode="interior")
+
+
+def _require_zero_face(u: GridFunction, need: str) -> None:
+    """FaceDataError, stating need, unless u vanishes on the face up to FACE_TOL."""
+    worst = float(np.max(np.abs(u.data[..., 0])))
+    tol = FACE_TOL * (1.0 + u.sup_norm)
+    if worst > tol:
+        raise FaceDataError(f"face values reach {worst:.3e} > {tol:.3e}; {need}")
 
 
 def boundary_decay_sequence(
@@ -313,7 +333,6 @@ def boundary_decay_sequence(
     eta: float = 0.5,
     K: int | None = None,
     center=None,
-    face_tol: float | None = None,
     fit_clipped: bool = True,
 ) -> DecayReport:
     """One-parameter fits a * x_n over half cylinders at a face point.
@@ -326,29 +345,18 @@ def boundary_decay_sequence(
     grid = u.grid
     if not grid.half_space:
         raise InputError("boundary decay needs a half-space grid")
-    if not 0.0 < eta < 1.0:
-        raise InputError(f"eta must lie in (0, 1), got {eta}")
     if center is None:
         center = (np.zeros(grid.n_dim), 0.0)
-    x0, t0 = center
-    x0 = np.atleast_1d(_real_array(x0, "decay center"))
-    if abs(x0[grid.n_dim - 1]) > 1e-12:
+    x0, t0, eta, K = _decay_arguments(grid, center, eta, K)
+    if abs(x0[-1]) > 1e-12:
         raise InputError(
             f"boundary decay centers on the face x_n = 0, got x_n = {x0[-1]}"
         )
-    face_values = u.data[(slice(None),) * 1 + (Ellipsis, 0)]
-    if face_tol is None:
-        face_tol = 1e-12 * (1.0 + u.sup_norm)
-    worst_face = float(np.max(np.abs(face_values)))
-    if worst_face > face_tol:
-        raise FaceDataError(
-            f"face values reach {worst_face:.3e} > {face_tol:.3e}; subtract the "
-            "boundary data's affine part before the boundary decay study"
-        )
-    if K is None:
-        K = _max_scales(grid, (x0, t0), eta)
-    scales = _fitted_scales(u, (x0, t0), eta, K, boundary=True, fit_clipped=fit_clipped)
-    return _assemble_report(u, (x0, t0), eta, scales, mode="boundary")
+    _require_zero_face(
+        u, "subtract the boundary data's affine part before the boundary decay study"
+    )
+    scales = _fitted_scales(u, x0, t0, eta, K, boundary=True, fit_clipped=fit_clipped)
+    return _assemble_report(u, x0, t0, eta, scales, mode="boundary")
 
 
 @dataclass(frozen=True)
@@ -372,8 +380,8 @@ def coefficient_cauchy_check(
     the fitted face slopes.  Also reports the smallest c1 that would
     pass every scale.
     """
-    if c1 <= 0.0:
-        raise InputError(f"c1 must be positive, got {c1}")
+    c1 = _real_number(c1, "c1", _POSITIVE)
+    alpha = _real_number(alpha, "alpha", _EXPONENT)
     eta = report.eta
     margins = []
     worst_ratio = 0.0
@@ -413,14 +421,7 @@ def odd_reflection(u: GridFunction) -> GridFunction:
     grid = u.grid
     if not grid.half_space:
         raise InputError("odd reflection needs a half-space grid")
-    face = u.data[..., 0]
-    tol = 1e-12 * (1.0 + u.sup_norm)
-    worst = float(np.max(np.abs(face)))
-    if worst > tol:
-        raise FaceDataError(
-            f"face values reach {worst:.3e} > {tol:.3e}; odd reflection needs "
-            "zero Dirichlet data on the face"
-        )
+    _require_zero_face(u, "odd reflection needs zero Dirichlet data on the face")
     full = replace(grid, half_space=False)
     n_half = grid.steps_per_half_width
     out = np.empty((grid.n_time_levels,) + full.spatial_shape)
@@ -441,10 +442,8 @@ def rescale(
     and r^2/tau integers, r <= R, r^2 <= T.
     """
     grid = u.grid
-    if not np.isfinite(r) or r <= 0.0:
-        raise InputError(f"rescaling radius must be positive, got {r}")
-    if not np.isfinite(alpha) or not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+    r = _real_number(r, "rescaling radius", _POSITIVE)
+    alpha = _real_number(alpha, "alpha", _EXPONENT)
     steps = r / grid.h
     depth = r * r / grid.tau
     if (
@@ -501,6 +500,7 @@ def pointwise_c1a_norm(
     parabolic distances at or above the finest fitted radius (below
     that scale the fit itself is the resolution limit).
     """
+    alpha = _real_number(alpha, "alpha", _EXPONENT)
     return _seminorm(u, decay_sequence(u, point, eta=eta), alpha)
 
 
@@ -554,26 +554,23 @@ def global_report(
     points of a half-space grid) use the one-parameter face fits with
     the deviation measured against the finest fitted slope.
     """
+    alpha = _real_number(alpha, "alpha", _EXPONENT)
 
-    def row(kind: str, pt, rep: DecayReport) -> PointReport:
-        x0, t0 = pt
+    def row(kind: str, rep: DecayReport) -> PointReport:
         return PointReport(
             kind=kind,
-            center_x=tuple(float(c) for c in np.atleast_1d(x0)),
-            center_t=float(t0),
+            center_x=rep.center_x,
+            center_t=rep.center_t,
             alpha_est=rep.alpha_est,
             seminorm=_seminorm(u, rep, alpha),
         )
 
-    rows = [row("interior", pt, decay_sequence(u, pt, eta=0.5)) for pt in interior_points]
-    rows += [
-        row("boundary", pt, boundary_decay_sequence(u, center=pt))
-        for pt in boundary_points
-    ]
+    rows = [row("interior", decay_sequence(u, pt, eta=0.5)) for pt in interior_points]
+    rows += [row("boundary", boundary_decay_sequence(u, center=pt)) for pt in boundary_points]
     if not rows:
         raise InputError("global report needs at least one study point")
     return GlobalReport(
-        alpha=float(alpha),
+        alpha=alpha,
         rows=tuple(rows),
         max_seminorm=max(r.seminorm for r in rows),
         min_alpha_est=min(r.alpha_est for r in rows),

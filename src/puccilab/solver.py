@@ -46,7 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, CFLViolationError, InputError, PucciLabError
+from .errors import (
+    _POSITIVE,
+    BlowUpError,
+    CFLViolationError,
+    InputError,
+    PucciLabError,
+    _real_number,
+)
 from .grid import Grid, GridFunction, _ball_mask
 from .operators import PLaplaceOp, PLaplaceParams, _Workspace
 
@@ -206,9 +213,8 @@ def solve_p_laplace_regularized(
     """
     if epsilon is None:
         epsilon = grid.h
-    if epsilon <= 0.0:
-        raise InputError("the marched p-Laplacian needs epsilon > 0")
-    params = PLaplaceParams(p=p, epsilon=float(epsilon))
+    epsilon = _real_number(epsilon, "epsilon of the marched p-Laplacian", _POSITIVE)
+    params = PLaplaceParams(p=p, epsilon=epsilon)
     prob = DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid)
     return solve_dirichlet(prob)
 
@@ -246,11 +252,9 @@ def epsilon_continuation(
     p: float, eps_schedule, f, g, grid: Grid
 ) -> tuple[list[GridFunction | None], EpsilonContinuationReport]:
     """Solve for each epsilon of a strictly decreasing schedule; PucciLabErrors become failures."""
-    schedule = [float(e) for e in eps_schedule]
+    schedule = [_real_number(e, "epsilon schedule entry", _POSITIVE) for e in eps_schedule]
     if len(schedule) == 0:
         raise InputError("epsilon schedule is empty")
-    if any(e <= 0.0 for e in schedule):
-        raise InputError("epsilon schedule must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
 

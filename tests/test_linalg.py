@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puccilab.errors import InputError
-from puccilab.linalg import (
-    SymMatrix,
-    eig_extremes,
-    jacobi_eigh_batch,
-    symmetric_eigenvalues,
-)
+from puccilab.linalg import SymMatrix, jacobi_eigh_batch
 
 np.random.seed(42)
 
@@ -31,8 +26,8 @@ FROZEN_CASES = [
 
 @pytest.mark.parametrize("mat,expected", FROZEN_CASES)
 def test_frozen_spectra(mat, expected):
-    result = symmetric_eigenvalues(SymMatrix(mat))
-    assert np.allclose(result.values, expected, atol=1e-12)
+    values = jacobi_eigh_batch(SymMatrix(mat).entries)
+    assert np.allclose(values, expected, atol=1e-12)
 
 
 def test_matches_lapack_oracle_random():
@@ -40,21 +35,10 @@ def test_matches_lapack_oracle_random():
         for _ in range(50):
             a = np.random.randn(n, n)
             m = 0.5 * (a + a.T)
-            got = symmetric_eigenvalues(SymMatrix(m)).values
+            got = jacobi_eigh_batch(SymMatrix(m).entries)
             want = np.linalg.eigvalsh(m)
             scale = 1.0 + np.abs(want).max()
             assert np.max(np.abs(got - want)) < 1e-10 * scale
-
-
-def test_eigenvectors_satisfy_definition():
-    a = np.random.randn(4, 4)
-    m = 0.5 * (a + a.T)
-    res = symmetric_eigenvalues(SymMatrix(m), want_vectors=True)
-    for j in range(4):
-        v = res.vectors[:, j]
-        assert np.linalg.norm(m @ v - res.values[j] * v) < 1e-10
-    # orthonormal basis
-    assert np.allclose(res.vectors.T @ res.vectors, np.eye(4), atol=1e-12)
 
 
 def test_batch_shapes_and_agreement():
@@ -63,7 +47,7 @@ def test_batch_shapes_and_agreement():
     values = jacobi_eigh_batch(mats)
     assert values.shape == (6, 7, 3)
     # spot-check one entry against the single-matrix path
-    single = symmetric_eigenvalues(SymMatrix(mats[2, 3])).values
+    single = jacobi_eigh_batch(mats[2, 3])
     assert np.allclose(values[2, 3], single, atol=1e-12)
     # ascending order everywhere
     assert np.all(values[..., :-1] <= values[..., 1:] + 1e-15)
@@ -74,7 +58,7 @@ def test_trace_and_norm_invariants():
         n = np.random.randint(2, 6)
         a = np.random.randn(n, n) * 10.0
         m = 0.5 * (a + a.T)
-        vals = symmetric_eigenvalues(SymMatrix(m)).values
+        vals = jacobi_eigh_batch(SymMatrix(m).entries)
         scale = 1.0 + np.abs(m).sum()
         assert abs(vals.sum() - np.trace(m)) < 1e-11 * scale
         assert abs((vals**2).sum() - (m * m).sum()) < 1e-10 * scale**2
@@ -100,12 +84,6 @@ def test_symmetrization_near_the_float_limit_and_of_signed_zeros():
     assert not np.signbit(m[:, 2]).any() and not np.signbit(m[2]).any()
 
 
-def test_extremes_are_floats_and_ordered():
-    lo, hi = eig_extremes(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-    assert isinstance(lo, float) and isinstance(hi, float)
-    assert abs(lo - 1.0) < 1e-12 and abs(hi - 3.0) < 1e-12
-
-
 def test_input_validation():
     with pytest.raises(InputError):
         SymMatrix(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
@@ -124,8 +102,8 @@ def test_input_validation():
 )
 def test_shift_moves_spectrum(entries, shift):
     m = np.array([[entries[0], entries[1]], [entries[1], entries[3]]])
-    base = symmetric_eigenvalues(SymMatrix(m)).values
-    shifted = symmetric_eigenvalues(SymMatrix(m + shift * np.eye(2))).values
+    base = jacobi_eigh_batch(SymMatrix(m).entries)
+    shifted = jacobi_eigh_batch(SymMatrix(m + shift * np.eye(2)).entries)
     assert np.allclose(shifted, base + shift, atol=1e-9)
 
 
@@ -243,11 +221,11 @@ def test_entries_near_the_float_range():
 
 def test_single_matrix_paths_agree_with_the_stack():
     mats = SPECIAL["near_double_1e-9"][:3]
-    for m in mats:
-        lo, hi = eig_extremes(m)
+    stack = jacobi_eigh_batch(mats)
+    for m, row in zip(mats, stack):
         values = jacobi_eigh_batch(m)
         assert values.shape == (3,)
-        assert (lo, hi) == (values[0], values[-1])
+        assert np.array_equal(values, row)
 
 
 def test_non_finite_and_non_square_stacks_are_rejected():
