@@ -1,14 +1,14 @@
 """Command line front end.
 
 Usage:
-    puccilab <subcommand> --config cfg.json --out results/ [--threads N] [--verbose]
+    puccilab <subcommand> --config cfg.json --out results/ [--threads 1] [--verbose]
 
 Each subcommand runs one scenario tag from the config file, as paired
 in scenarios.SCENARIOS; the tag and the subcommand must agree, which
-catches copy-paste mistakes in sweep batches.  Every subcommand accepts
---threads, but only sweep-p reads it.  Exit codes: 0 ran to completion
-(fail verdicts are results, not errors), 1 validation problem, 2
-numerical failure.
+catches copy-paste mistakes in sweep batches.  Every study runs on one
+thread; --threads accepts only 1 and is kept so that existing command
+lines still parse.  Exit codes: 0 ran to completion (fail verdicts are
+results, not errors), 1 validation problem, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="path to the JSON scenario config")
         p.add_argument("--out", required=True, help="directory for report files")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for sweep-p (0 = auto)"
+            "--threads", type=int, choices=(1,), default=1,
+            help="accepted for existing command lines; every study runs on one thread",
         )
         p.add_argument(
             "--verbose", action="store_true", help="name the scenario and config file on stderr"
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
             )
         if args.verbose:
             print(f"running {config.scenario} from {args.config}", file=sys.stderr)
-        paths = execute(config, args.out, threads=args.threads)
+        paths = execute(config, args.out)
     except NumericalError as exc:
         print(f"puccilab: numerical failure: {exc}", file=sys.stderr)
         return 2

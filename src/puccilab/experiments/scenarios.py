@@ -28,6 +28,7 @@ from ..operators import (
     class_membership,
 )
 from ..regularity import (
+    _decay_scales,
     boundary_decay_sequence,
     coefficient_cauchy_check,
     decay_report_payload,
@@ -262,7 +263,6 @@ def run_p_sweep(
     seed: int = 0,
     eta: float = 0.5,
     K: int | None = 3,
-    threads: int = 1,
 ) -> PSweepTable:
     """Solve the regularized p-flow for each p and measure decay exponents.
 
@@ -272,7 +272,7 @@ def run_p_sweep(
     fits as well.
     """
     alpha_target = _real_number(alpha_target, "alpha_target")
-    threads = _real_number(threads, "threads", integer=True)
+    eta, K = _decay_scales(eta, K)
     epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon")
     p_values = [_real_number(p, "p") for p in p_list]
     points = sample_interior_points(grid, n_points, seed) if p_values else []
@@ -283,41 +283,28 @@ def run_p_sweep(
     else:
         boundary_points = []
     f_bound = _field_sup(f, grid) if p_values else 0.0
-
-    def work(p):
+    rows = []
+    for p in p_values:
         try:
             op = PLaplaceOp(PLaplaceParams(p=p, epsilon=epsilon))
             membership, alphas, boundary_alphas = _study(
                 op, grid, f, g, f_bound, points, eta, K, boundary_points
             )
+            alpha_min = min(alphas)
+            row = PSweepRow(
+                p=p,
+                status="ok",
+                verdict=membership.verdict,
+                worst_sub_slack=membership.worst_sub_slack,
+                worst_super_slack=membership.worst_super_slack,
+                alpha_min=alpha_min,
+                alphas=alphas,
+                boundary_alphas=boundary_alphas,
+                meets_target=bool(alpha_min >= alpha_target),
+            )
         except PucciLabError as exc:
-            return PSweepRow(p=p, status=f"failed: {exc}")
-        return PSweepRow(
-            p=p,
-            status="ok",
-            verdict=membership.verdict,
-            worst_sub_slack=membership.worst_sub_slack,
-            worst_super_slack=membership.worst_super_slack,
-            alpha_min=min(alphas) if alphas else None,
-            alphas=alphas,
-            boundary_alphas=boundary_alphas,
-        )
-
-    if threads == 1 or len(p_values) <= 1:
-        rows = [work(p) for p in p_values]
-    else:
-        # imported here: it pulls in logging and queue, which a serial
-        # sweep and every other scenario never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = threads if threads > 0 else min(len(p_values), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, p_values))
-    rows = [
-        row if row.status != "ok"
-        else replace(row, meets_target=bool(row.alpha_min >= alpha_target))
-        for row in rows
-    ]
+            row = PSweepRow(p=p, status=f"failed: {exc}")
+        rows.append(row)
     return PSweepTable(
         alpha_target=alpha_target,
         points=tuple((tuple(x), t) for x, t in points),
@@ -348,6 +335,7 @@ def run_ellipticity_sweep(
     responds to the ellipticity ratio; the trend is recorded, not
     asserted (the theory promises a direction, not numbers).
     """
+    eta, K = _decay_scales(eta, K)
     deltas = [_real_number(d, "ellipticity offsets", _NONNEGATIVE) for d in delta_list]
     f_bound = _field_sup(f, grid) if deltas else 0.0
     origin = [(np.zeros(grid.n_dim), 0.0)]
@@ -475,7 +463,7 @@ def _membership_rows(report, prefix=""):
     return [[prefix + c, getattr(report, c)] for c in _MEMBERSHIP_COLUMNS]
 
 
-def _exec_solve(config, out_dir, threads):
+def _exec_solve(config, out_dir):
     grid = config.grid
     params = dict(config.operator)
     op = OPERATOR_KINDS[params.pop("kind")].build(params, grid)
@@ -487,7 +475,7 @@ def _exec_solve(config, out_dir, threads):
     return payload, ["quantity", "value"], rows
 
 
-def _exec_class_check(config, out_dir, threads):
+def _exec_class_check(config, out_dir):
     op = config.operator
     report = class_membership(
         field_on_grid(config.data["u"], config.grid),
@@ -498,7 +486,7 @@ def _exec_class_check(config, out_dir, threads):
     return {"membership": asdict(report)}, ["quantity", "value"], _membership_rows(report)
 
 
-def _exec_decay(config, out_dir, threads):
+def _exec_decay(config, out_dir):
     grid = config.grid
     an = dict(config.analysis)
     center = an.pop("center", ([0.0] * grid.n_dim, 0.0))
@@ -506,7 +494,7 @@ def _exec_decay(config, out_dir, threads):
     return {"decay": decay_report_payload(report)}, *decay_report_rows(report)
 
 
-def _exec_boundary(config, out_dir, threads):
+def _exec_boundary(config, out_dir):
     grid = config.grid
     data = dict(config.data)
     affine = data.pop("affine_part")
@@ -529,7 +517,7 @@ def _exec_boundary(config, out_dir, threads):
     return payload, header, rows
 
 
-def _exec_counterexample(config, out_dir, threads):
+def _exec_counterexample(config, out_dir):
     report = run_counterexample(grid=config.grid, **config.operator, **config.analysis)
     # the report's fields, with the decay report as plain data and the
     # interface ratio under its report key
@@ -546,11 +534,11 @@ def _exec_counterexample(config, out_dir, threads):
     return payload, ["quantity", "value"], rows
 
 
-def _exec_p_sweep(config, out_dir, threads):
+def _exec_p_sweep(config, out_dir):
     an = dict(config.analysis)
     table = run_p_sweep(
         alpha_target=an.pop("alpha", 0.9), grid=config.grid, seed=config.seed,
-        threads=threads, **config.operator, **config.data, **an,
+        **config.operator, **config.data, **an,
     )
     # boundary_points is left out of the report
     payload = {
@@ -561,7 +549,7 @@ def _exec_p_sweep(config, out_dir, threads):
     return payload, list(_P_SWEEP_COLUMNS), _cells(table.rows, _P_SWEEP_COLUMNS)
 
 
-def _exec_ellipticity_sweep(config, out_dir, threads):
+def _exec_ellipticity_sweep(config, out_dir):
     rows = run_ellipticity_sweep(
         grid=config.grid, **config.operator, **config.data, **config.analysis
     )
@@ -569,7 +557,7 @@ def _exec_ellipticity_sweep(config, out_dir, threads):
     return payload, list(_ELLIPTICITY_COLUMNS), _cells(rows, _ELLIPTICITY_COLUMNS)
 
 
-def _exec_eps_sweep(config, out_dir, threads):
+def _exec_eps_sweep(config, out_dir):
     _, report = epsilon_continuation(grid=config.grid, **config.operator, **config.data)
     # the last epsilon has no successor, so its distance cell is empty
     rows = list(zip_longest(report.epsilons, report.distances))
@@ -660,9 +648,9 @@ SCENARIOS = {
 }
 
 
-def execute(config, out_dir: str, threads: int = 1):
+def execute(config, out_dir: str):
     """Run the configured scenario and write report.json / report.csv."""
-    payload, header, rows = SCENARIOS[config.scenario].executor(config, out_dir, threads)
+    payload, header, rows = SCENARIOS[config.scenario].executor(config, out_dir)
     document = {
         "provenance": provenance(config.grid, config.seed, config.scenario),
         "result": payload,

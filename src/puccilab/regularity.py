@@ -293,13 +293,17 @@ def _fitted_scales(
     return scales
 
 
+def _decay_scales(eta, K) -> tuple[float, int | None]:
+    """The checked eta and K of a decay sequence; K stays None for the deepest scale."""
+    eta = _real_number(eta, "eta", _UNIT_INTERVAL)
+    return eta, None if K is None else _real_number(K, "K", _NONNEGATIVE, integer=True)
+
+
 def _decay_arguments(grid: Grid, center, eta, K) -> tuple[np.ndarray, float, float, int]:
     """The checked center (x0, t0), eta and K of a decay sequence; K defaults to the deepest."""
     x0, t0 = _cylinder_center(grid, center)
-    eta = _real_number(eta, "eta", _UNIT_INTERVAL)
-    if K is None:
-        return x0, t0, eta, _max_scales(grid, x0, eta)
-    return x0, t0, eta, _real_number(K, "K", _NONNEGATIVE, integer=True)
+    eta, K = _decay_scales(eta, K)
+    return x0, t0, eta, _max_scales(grid, x0, eta) if K is None else K
 
 
 def decay_sequence(

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _ABOVE_ONE,
     _POSITIVE,
     BlowUpError,
     CFLViolationError,
@@ -252,6 +253,7 @@ def epsilon_continuation(
     p: float, eps_schedule, f, g, grid: Grid
 ) -> tuple[list[GridFunction | None], EpsilonContinuationReport]:
     """Solve for each epsilon of a strictly decreasing schedule; PucciLabErrors become failures."""
+    p = _real_number(p, "p", _ABOVE_ONE)
     schedule = [_real_number(e, "epsilon schedule entry", _POSITIVE) for e in eps_schedule]
     if len(schedule) == 0:
         raise InputError("epsilon schedule is empty")

@@ -258,7 +258,7 @@ def test_criterion_08_p_sweep_and_continuation():
     grid = Grid(n_dim=2, h=h, tau=2.0**-15, time_extent=0.25)
     g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
     t0 = time.monotonic()
-    table = run_p_sweep([1.9, 2.0, 2.1], 0.9, grid, _zero, g, n_points=10, seed=0, K=3, threads=1)
+    table = run_p_sweep([1.9, 2.0, 2.1], 0.9, grid, _zero, g, n_points=10, seed=0, K=3)
     rows_ok = table.all_ok and table.all_meet_target
     alpha_floor = min(min(row.alphas) for row in table.rows) if rows_ok else float("nan")
     cont_grid = Grid(n_dim=2, h=h, tau=2.0**-15, time_extent=1.0 / 16)

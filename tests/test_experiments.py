@@ -195,14 +195,23 @@ def test_field_parameters_go_through_the_typed_converter(tmp_path, capsys, spec,
     assert "Traceback" not in err
 
 
-def test_cli_start_imports_no_thread_pool():
-    # concurrent.futures pulls in logging and queue; only a threaded
-    # p-sweep needs it, so it is imported there
-    code = "import sys, puccilab.experiments.cli; print('concurrent.futures' in sys.modules)"
+def test_cli_start_imports_no_thread_pool(tmp_path):
+    # concurrent.futures pulls in logging and queue, which no study needs:
+    # neither the CLI's start nor a two-p sweep may import it
+    cfg = write_config(tmp_path, "ps.json", p_sweep_raw())
+    code = (
+        "import sys, puccilab.experiments.cli as cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    argv = ["sweep-p", "--config", cfg, "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_config_file_errors(tmp_path):
@@ -323,8 +332,6 @@ def test_p_sweep_rows_and_threads():
         assert row.meets_target
         assert len(row.alphas) == 3
     assert table.all_ok and table.all_meet_target
-    threaded = run_p_sweep([2.0, 2.25], 0.5, grid, zero, g, n_points=3, seed=1, K=2, threads=2)
-    assert threaded.rows == table.rows
 
     empty = run_p_sweep([], 0.5, grid, zero, g, n_points=3, seed=1, K=2)
     assert empty.rows == ()
@@ -385,6 +392,17 @@ def write_config(tmp_path, name, raw):
     path = tmp_path / name
     path.write_text(json.dumps(raw, indent=2) + "\n")
     return str(path)
+
+
+def p_sweep_raw():
+    return {
+        "scenario": "p_sweep",
+        "grid": dict(GRID_2D),
+        "operator": {"p_list": [1.9, 2.1]},
+        "data": {"f": "zero", "g": "quadratic_caloric"},
+        "analysis": {"n_points": 2, "K": 2},
+        "seed": 0,
+    }
 
 
 def ce_raw():
@@ -470,6 +488,37 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = cli_main(["solve", "--config", cfg_boom, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_threads_accepts_only_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ps.json", p_sweep_raw())
+    plain, one = tmp_path / "plain", tmp_path / "one"
+    assert cli_main(["sweep-p", "--config", cfg, "--out", str(plain)]) == 0
+    assert cli_main(["sweep-p", "--config", cfg, "--out", str(one), "--threads", "1"]) == 0
+    capsys.readouterr()
+    for name in ("report.json", "report.csv"):
+        assert (plain / name).read_bytes() == (one / name).read_bytes()
+    for value in ("0", "2"):
+        out = tmp_path / f"threads{value}"
+        rc = cli_main(["sweep-p", "--config", cfg, "--out", str(out), "--threads", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "usage" in err and "--threads" in err
+        assert not out.exists()
+
+
+def test_cli_runs_as_a_module(tmp_path, capsys):
+    cfg = os.path.join(REPORTS, "class_check", "config.json")
+    direct, module = tmp_path / "direct", tmp_path / "module"
+    assert cli_main(["check", "--config", cfg, "--out", str(direct)]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["check", "--config", cfg, "--out", str(module)]
+    out = subprocess.run([sys.executable, "-m", "puccilab.experiments.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    for name in ("report.json", "report.csv"):
+        assert (direct / name).read_bytes() == (module / name).read_bytes()
 
 
 # The exit code documented for every exported error class: 1 for
@@ -588,22 +637,6 @@ def test_cli_solve_then_check_round_trip(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads((check_out / "report.json").read_text())
     assert doc["result"]["membership"]["verdict"] == "pass"
-
-
-def test_execute_auto_threads_matches_serial(tmp_path):
-    raw = {
-        "scenario": "p_sweep",
-        "grid": dict(GRID_2D),
-        "operator": {"p_list": [1.9, 2.1]},
-        "data": {"f": "zero", "g": "quadratic_caloric"},
-        "analysis": {"n_points": 2, "K": 2},
-        "seed": 0,
-    }
-    cfg = parse_config(raw)
-    serial = execute(cfg, str(tmp_path / "serial"), threads=1)
-    auto = execute(cfg, str(tmp_path / "auto"), threads=0)
-    for a, b in zip(serial, auto):
-        assert open(a, "rb").read() == open(b, "rb").read()
 
 
 # Each case directory holds a config.json and the report.json / report.csv

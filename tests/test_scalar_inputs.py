@@ -41,6 +41,7 @@ from puccilab.experiments import (
     run_ellipticity_sweep,
     run_p_sweep,
 )
+from puccilab.experiments import scenarios
 from puccilab.experiments.scenarios import sample_interior_points
 
 BAD = ["x", None, True, math.nan, 10**400]
@@ -99,14 +100,22 @@ LIBRARY = {
     "epsilon_continuation.eps_schedule": (
         lambda v: epsilon_continuation(2.0, [v], zero, zero, GRID), False
     ),
+    "epsilon_continuation.p": (
+        lambda v: epsilon_continuation(v, [0.2, 0.1], zero, zero, GRID), False
+    ),
     "run_counterexample.delta": (lambda v: run_counterexample(v), False),
     "run_ellipticity_sweep.delta_list": (
         lambda v: run_ellipticity_sweep([v], GRID, zero, zero), False
     ),
-    "run_p_sweep.alpha_target": (lambda v: run_p_sweep([2.0], v, GRID, zero, zero), False),
-    "run_p_sweep.threads": (
-        lambda v: run_p_sweep([2.0], 0.9, GRID, zero, zero, threads=v), False
+    "run_ellipticity_sweep.eta": (
+        lambda v: run_ellipticity_sweep([0.5], GRID, zero, zero, eta=v), False
     ),
+    "run_ellipticity_sweep.K": (
+        lambda v: run_ellipticity_sweep([0.5], GRID, zero, zero, K=v), True
+    ),
+    "run_p_sweep.alpha_target": (lambda v: run_p_sweep([2.0], v, GRID, zero, zero), False),
+    "run_p_sweep.eta": (lambda v: run_p_sweep([2.0], 0.9, GRID, zero, zero, eta=v), False),
+    "run_p_sweep.K": (lambda v: run_p_sweep([2.0], 0.9, GRID, zero, zero, K=v), True),
     "run_boundary_study.affine_value": (
         lambda v: run_boundary_study(HALF, u=W, affine_value=v), False
     ),
@@ -127,6 +136,41 @@ LIBRARY = {
 def test_a_malformed_library_scalar_is_an_input_error(name, bad):
     with pytest.raises(InputError):
         LIBRARY[name][0](bad)
+
+
+# tau / h^2 = 1/8 meets the CFL limit of p = 2 and delta = 0.5, so those
+# rows would march
+SWEEP_GRID = Grid(n_dim=2, h=0.125, tau=2.0**-9, time_extent=0.125)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, eta=2.0),
+        lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, K=-1),
+        lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, eta=2.0),
+        lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, K=-1),
+    ],
+    ids=["p-eta", "p-K", "ellipticity-eta", "ellipticity-K"],
+)
+def test_a_bad_decay_scale_fails_a_sweep_before_any_march(monkeypatch, sweep):
+    marches = []
+    march = scenarios.solve_dirichlet
+
+    def counted(prob):
+        marches.append(prob)
+        return march(prob)
+
+    monkeypatch.setattr(scenarios, "solve_dirichlet", counted)
+    with pytest.raises(InputError, match="eta|K"):
+        sweep()
+    assert marches == []
+
+
+def test_boundary_study_affine_gradient_defaults_to_zero():
+    default = run_boundary_study(HALF, u=W)
+    zeros = run_boundary_study(HALF, u=W, affine_gradient=[0.0, 0.0])
+    assert default.rows == zeros.rows
 
 
 _GRID_KEYS = {"n_dim": 2, "h": 0.125, "tau": 2.0**-9, "spatial_extent": 1.0, "time_extent": 0.125}
