@@ -8,8 +8,8 @@ scenarios.OPERATOR_KINDS (the operator keys of each solve kind); the
 root and grid keys are listed here.  _PARSERS types and range-checks
 each value: a finite float, an int for n_dim, K and n_points, a list of
 floats, an (x, t) pair for each point and the center, or a built field,
-so the scenario layer passes them on as they are.  Module-level
-preconditions still apply when the scenario runs.
+so the scenario layer passes them on as they are; Grid checks its own
+flags.  Module-level preconditions still apply when the scenario runs.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ def _require(section: dict, keys, where: str) -> None:
         raise ConfigError(f"section '{where}' is missing required key(s) {missing}")
 
 
-def _flag(value, where, *_):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
 def _point(value, where, grid, *_):
     """An [x_1..x_n, t] list of numbers, as the (x, t) pair the runners take."""
     if not isinstance(value, list) or len(value) != grid.n_dim + 1:
@@ -115,11 +109,11 @@ def _affine_part(spec, where, grid, *_):
 # is None while the grid section itself is parsed.
 _PARSERS = {
     **dict.fromkeys(("h", "tau", "spatial_extent", "time_extent"), _REAL),
-    **dict.fromkeys(("half_space", "stagger"), _flag),
     **dict.fromkeys(("lam", "Lam", "f_bound", "tolerance", "alpha", "c1"), _REAL),
     **dict.fromkeys(("f", "g", "u"), _field),
     "n_dim": _real(integer=True),
-    "kind": lambda value, *_: value,  # looked up in OPERATOR_KINDS beforehand
+    # kind is looked up in OPERATOR_KINDS beforehand, and Grid checks its flags
+    **dict.fromkeys(("kind", "half_space", "stagger"), lambda value, *_: value),
     "p": _real(_ABOVE_ONE),
     "p_list": _reals(_ABOVE_ONE),
     "epsilon": _real(_NONNEGATIVE),

@@ -273,7 +273,7 @@ def run_p_sweep(
     """
     alpha_target = _real_number(alpha_target, "alpha_target")
     eta, K = _decay_scales(eta, K)
-    epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon")
+    epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon", _POSITIVE)
     p_values = [_real_number(p, "p") for p in p_list]
     points = sample_interior_points(grid, n_points, seed) if p_values else []
     if grid.half_space:

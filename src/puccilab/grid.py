@@ -98,6 +98,11 @@ class Grid:
         object.__setattr__(self, "n_dim", n_dim)
         for name in ("h", "tau", "spatial_extent", "time_extent"):
             object.__setattr__(self, name, _real_number(getattr(self, name), name, _POSITIVE))
+        for name in ("half_space", "stagger"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise InputError(f"{name} must be true or false, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         if self.half_space and self.stagger:
             raise InputError("half_space and stagger both place x_n = 0; pick one")
         _int_ratio(self.spatial_extent, self.h, "spatial_extent / h")
@@ -253,8 +258,8 @@ class GridFunction:
         window and kept; at most _WINDOW_SLOTS windows stay (the oldest
         is dropped first), so the memo holds at most 3 * _WINDOW_SLOTS
         slices and never O(levels x nodes).  Only cylinders whose block
-        exceeds one slice read them (the clipped whole-history scales
-        that many centers share); the p-sweep benchmark's fits keep none.
+        exceeds one slice read them; a smaller one runs the same kernel
+        on its box, so the p-sweep benchmark's fits keep no window.
         """
         key = (int(lo), int(hi))
         if not 0 <= key[0] <= key[1] < self.grid.n_time_levels:
@@ -277,7 +282,7 @@ def _sup_norm(lo, hi) -> float:
 
 
 def _window_reductions(block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mean, min and max of a contiguous level block along time."""
+    """Mean, min and max along time of a whole-lattice or a box's level window."""
     out = (_level_sum(block) / block.shape[0], block.min(axis=0), block.max(axis=0))
     for arr in out:
         arr.flags.writeable = False
@@ -285,16 +290,15 @@ def _window_reductions(block: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _level_sum(block: np.ndarray) -> np.ndarray:
-    """Sum over the level axis in numpy's pairwise order, node by node.
+    """Sum over the level axis in pairwise order, node by node.
 
-    numpy sums along a contiguous axis pairwise (eight running partial
-    sums, halving above 128 terms) but accumulates level after level
-    when the summed axis is the slowest one, as it is here.  This
-    replays the pairwise order with whole-slice additions, so a mean
-    keeps the error bound of pairwise summation, O(log levels) ulps
-    instead of O(levels), and equals bit for bit what numpy's mean
-    gives on a gathered (levels x columns) block, whose levels numpy
-    lays out contiguously.
+    The only sum of the fit path.  It replays, with whole-slice
+    additions, the pairwise order numpy uses along a contiguous axis
+    (eight running partial sums, halving above 128 terms); numpy itself
+    accumulates level after level when the summed axis is the slowest,
+    as it is here.  So a mean keeps the error bound of pairwise
+    summation, O(log levels) ulps instead of O(levels), and the order
+    depends on the level count alone, never on the block's layout.
     """
     n = block.shape[0]
     if n > 128:
@@ -450,21 +454,22 @@ class CylinderIndex:
     def column_reductions(self, u: GridFunction) -> tuple[np.ndarray, ...]:
         """Per-column mean, min and max of u over the window, each (columns,).
 
-        A (levels x columns) block no larger than one lattice slice is
-        gathered and reduced along each column's contiguous levels, where
-        numpy sums pairwise as _level_sum does, so its cost follows the
-        cylinder, not the lattice.  A larger block (a clipped scale's
-        whole history, which many centers share) is never copied: it is
-        read off u's memoized window reductions.  Both give the same bits,
-        and neither holds more than the memo's three slices.
+        One kernel, _window_reductions, serves both sides and nothing is
+        copied.  A (levels x columns) block no larger than one lattice
+        slice reduces a strided view of its box, at a cost that follows
+        the cylinder; a larger block (a clipped scale's whole history,
+        which many centers share) takes its box of u's memoized
+        whole-lattice reductions.  The kernel works node by node, so
+        both sides give the same bits.
         """
         if u.grid != self.grid:
             raise InputError("grid function lives on a different grid")
+        lo, hi = self.window
         if self.node_count <= math.prod(self.grid.spatial_shape):
-            block = np.ascontiguousarray(self.values(u).T)
-            return block.sum(axis=1) / block.shape[1], block.min(axis=1), block.max(axis=1)
-        reductions = u.window_reductions(*self.window)
-        return tuple(r[self.box][self.box_mask] for r in reductions)
+            reductions = _window_reductions(u.data[(slice(lo, hi + 1),) + self.box])
+        else:
+            reductions = tuple(r[self.box] for r in u.window_reductions(lo, hi))
+        return tuple(r[self.box_mask] for r in reductions)
 
 
 def _ball_mask(
@@ -739,6 +744,8 @@ def read_gridfn(path) -> GridFunction:
         meta = json.loads(raw[first + 1 : second].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GridFileError(f"{path}: metadata is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise GridFileError(f"{path}: metadata is not a JSON object: {meta!r}")
     if "endianness" not in meta:
         raise GridFileError(f"{path}: endianness tag absent")
     if meta["endianness"] != "little":

@@ -15,12 +15,11 @@ overestimates the best achievable one by at most a fixed dimensional
 factor, which cancels in the log-slope.
 
 Every fit is read off three per-column reductions (mean, min and max
-over the cylinder's time window).  A cylinder whose (levels x columns)
-block is no larger than one lattice slice gathers that block and
-reduces it; a larger one, such as a clipped scale's whole history,
-reads the reductions the field computes once per distinct window and
-keeps, so the scales and centers that share such a window share the
-work.  Both give the same bits (see CylinderIndex.column_reductions).
+over the cylinder's time window), all from one kernel.  A cylinder
+whose (levels x columns) block is no larger than one lattice slice
+runs it on a view of its box; a larger one, such as a clipped scale's
+whole history, reads the field's whole-lattice run, kept once per
+window and shared by scales and centers (CylinderIndex.column_reductions).
 A cylinder is a bounding box plus the ball's mask inside it (see
 CylinderIndex), and a fit reads the values and the column offsets
 through that box only, so one fit costs in proportion to its cylinder,

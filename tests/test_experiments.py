@@ -24,6 +24,7 @@ from puccilab.experiments import (
 )
 from puccilab.experiments import cli as cli_module
 from puccilab.experiments import config as config_module
+from puccilab.experiments import scenarios as scenarios_module
 from puccilab.experiments.cli import main as cli_main
 from puccilab.experiments.config import SCENARIO_TAGS
 from puccilab.experiments.scenarios import (
@@ -557,6 +558,19 @@ def test_cli_maps_every_error_class_to_its_exit_code(tmp_path, capsys, monkeypat
         assert rc == code, name
         assert f"raised {name}" in err
         assert ("numerical failure" in err) == (code == 2)
+
+
+def test_cli_p_sweep_refuses_a_zero_epsilon_before_any_march(tmp_path, capsys, monkeypatch):
+    marches = []
+    monkeypatch.setattr(scenarios_module, "solve_dirichlet", lambda prob: marches.append(prob))
+    raw = p_sweep_raw()
+    raw["operator"]["epsilon"] = 0
+    cfg = write_config(tmp_path, "ps.json", raw)
+    out = tmp_path / "out"
+    assert cli_main(["sweep-p", "--config", cfg, "--out", str(out)]) == 1
+    assert "epsilon must be > 0, got 0.0" in capsys.readouterr().err
+    assert marches == []
+    assert not (out / "report.json").exists()
 
 
 def test_cli_empty_p_sweep_is_a_success(tmp_path, capsys):

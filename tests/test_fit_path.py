@@ -1,10 +1,10 @@
 """The fit path: fits read off per-column window reductions.
 
 A cylinder whose (levels x columns) block fits in one lattice slice
-reduces its own gathered columns; a larger one reads the field's
-memoized whole-lattice window reductions.  Both must give the same
-bits.  The oracles here work on the full block of values, gathered with
-the fancy index of the whole-lattice mask.
+reduces a view of its own box; a larger one reads the field's memoized
+whole-lattice window reductions.  Both run one kernel and must give
+the same bits.  The oracles here work on the full block of values,
+gathered with the fancy index of the whole-lattice mask.
 """
 
 import copy
@@ -207,11 +207,14 @@ def test_level_sum_is_pairwise_along_each_column(levels):
 
 
 def _counting_window_reductions(monkeypatch):
+    """Count the memo's whole-lattice reductions; box views are not counted."""
     calls = []
     real = grid_module._window_reductions
+    memo_code = GridFunction.window_reductions.__code__
 
     def counting(block):
-        calls.append(block.shape[0])
+        if sys._getframe(1).f_code is memo_code:
+            calls.append(block.shape[0])
         return real(block)
 
     monkeypatch.setattr(grid_module, "_window_reductions", counting)
@@ -265,6 +268,29 @@ def test_cylinders_below_the_rule_add_no_memo_entry(monkeypatch):
     assert fits >= 20
     assert calls == []
     assert list(u._memo) == ["sup_norm"]
+
+
+def test_a_decay_pass_gathers_no_block(monkeypatch):
+    # the p-sweep's fits reduce views of their boxes: none gathers its
+    # (levels x columns) block through CylinderIndex.values
+    grid = Grid(n_dim=2, h=1.0 / 16, tau=2.0**-10, time_extent=2.0**-6)
+    rng = np.random.default_rng(4)
+    u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+    real_values = grid_module.CylinderIndex.values
+    gathers = []
+
+    def counting_values(self, field):
+        gathers.append(self.window)
+        return real_values(self, field)
+
+    monkeypatch.setattr(grid_module.CylinderIndex, "values", counting_values)
+    coords = grid.axis_coords(0)
+    fits = 0
+    for _ in range(10):
+        x0 = coords[rng.integers(4, len(coords) - 4, size=2)]
+        fits += len(decay_sequence(u, (x0, 0.0), eta=0.75, K=9, fit_clipped=False).entries)
+    assert fits >= 20
+    assert gathers == []
 
 
 def test_memo_keeps_a_bounded_number_of_windows():

@@ -62,6 +62,16 @@ def test_grid_validation():
             Grid(**{**dict(n_dim=2, h=0.25, tau=0.25), **bad})
 
 
+@pytest.mark.parametrize("name", ["half_space", "stagger"])
+def test_grid_flags_are_booleans(name):
+    for bad in ("no", "false", 1, 0, None, 1.0):
+        with pytest.raises(InputError, match=f"{name} must be true or false"):
+            Grid(n_dim=1, h=0.5, tau=0.5, **{name: bad})
+    grid = Grid(n_dim=1, h=0.5, tau=0.5, **{name: np.bool_(True)})
+    assert type(getattr(grid, name)) is bool and getattr(grid, name)
+    assert grid == Grid(n_dim=1, h=0.5, tau=0.5, **{name: True})
+
+
 def test_axis_layout():
     g = Grid(n_dim=2, h=0.25, tau=0.25)
     assert g.spatial_shape == (9, 9)
@@ -323,6 +333,29 @@ def test_file_format_rejects_corruption(tmp_path):
     textual.write_bytes(text[0] + b"\n" + meta + b"\n" + text[2])
     with pytest.raises(GridFileError, match="h must be a real number"):
         read_gridfn(textual)
+
+
+@pytest.mark.parametrize(
+    "meta, fragment",
+    [
+        (b"5", "not a JSON object"),
+        (b"null", "not a JSON object"),
+        (b'"endianness"', "not a JSON object"),
+        (None, "half_space must be true or false"),
+    ],
+    ids=["number", "null", "string", "half_space-string"],
+)
+def test_file_metadata_must_be_an_object_of_typed_values(tmp_path, meta, fragment):
+    grid = Grid(n_dim=1, h=0.5, tau=0.5)
+    path = tmp_path / "field.puc"
+    write_gridfn(sample(lambda x, t: x[0], grid), path)
+    magic, line, payload = path.read_bytes().split(b"\n", 2)
+    if meta is None:
+        meta = line.replace(b'"half_space": false', b'"half_space": "false"')
+        assert meta != line
+    path.write_bytes(magic + b"\n" + meta + b"\n" + payload)
+    with pytest.raises(GridFileError, match=fragment):
+        read_gridfn(path)
 
 
 def test_restrict_sub_box():

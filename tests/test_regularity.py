@@ -354,6 +354,18 @@ def test_pointwise_norm_on_affine_and_quadratic():
     assert 0.2 <= semi <= 5.0
 
 
+def test_pointwise_norm_is_zero_when_no_node_is_past_the_finest_radius():
+    # near the edge every scale but the finest, r = 2h, is clipped, so the
+    # seminorm runs over Q_{2h}'s three columns of one level: all lie
+    # closer to x0 than 2h, and the ratio has no node to read
+    grid = Grid(n_dim=1, h=1.0 / 8, tau=1.0 / 8)
+    u = sample(lambda mesh, t: mesh[0] ** 2 + t, grid)
+    rep = decay_sequence(u, (np.array([0.75]), 0.0), eta=0.5)
+    assert [e.clipped for e in rep.entries] == [True, True, False]
+    assert rep.entries[-1].fit.sup_error > 0.0
+    assert pointwise_c1a_norm(u, (np.array([0.75]), 0.0), 0.5) == 0.0
+
+
 def test_global_report_aggregates_point_rows():
     grid, u = half_space_cubic()
     rep = global_report(

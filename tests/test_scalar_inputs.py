@@ -144,16 +144,18 @@ SWEEP_GRID = Grid(n_dim=2, h=0.125, tau=2.0**-9, time_extent=0.125)
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep,match",
     [
-        lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, eta=2.0),
-        lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, K=-1),
-        lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, eta=2.0),
-        lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, K=-1),
+        (lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, eta=2.0), "eta"),
+        (lambda: run_p_sweep([2.0, 3.0], 0.9, SWEEP_GRID, zero, zero, K=-1), "K"),
+        (lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, eta=2.0), "eta"),
+        (lambda: run_ellipticity_sweep([0.5], SWEEP_GRID, zero, zero, K=-1), "K"),
+        (lambda: run_p_sweep([2.0, 2.1], 0.9, SWEEP_GRID, zero, zero, epsilon=-0.1), "epsilon"),
+        (lambda: run_p_sweep([2.0, 2.1], 0.9, SWEEP_GRID, zero, zero, epsilon=0.0), "epsilon"),
     ],
-    ids=["p-eta", "p-K", "ellipticity-eta", "ellipticity-K"],
+    ids=["p-eta", "p-K", "ellipticity-eta", "ellipticity-K", "p-epsilon-negative", "p-epsilon-zero"],
 )
-def test_a_bad_decay_scale_fails_a_sweep_before_any_march(monkeypatch, sweep):
+def test_a_bad_decay_scale_fails_a_sweep_before_any_march(monkeypatch, sweep, match):
     marches = []
     march = scenarios.solve_dirichlet
 
@@ -162,7 +164,7 @@ def test_a_bad_decay_scale_fails_a_sweep_before_any_march(monkeypatch, sweep):
         return march(prob)
 
     monkeypatch.setattr(scenarios, "solve_dirichlet", counted)
-    with pytest.raises(InputError, match="eta|K"):
+    with pytest.raises(InputError, match=match):
         sweep()
     assert marches == []
 
