@@ -116,8 +116,8 @@ _PARSERS = {
     **dict.fromkeys(("kind", "half_space", "stagger"), lambda value, *_: value),
     "p": _real(_ABOVE_ONE),
     "p_list": _reals(_ABOVE_ONE),
-    "epsilon": _real(_NONNEGATIVE),
-    "eps_schedule": _REALS,
+    "epsilon": _real(_POSITIVE),
+    "eps_schedule": _reals(_POSITIVE),
     "delta": _real(_POSITIVE),
     "delta_list": _reals(_NONNEGATIVE),
     "affine_part": _affine_part,

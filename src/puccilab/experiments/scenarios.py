@@ -558,7 +558,7 @@ def _exec_ellipticity_sweep(config, out_dir):
 
 
 def _exec_eps_sweep(config, out_dir):
-    _, report = epsilon_continuation(grid=config.grid, **config.operator, **config.data)
+    report = epsilon_continuation(grid=config.grid, **config.operator, **config.data)
     # the last epsilon has no successor, so its distance cell is empty
     rows = list(zip_longest(report.epsilons, report.distances))
     return asdict(report), ["epsilon", "distance_to_next"], rows

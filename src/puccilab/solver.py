@@ -36,8 +36,9 @@ the ghosts and the nodes outside the ball.  The march keeps the
 shell's indices and, for a callable g, their coordinates; what a
 callable field returns, and the stack of Pucci Hessians that reach
 the eigen-solver, are still fresh arrays.  The history itself is
-levels x nodes; eps-continuation reads its distances level by level,
-so it holds no temporary of that size.
+levels x nodes; eps-continuation reads its distances level by level
+and drops each solution once its distance to the next is read, so at
+most two histories are live.
 """
 
 from __future__ import annotations
@@ -251,8 +252,12 @@ def _sup_distance(a: GridFunction, b: GridFunction, level: np.ndarray) -> float:
 
 def epsilon_continuation(
     p: float, eps_schedule, f, g, grid: Grid
-) -> tuple[list[GridFunction | None], EpsilonContinuationReport]:
-    """Solve for each epsilon of a strictly decreasing schedule; PucciLabErrors become failures."""
+) -> EpsilonContinuationReport:
+    """Solve for each epsilon of a strictly decreasing schedule; PucciLabErrors become failures.
+
+    A rolling pair: at most two histories are live, and only the report
+    is returned (solve_p_laplace_regularized gives any field's bits).
+    """
     p = _real_number(p, "p", _ABOVE_ONE)
     schedule = [_real_number(e, "epsilon schedule entry", _POSITIVE) for e in eps_schedule]
     if len(schedule) == 0:
@@ -260,30 +265,28 @@ def epsilon_continuation(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
 
-    solutions: list[GridFunction | None] = []
-    failures: list[str] = []
-    for eps in schedule:
-        try:
-            solutions.append(solve_p_laplace_regularized(p, eps, f, g, grid))
-        except PucciLabError as exc:
-            solutions.append(None)
-            failures.append(f"epsilon={eps!r}: {exc}")
-
     level = np.empty(grid.spatial_shape)
     distances: list[float | None] = []
-    for a, b in zip(solutions, solutions[1:]):
-        if a is None or b is None:
-            distances.append(None)
-        else:
-            distances.append(_sup_distance(a, b, level))
+    failures: list[str] = []
+    previous: GridFunction | None = None
+    for k, eps in enumerate(schedule):
+        try:
+            current = solve_p_laplace_regularized(p, eps, f, g, grid)
+        except PucciLabError as exc:
+            current = None
+            failures.append(f"epsilon={eps!r}: {exc}")
+        if k > 0:
+            both = previous is not None and current is not None
+            distances.append(_sup_distance(previous, current, level) if both else None)
+        # the predecessor is dropped before the next march allocates its history
+        previous = current
     if any(d is None for d in distances):
         cauchy = None
     else:
         cauchy = all(b <= a for a, b in zip(distances, distances[1:]))
-    report = EpsilonContinuationReport(
+    return EpsilonContinuationReport(
         epsilons=tuple(schedule),
         distances=tuple(distances),
         cauchy=cauchy,
         failures=tuple(failures),
     )
-    return solutions, report

@@ -262,9 +262,7 @@ def test_criterion_08_p_sweep_and_continuation():
     rows_ok = table.all_ok and table.all_meet_target
     alpha_floor = min(min(row.alphas) for row in table.rows) if rows_ok else float("nan")
     cont_grid = Grid(n_dim=2, h=h, tau=2.0**-15, time_extent=1.0 / 16)
-    sols, cont = epsilon_continuation(2.1, [h, h / 2, h / 4], _zero, g, cont_grid)
-    del sols
-    gc.collect()
+    cont = epsilon_continuation(2.1, [h, h / 2, h / 4], _zero, g, cont_grid)
     elapsed = time.monotonic() - t0
     d = cont.distances
     cont_ok = len(d) == 2 and d[0] > d[1] > 0.0 and cont.cauchy is not None

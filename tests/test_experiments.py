@@ -87,6 +87,10 @@ def test_config_round_trip_minimal():
          "epsilon"),
         (lambda r: r.update(scenario="p_sweep", operator={"p_list": [2.1], "epsilon": -0.1}),
          "epsilon"),
+        (lambda r: r.update(operator={"kind": "p_laplace", "p": 3.0, "epsilon": 0}),
+         "operator.epsilon must be > 0"),
+        (lambda r: r.update(scenario="eps_sweep", operator={"p": 3.0, "eps_schedule": [0.1, 0]}),
+         re.escape("operator.eps_schedule[1] must be > 0")),
     ],
 )
 def test_config_rejects_bad_input(mutate, fragment):
@@ -569,6 +573,20 @@ def test_cli_p_sweep_refuses_a_zero_epsilon_before_any_march(tmp_path, capsys, m
     out = tmp_path / "out"
     assert cli_main(["sweep-p", "--config", cfg, "--out", str(out)]) == 1
     assert "epsilon must be > 0, got 0.0" in capsys.readouterr().err
+    assert marches == []
+    assert not (out / "report.json").exists()
+
+
+def test_cli_solve_refuses_a_zero_epsilon_before_any_march(tmp_path, capsys, monkeypatch):
+    # epsilon = 0 is the exact p-Laplacian, which the marcher refuses
+    marches = []
+    monkeypatch.setattr(scenarios_module, "solve_dirichlet", lambda prob: marches.append(prob))
+    raw = solve_raw(operator={"kind": "p_laplace", "p": 2.5, "epsilon": 0})
+    raw["data"]["g"] = {"name": "affine", "value": 1.0, "gradient": [1.0, 0.5]}
+    cfg = write_config(tmp_path, "solve.json", raw)
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "operator.epsilon must be > 0, got 0.0" in capsys.readouterr().err
     assert marches == []
     assert not (out / "report.json").exists()
 

@@ -184,18 +184,17 @@ def test_epsilon_continuation_p2_collapses():
     # at p = 2 the regularization does nothing, distances are exactly 0
     grid = small_grid(h=0.25)
     g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
-    sols, rep = epsilon_continuation(2.0, [0.25, 0.125, 0.0625], ZERO, g, grid)
+    rep = epsilon_continuation(2.0, [0.25, 0.125, 0.0625], ZERO, g, grid)
     assert rep.distances == (0.0, 0.0)
     assert rep.cauchy is True
     assert rep.failures == ()
-    assert all(s is not None for s in sols)
 
 
 def test_epsilon_continuation_isolates_failures():
     grid = small_grid(h=0.25)
     g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
     boom = lambda mesh, t: 1e308
-    _, rep = epsilon_continuation(2.5, [0.25, 0.125], boom, g, grid)
+    rep = epsilon_continuation(2.5, [0.25, 0.125], boom, g, grid)
     assert rep.cauchy is None
     assert len(rep.failures) == 2
 
@@ -369,14 +368,46 @@ def test_march_equals_the_allocating_reference_bitwise(op_name, grid_name, store
     assert not np.array_equal(u.data, sample(_wavy_g, grid).data)
 
 
+_SCHEDULE = [1.0 / 16, 1.0 / 32, 1.0 / 64]
+
+
+def _whole_field_distances(schedule, grid):
+    """max |a - b| between independent marches of successive epsilons."""
+    fields = [solve_p_laplace_regularized(2.5, e, _wavy_f, _wavy_g, grid) for e in schedule]
+    return [float(np.max(np.abs(a.data - b.data))) for a, b in zip(fields, fields[1:])]
+
+
 def test_continuation_distances_equal_the_whole_field_max():
     grid = _GRIDS["n=2"]
-    sols, rep = epsilon_continuation(2.5, [1.0 / 16, 1.0 / 32, 1.0 / 64], _wavy_f, _wavy_g, grid)
-    want = tuple(
-        float(np.max(np.abs(a.data - b.data))) for a, b in zip(sols, sols[1:])
-    )
+    rep = epsilon_continuation(2.5, _SCHEDULE, _wavy_f, _wavy_g, grid)
+    want = tuple(_whole_field_distances(_SCHEDULE, grid))
     assert rep.distances == want
     assert all(d > 0.0 for d in want)
+    assert rep.failures == () and rep.cauchy is not None
+
+
+@pytest.mark.parametrize("failing", [1, 0], ids=["middle-fails", "first-fails"])
+def test_a_failed_solve_voids_only_its_own_distances(monkeypatch, failing):
+    # the rolling pair must not compare a solution with anything but its
+    # schedule neighbour, nor lose a failure in the middle of the schedule
+    from puccilab import solver
+
+    grid = _GRIDS["n=2"]
+    march = solver.solve_p_laplace_regularized
+
+    def failing_at(p, eps, f, g, grid):
+        if eps == _SCHEDULE[failing]:
+            raise BlowUpError("planted failure", step=3)
+        return march(p, eps, f, g, grid)
+
+    monkeypatch.setattr(solver, "solve_p_laplace_regularized", failing_at)
+    rep = epsilon_continuation(2.5, _SCHEDULE, _wavy_f, _wavy_g, grid)
+    if failing == 1:
+        assert rep.distances == (None, None)
+    else:
+        assert rep.distances == (None, _whole_field_distances(_SCHEDULE[1:], grid)[0])
+    assert rep.cauchy is None
+    assert rep.failures == (f"epsilon={_SCHEDULE[failing]!r}: planted failure",)
 
 
 def _traced_peak(run):
@@ -408,13 +439,14 @@ def test_march_memory_beyond_the_history_does_not_grow_with_levels():
 
 def test_distance_pass_allocates_no_history_sized_temporary():
     grid = Grid(n_dim=2, h=1.0 / 16, tau=2.0**-12, time_extent=127 * 2.0**-12)
-    schedule = [1.0 / 16, 1.0 / 32, 1.0 / 64]
-    peak, (sols, rep) = _traced_peak(
-        lambda: epsilon_continuation(2.5, schedule, _wavy_f, _wavy_g, grid)
+    peak, rep = _traced_peak(
+        lambda: epsilon_continuation(2.5, _SCHEDULE, _wavy_f, _wavy_g, grid)
     )
-    history = sols[0].data.nbytes
+    history = grid.n_time_levels * int(np.prod(grid.spatial_shape)) * 8
     assert rep.failures == () and len(rep.distances) == 2
-    assert peak - 3 * history < history / 4
+    # the rolling pair: a march's history beside its predecessor's, and
+    # nothing else of that size
+    assert peak - 2 * history < history / 4
 
 
 @pytest.mark.parametrize(
