@@ -1,7 +1,7 @@
 """Scenario runners, config parsing, and report emission."""
 
 from .config import ScenarioConfig, load_config, parse_config
-from .fields import field_on_grid, make_field
+from .fields import make_field
 from .scenarios import (
     run_boundary_study,
     run_counterexample,
@@ -14,7 +14,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "make_field",
-    "field_on_grid",
     "run_counterexample",
     "run_p_sweep",
     "run_ellipticity_sweep",

@@ -28,7 +28,7 @@ from ..errors import (
     InputError,
     _real_number,
 )
-from ..grid import Grid
+from ..grid import Grid, _check_field
 from .fields import _REAL, _REALS, _real, _reals, make_field
 from .scenarios import OPERATOR_KINDS, SCENARIOS
 
@@ -86,12 +86,16 @@ def _points(value, where, grid, *_):
 
 
 def _field(spec, where, grid, base_dir):
-    # Each referenced field is built here, once: bad specs fail at parse
-    # time, and the scenario runs on the built field.
+    # Each referenced field is built and checked against the grid here, once:
+    # bad specs fail at parse time, and the scenario runs on the built field.
     try:
-        return make_field(spec, grid.n_dim, base_dir)
+        built = make_field(spec, grid.n_dim, base_dir)
+        _check_field(built, grid, where)
     except (TypeError, ValueError, OverflowError, OSError, GridFileError) as exc:
         raise ConfigError(f"{where}: malformed field spec ({exc})") from exc
+    except InputError as exc:
+        raise ConfigError(str(exc)) from exc
+    return built
 
 
 def _affine_part(spec, where, grid, *_):

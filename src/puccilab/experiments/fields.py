@@ -6,7 +6,10 @@ config files, so validation is strict: unknown names, unknown or
 missing parameters, and parameters that are not finite numbers raise
 ConfigError with the offending key.  _real and _reals, the adapters
 over errors._real_number that config.py applies to every numeric config
-value too, turn its InputError into that ConfigError.
+value too, turn its InputError into that ConfigError.  A built field is
+a callable or a stored GridFunction, a field as the grid module defines
+it: config.py checks a stored one's grid, and grid.sample puts either
+on the lattice.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import os
 import numpy as np
 
 from ..errors import _ANY, _POSITIVE, ConfigError, InputError, _real_number
-from ..grid import Grid, GridFunction, read_gridfn, sample
+from ..grid import read_gridfn
 
-__all__ = ["make_field", "field_on_grid", "FIELD_NAMES"]
+__all__ = ["make_field", "FIELD_NAMES"]
 
 
 def _real(rng=_ANY, integer=False):
@@ -164,12 +167,3 @@ def make_field(spec, n_dim: int, base_dir: str = "."):
         raise ConfigError(f"field {name!r} got unknown parameter(s) {sorted(unknown)}")
     typed = {k: parsers[k](v, f"field {name!r} parameter {k}") for k, v in params.items()}
     return builder(typed, _real(_POSITIVE, integer=True)(n_dim, "n_dim"))
-
-
-def field_on_grid(field, grid: Grid) -> GridFunction:
-    """Materialize a field (callable or stored function) on the grid."""
-    if isinstance(field, GridFunction):
-        if field.grid != grid:
-            raise ConfigError("stored field lives on a different grid than configured")
-        return field
-    return sample(field, grid)

@@ -16,8 +16,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..errors import _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _real_number
-from ..grid import Grid, GridFunction, restrict, sample, write_gridfn
+from ..errors import _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _real_array, _real_number
+from ..grid import Grid, GridFunction, _check_field, _field_values, restrict, sample, write_gridfn
 from ..operators import (
     EllipticityPair,
     HeatOp,
@@ -36,7 +36,7 @@ from ..regularity import (
     decay_sequence,
 )
 from ..solver import DirichletProblem, epsilon_continuation, solve_dirichlet
-from .fields import field_on_grid, make_field
+from .fields import make_field
 from .report import provenance, write_report
 
 __all__ = [
@@ -107,14 +107,15 @@ def sample_interior_points(grid: Grid, n_points: int, seed: int):
 
 
 def _field_sup(field, grid: Grid) -> float:
-    """Sup of |field| over the lattice, one time slice at a time."""
-    if isinstance(field, GridFunction):
-        return field.sup_norm
-    mesh = grid.coordinate_mesh()
+    """Sup of |field| over the lattice, one time slice at a time; it must be finite."""
+    _check_field(field, grid, "forcing f")
+    mesh, shape = grid.coordinate_mesh(), grid.spatial_shape
     worst = 0.0
     for m in range(grid.n_time_levels):
-        vals = np.asarray(field(mesh, grid.time_value(m)), dtype=float)
-        worst = max(worst, float(np.max(np.abs(vals))))
+        top = float(np.abs(_field_values(field, grid, m, mesh, slice(None), shape)).max())
+        if not np.isfinite(top):
+            raise InputError(f"forcing f is not finite at level {m}")
+        worst = max(worst, top)
     return worst
 
 
@@ -399,17 +400,15 @@ def run_boundary_study(
         raise InputError("provide exactly one of u (sample mode) or g (solve mode)")
     if affine_gradient is None:
         affine_gradient = np.zeros(grid.n_dim)
-    affine_gradient = np.asarray(affine_gradient, dtype=float)
+    affine_gradient = _real_array(affine_gradient, "affine gradient")
     if affine_gradient.shape != (grid.n_dim,):
         raise InputError(f"affine gradient needs {grid.n_dim} components")
 
     if u is None:
-        prob = DirichletProblem(
-            op_tag=HeatOp(lam=lam), f=lambda mesh, t: 0.0, g=g, grid=grid
+        u = solve_dirichlet(
+            DirichletProblem(op_tag=HeatOp(lam=lam), f=lambda mesh, t: 0.0, g=g, grid=grid)
         )
-        field = solve_dirichlet(prob)
-    else:
-        field = field_on_grid(u, grid)
+    field = sample(u, grid)
 
     mesh = grid.coordinate_mesh()
     affine = np.asarray(sum(affine_gradient[i] * mesh[i] for i in range(grid.n_dim)))
@@ -478,7 +477,7 @@ def _exec_solve(config, out_dir):
 def _exec_class_check(config, out_dir):
     op = config.operator
     report = class_membership(
-        field_on_grid(config.data["u"], config.grid),
+        sample(config.data["u"], config.grid),
         EllipticityPair(op["lam"], op["Lam"]),
         op["f_bound"],
         op.get("tolerance"),
@@ -490,7 +489,7 @@ def _exec_decay(config, out_dir):
     grid = config.grid
     an = dict(config.analysis)
     center = an.pop("center", ([0.0] * grid.n_dim, 0.0))
-    report = decay_sequence(field_on_grid(config.data["u"], grid), center, **an)
+    report = decay_sequence(sample(config.data["u"], grid), center, **an)
     return {"decay": decay_report_payload(report)}, *decay_report_rows(report)
 
 

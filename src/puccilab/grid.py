@@ -12,6 +12,15 @@ GridFunction data is stored time-slowest, spatial axes row-major, and
 is frozen after construction, so derived quantities (the sup norm, the
 per-column reductions over a long time window) are computed once and
 kept.
+
+This module owns the field contract.  A field (forcing f, boundary
+data g, a studied u) is a GridFunction of the grid it is used on, or a
+callable (x, t) -> real values, with x one coordinate array per axis;
+the arrays broadcast together, the callable acts elementwise on them,
+and a scalar result stands for a constant field.  _check_field refuses
+anything else, _field_values is the one reader of a field at one level
+(an error raised inside a callable propagates as it is), and sample
+puts a field on every node.
 """
 
 from __future__ import annotations
@@ -119,13 +128,7 @@ class Grid:
         return int(round(self.time_extent / self.tau)) + 1
 
     def axis_size(self, axis: int) -> int:
-        n_half = self.steps_per_half_width
-        if axis == self.n_dim - 1:
-            if self.half_space:
-                return n_half + 1
-            if self.stagger:
-                return 2 * n_half
-        return 2 * n_half + 1
+        return len(self._axis_coords[axis])
 
     @property
     def spatial_shape(self) -> tuple[int, ...]:
@@ -321,14 +324,47 @@ def _level_sum(block: np.ndarray) -> np.ndarray:
     return total
 
 
+def _check_field(field, grid: Grid, name: str) -> None:
+    """Refuse a field that is neither a callable nor a GridFunction of grid."""
+    if isinstance(field, GridFunction):
+        if field.grid != grid:
+            raise InputError(f"{name} lives on a different grid")
+    elif not callable(field):
+        raise InputError(f"{name} must be a GridFunction or a callable field")
+
+
+def _field_values(field, grid: Grid, level: int, coords, nodes, shape) -> np.ndarray:
+    """The field at one level on a block of lattice nodes of the given shape.
+
+    nodes are the block's flat indices (or a slice) in a level of a
+    GridFunction field; a callable is evaluated on coords, the block's
+    coordinates, one array per axis that broadcast together to shape.
+    The result has that shape, or is a 0-d array for a scalar.
+    """
+    if isinstance(field, GridFunction):
+        return field.data[level].reshape(-1)[nodes].reshape(shape)
+    vals = _real_array(field(coords, grid.time_value(level)), "a callable field's values")
+    if vals.ndim == 0 or vals.shape == shape:
+        return vals
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise InputError(
+            f"a callable field returned shape {vals.shape} on coordinates of "
+            f"shape {shape}; it must act elementwise on them"
+        ) from None
+
+
 def sample(expr, grid: Grid) -> GridFunction:
-    """Evaluate expr(x, t) at every node; x is a broadcastable mesh tuple."""
+    """expr(x, t) at every node as a GridFunction; a GridFunction of grid as it is."""
+    _check_field(expr, grid, "field")
+    if isinstance(expr, GridFunction):
+        return expr
     mesh = grid.coordinate_mesh()
     shape = grid.spatial_shape
     out = np.empty((grid.n_time_levels,) + shape)
     for m in range(grid.n_time_levels):
-        vals = np.asarray(expr(mesh, grid.time_value(m)), dtype=float)
-        out[m] = np.broadcast_to(vals, shape)
+        out[m] = _field_values(expr, grid, m, mesh, slice(None), shape)
         if not np.all(np.isfinite(out[m])):
             bad = np.argwhere(~np.isfinite(out[m]))[0]
             raise InputError(
@@ -361,17 +397,12 @@ def restrict(
             f"sub-box depth {time_extent} exceeds the grid's {grid.time_extent}"
         )
     sub = replace(grid, spatial_extent=spatial_extent, time_extent=time_extent)
-    k = sub.steps_per_half_width
-    center = grid.steps_per_half_width
     slices = [slice(grid.n_time_levels - sub.n_time_levels, grid.n_time_levels)]
     for axis in range(grid.n_dim):
-        last = axis == grid.n_dim - 1
-        if last and grid.half_space:
-            slices.append(slice(0, k + 1))
-        elif last and grid.stagger:
-            slices.append(slice(center - k, center + k))
-        else:
-            slices.append(slice(center - k, center + k + 1))
+        # both axes are exact lattice multiples, so the first sub-box
+        # coordinate is found exactly among the grid's
+        start = int(grid.axis_coords(axis).searchsorted(sub.axis_coords(axis)[0]))
+        slices.append(slice(start, start + sub.axis_size(axis)))
     return GridFunction(grid=sub, data=u.data[tuple(slices)])
 
 

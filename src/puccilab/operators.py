@@ -16,7 +16,8 @@ stencils, since grids carry millions of nodes.
 
 The solver marches operator tags, which carry ell, the ellipticity box
 of their class (heat (lam, lam), Pucci (lam, Lam), p-Laplace (min(1,
-p-1), max(1, p-1))), cfl_coefficient, its Lam, and slice_value.
+p-1), max(1, p-1))), cfl_coefficient, its Lam, slice_value, and
+_check_marchable, which refuses the exact p-Laplacian (epsilon = 0).
 
 The Pucci operators read only the sums of the positive and of the
 negative eigenvalues of each Hessian.  When Gershgorin's discs certify
@@ -106,16 +107,6 @@ class PLaplaceParams:
     def __post_init__(self):
         _store_reals(self, p=_ABOVE_ONE, epsilon=_NONNEGATIVE)
 
-    @property
-    def lam(self) -> float:
-        """Lower ellipticity bound min(p-1, 1) of the coefficient matrix."""
-        return min(self.p - 1.0, 1.0)
-
-    @property
-    def Lam(self) -> float:
-        """Upper ellipticity bound max(p-1, 1)."""
-        return max(self.p - 1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -147,6 +138,9 @@ class _OperatorTag:
     @property
     def cfl_coefficient(self) -> float:
         return self.ell.Lam
+
+    def _check_marchable(self) -> None:
+        """Raise InputError if the explicit march cannot step this tag."""
 
     def slice_value(self, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
         """The operator over the interior of a slice, in the workspace's units.
@@ -202,7 +196,13 @@ class PLaplaceOp(_OperatorTag):
 
     @property
     def ell(self) -> EllipticityPair:
-        return EllipticityPair(self.params.lam, self.params.Lam)
+        q = self.params.p - 1.0
+        return EllipticityPair(min(q, 1.0), max(q, 1.0))
+
+    def _check_marchable(self) -> None:
+        # set-valued at a zero gradient; pde_residual and slice_value still take it
+        if self.params.epsilon == 0.0:
+            raise InputError(f"{self!r}: epsilon = 0 is analysis-only; march epsilon > 0")
 
     def _value(self, sl, h, ws, diag):
         # each cross difference is formed in one buffer just before its

@@ -9,14 +9,11 @@ other lattice node, the shell, copies the boundary data at every level,
 which makes the marched function a discrete Dirichlet solution on the
 parabolic cylinder.
 
-Boundary data g and forcing f may be full GridFunctions or callables
-(x, t) -> array, where x is a list of one coordinate array per axis.
-The arrays broadcast together, and a callable must act elementwise on
-them.  g is evaluated on the sparse mesh of the whole lattice for the
-bottom level and on flat arrays of the shell's node coordinates for
-every later one; f on the sparse mesh of the axis-0 slabs 1..N-2,
-which hold the step range below.  A scalar result stands for a
-constant field.
+Boundary data g and forcing f are fields as the grid module defines
+them, read through its one field reader.  g is evaluated on the sparse
+mesh of the whole lattice for the bottom level and on flat arrays of
+the shell's node coordinates for every later one; f on the sparse mesh
+of the axis-0 slabs 1..N-2, which hold the step range below.
 
 The march's own arithmetic allocates nothing per step: the stencils
 write into one workspace that the march creates for itself (never a
@@ -56,7 +53,7 @@ from .errors import (
     PucciLabError,
     _real_number,
 )
-from .grid import Grid, GridFunction, _ball_mask
+from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values
 from .operators import PLaplaceOp, PLaplaceParams, _Workspace
 
 __all__ = [
@@ -76,36 +73,6 @@ def cfl_limit(op, grid: Grid) -> float:
     return CFL_SAFETY / (2.0 * grid.n_dim * op.cfl_coefficient)
 
 
-def _field_values(field, grid: Grid, level: int, coords, nodes, shape) -> np.ndarray:
-    """The field at one level on a block of lattice nodes of the given shape.
-
-    nodes are the block's flat indices (or a slice) in a level of a
-    GridFunction field; a callable is evaluated on coords, the block's
-    coordinates, one array per axis that broadcast together to shape.
-    The result has that shape, or is a 0-d array for a scalar.
-    """
-    if isinstance(field, GridFunction):
-        return field.data[level].reshape(-1)[nodes].reshape(shape)
-    vals = np.asarray(field(coords, grid.time_value(level)), dtype=float)
-    if vals.ndim == 0 or vals.shape == shape:
-        return vals
-    try:
-        return np.broadcast_to(vals, shape)
-    except ValueError:
-        raise InputError(
-            f"a callable field returned shape {vals.shape} on coordinates of "
-            f"shape {shape}; it must act elementwise on them"
-        ) from None
-
-
-def _check_field(field, grid: Grid, name: str):
-    if isinstance(field, GridFunction):
-        if field.grid != grid:
-            raise InputError(f"{name} lives on a different grid")
-    elif not callable(field):
-        raise InputError(f"{name} must be a GridFunction or a callable field")
-
-
 @dataclass(frozen=True)
 class DirichletProblem:
     """Operator tag, forcing f, boundary data g, and the grid to march on.
@@ -123,8 +90,10 @@ class DirichletProblem:
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise InputError("grid must be a Grid")
-        if not all(hasattr(self.op_tag, a) for a in ("cfl_coefficient", "slice_value")):
+        protocol = ("cfl_coefficient", "slice_value", "_check_marchable")
+        if not all(hasattr(self.op_tag, a) for a in protocol):
             raise InputError(f"unknown operator tag {self.op_tag!r}")
+        self.op_tag._check_marchable()
         _check_field(self.f, self.grid, "forcing f")
         _check_field(self.g, self.grid, "boundary data g")
         ratio = self.grid.tau / (self.grid.h * self.grid.h)
@@ -213,12 +182,8 @@ def solve_p_laplace_regularized(
     spatial step, tying the regularization error to the truncation
     order; epsilon = 0 is refused, the exact operator is analysis-only.
     """
-    if epsilon is None:
-        epsilon = grid.h
-    epsilon = _real_number(epsilon, "epsilon of the marched p-Laplacian", _POSITIVE)
-    params = PLaplaceParams(p=p, epsilon=epsilon)
-    prob = DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid)
-    return solve_dirichlet(prob)
+    params = PLaplaceParams(p=p, epsilon=grid.h if epsilon is None else epsilon)
+    return solve_dirichlet(DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from puccilab.experiments import (
     load_config,
     make_field,
     parse_config,
+    run_boundary_study,
     run_counterexample,
     run_ellipticity_sweep,
     run_p_sweep,
@@ -263,7 +264,6 @@ def test_counterexample_field_value_jump():
 
 
 def test_stored_field_round_trip(tmp_path):
-    from puccilab.experiments import field_on_grid
     from puccilab.grid import write_gridfn
 
     grid = Grid(n_dim=1, h=0.25, tau=0.125, spatial_extent=1.0, time_extent=0.25)
@@ -271,11 +271,11 @@ def test_stored_field_round_trip(tmp_path):
     path = tmp_path / "field.puc"
     write_gridfn(u, str(path))
     fld = make_field({"file": "field.puc"}, 1, base_dir=str(tmp_path))
-    v = field_on_grid(fld, grid)
+    v = sample(fld, grid)
     assert np.array_equal(v.data, u.data)
     wrong = Grid(n_dim=1, h=0.125, tau=0.125, spatial_extent=1.0, time_extent=0.25)
-    with pytest.raises(ConfigError, match="different grid"):
-        field_on_grid(fld, wrong)
+    with pytest.raises(InputError, match="different grid"):
+        sample(fld, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +591,22 @@ def test_cli_solve_refuses_a_zero_epsilon_before_any_march(tmp_path, capsys, mon
     assert not (out / "report.json").exists()
 
 
+def test_p_sweep_refuses_a_forcing_that_is_nan_at_the_top_level_before_any_march(monkeypatch):
+    marches = []
+    monkeypatch.setattr(scenarios_module, "solve_dirichlet", lambda prob: marches.append(prob))
+    grid = Grid(**GRID_2D)
+    f = lambda x, t: np.nan if t == 0.0 else 1.0
+    with pytest.raises(InputError, match="forcing f is not finite at level 64"):
+        run_p_sweep([2.1], 0.9, grid, f, lambda x, t: 0.0, n_points=1)
+    assert marches == []
+
+
+def test_boundary_study_refuses_a_field_that_is_not_one():
+    grid = Grid(**dict(GRID_2D, half_space=True))
+    with pytest.raises(InputError, match="callable"):
+        run_boundary_study(grid, u=5)
+
+
 def test_cli_empty_p_sweep_is_a_success(tmp_path, capsys):
     raw = {
         "scenario": "p_sweep",
@@ -752,6 +768,29 @@ def test_cli_malformed_numbers_are_validation_errors(tmp_path, capsys, subcomman
     assert rc == 1
     assert err.startswith("puccilab: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, raw", [("sweep-p", p_sweep_raw()), ("eps-continuation", _eps_raw([0.2, 0.1]))]
+)
+def test_cli_refuses_stored_data_of_another_grid_before_any_march(
+    tmp_path, capsys, monkeypatch, subcommand, raw
+):
+    import puccilab.solver as solver_module
+    from puccilab.grid import write_gridfn
+
+    marches = []
+    for module in (scenarios_module, solver_module):
+        monkeypatch.setattr(module, "solve_dirichlet", lambda prob: marches.append(prob))
+    other = Grid(**dict(GRID_2D, h=0.25))
+    write_gridfn(sample(lambda x, t: 1.0 + 0.0 * x[0], other), str(tmp_path / "g.puc"))
+    raw["data"]["g"] = {"file": "g.puc"}
+    cfg = write_config(tmp_path, "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli_main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert "data.g lives on a different grid" in capsys.readouterr().err
+    assert marches == []
+    assert not (out / "report.json").exists()
 
 
 def _with(raw, **sections):

@@ -393,6 +393,52 @@ def test_restrict_on_a_staggered_grid_selects_by_coordinates(n_dim):
     assert np.array_equal(sub.data, u.data[np.ix_(levels, *axes)])
 
 
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+@pytest.mark.parametrize("layout", [{}, {"half_space": True}, {"stagger": True}])
+def test_restrict_selects_the_sub_box_by_coordinates_on_every_layout(n_dim, layout):
+    # h = 0.1 takes the sub-extents that are whole multiples of it
+    steps = ((0.125, (0.25, 0.375, 0.5)), (0.0625, (0.25, 0.375, 0.5)), (0.1, (0.3, 0.5)))
+    for h, extents in steps:
+        grid = Grid(n_dim=n_dim, h=h, tau=0.25, time_extent=0.5, **layout)
+        u = sample(lambda x, t: sum((i + 1.0) * x[i] for i in range(n_dim)) + t, grid)
+        for extent in extents:
+            sub = restrict(u, extent, 0.25)
+            axes = [
+                [j for j, x in enumerate(grid.axis_coords(i)) if abs(x) <= extent + 1e-12]
+                for i in range(n_dim)
+            ]
+            assert sub.grid.spatial_shape == tuple(len(a) for a in axes)
+            assert [sub.grid.axis_size(i) for i in range(n_dim)] == [len(a) for a in axes]
+            for i in range(n_dim):
+                assert np.array_equal(sub.grid.axis_coords(i), grid.axis_coords(i)[axes[i]])
+            assert np.array_equal(sub.data, u.data[np.ix_([1, 2], *axes)])
+
+
+@pytest.mark.parametrize(
+    "expr, fragment",
+    [
+        (lambda x, t: "a", "real numbers"),
+        (lambda x, t: np.zeros(5), "elementwise"),
+        (lambda x, t: x[0] + 1j, "real numbers"),
+        (lambda x, t: [1.0, [2.0]], "real numbers"),
+    ],
+)
+def test_sample_refuses_a_result_that_is_not_real_numbers_of_the_lattice(expr, fragment):
+    grid = Grid(n_dim=2, h=0.25, tau=0.5)
+    with pytest.raises(InputError, match=fragment):
+        sample(expr, grid)
+
+
+def test_sample_takes_a_stored_field_of_its_grid_as_it_is():
+    grid = Grid(n_dim=1, h=0.5, tau=0.5)
+    u = sample(lambda x, t: x[0] + t, grid)
+    assert sample(u, grid) is u
+    with pytest.raises(InputError, match="different grid"):
+        sample(u, Grid(n_dim=1, h=0.25, tau=0.5))
+    with pytest.raises(InputError, match="callable"):
+        sample(5, grid)
+
+
 def test_sample_rejects_nonfinite():
     grid = Grid(n_dim=1, h=0.5, tau=0.5)
     with pytest.raises(InputError, match="level"):

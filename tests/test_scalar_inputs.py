@@ -295,6 +295,9 @@ MALFORMED = {
     "global-interior-short-center": lambda: global_report(U, 0.5, interior_points=[SHORT]),
     "global-boundary-short-center": lambda: global_report(W, 0.5, boundary_points=[SHORT]),
     "boundary-study-short-center": lambda: run_boundary_study(HALF, u=W, points=[SHORT]),
+    "boundary-study-text-gradient": lambda: run_boundary_study(
+        HALF, u=W, affine_gradient=["a", 0.0]
+    ),
     "cylinder-center-not-a-pair": lambda: cylinder_nodes(GRID, None, 0.5),
     "residual-callable-forcing": lambda: pde_residual(U, HeatOp(), zero),
 }

@@ -169,6 +169,19 @@ def test_p_laplace_epsilon_rules():
     assert np.all(np.isfinite(u.data))
 
 
+def test_dirichlet_problem_refuses_the_exact_p_laplacian():
+    # on affine data the march would run to the end; it is refused before
+    # a history exists, and the analysis side still takes epsilon = 0
+    grid = small_grid(h=0.125, tau=2.0**-10, T=0.125)
+    op = PLaplaceOp(PLaplaceParams(2.5, 0.0))
+    g = lambda x, t: 1.0 + x[0] + 0.5 * x[1]
+    with pytest.raises(InputError, match="epsilon = 0"):
+        solve_dirichlet(DirichletProblem(op_tag=op, f=ZERO, g=g, grid=grid))
+    u = sample(g, grid)
+    assert pde_residual(u, op, sample(ZERO, grid)).sup_norm < 1e-12
+    assert np.all(np.isfinite(op.slice_value(u.data[-1], grid.h)))
+
+
 def test_epsilon_continuation_schedule_validation():
     grid = small_grid(h=0.25)
     g = lambda mesh, t: mesh[0] ** 2 + mesh[1] ** 2 + 4.0 * t
@@ -543,6 +556,15 @@ def test_a_callable_that_is_not_elementwise_is_an_input_error(field):
     fields = {"f": _wavy_f, "g": _wavy_g, field: lambda x, t: lattice}
     prob = DirichletProblem(op_tag=HeatOp(lam=1.0), grid=grid, **fields)
     with pytest.raises(InputError, match="elementwise"):
+        solve_dirichlet(prob)
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_a_callable_that_returns_text_is_an_input_error(field):
+    grid = _GRIDS["n=2"]
+    fields = {"f": _wavy_f, "g": _wavy_g, field: lambda x, t: "a"}
+    prob = DirichletProblem(op_tag=HeatOp(lam=1.0), grid=grid, **fields)
+    with pytest.raises(InputError, match="real numbers"):
         solve_dirichlet(prob)
 
 
