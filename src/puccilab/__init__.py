@@ -35,7 +35,6 @@ from .grid import (
     sample,
     restrict,
 )
-from .linalg import SymMatrix
 from .operators import (
     EllipticityPair,
     PLaplaceParams,
@@ -44,11 +43,7 @@ from .operators import (
     PucciPlusOp,
     PucciMinusOp,
     PLaplaceOp,
-    pucci_plus,
-    pucci_minus,
     p_laplace_coeff,
-    normalized_p_laplacian,
-    envelope_residuals,
     class_membership,
     pde_residual,
     membership_tolerance,

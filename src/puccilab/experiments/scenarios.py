@@ -17,7 +17,9 @@ from itertools import zip_longest
 import numpy as np
 
 from ..errors import _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _real_array, _real_number
-from ..grid import Grid, GridFunction, _check_field, _field_values, restrict, sample, write_gridfn
+from ..grid import (
+    Grid, GridFunction, _check_field, _field_values, _finite_level, restrict, sample, write_gridfn
+)
 from ..operators import (
     EllipticityPair,
     HeatOp,
@@ -106,15 +108,17 @@ def sample_interior_points(grid: Grid, n_points: int, seed: int):
     return points
 
 
-def _field_sup(field, grid: Grid) -> float:
-    """Sup of |field| over the lattice, one time slice at a time; it must be finite."""
-    _check_field(field, grid, "forcing f")
+def _sweep_data(f, g, grid: Grid) -> float:
+    """Check f and g before any march; f_bound, the sup of |f|, read one level at a time."""
+    _check_field(f, grid, "forcing f")
+    _check_field(g, grid, "boundary data g")
     mesh, shape = grid.coordinate_mesh(), grid.spatial_shape
+    _finite_level(g, grid, 0, mesh, "boundary data g")
     worst = 0.0
     for m in range(grid.n_time_levels):
-        top = float(np.abs(_field_values(field, grid, m, mesh, slice(None), shape)).max())
+        top = float(np.abs(_field_values(f, grid, m, mesh, slice(None), shape)).max())
         if not np.isfinite(top):
-            raise InputError(f"forcing f is not finite at level {m}")
+            _finite_level(f, grid, m, mesh, "forcing f")  # raises, naming the node
         worst = max(worst, top)
     return worst
 
@@ -283,7 +287,7 @@ def run_p_sweep(
         ]
     else:
         boundary_points = []
-    f_bound = _field_sup(f, grid) if p_values else 0.0
+    f_bound = _sweep_data(f, g, grid) if p_values else 0.0
     rows = []
     for p in p_values:
         try:
@@ -338,7 +342,7 @@ def run_ellipticity_sweep(
     """
     eta, K = _decay_scales(eta, K)
     deltas = [_real_number(d, "ellipticity offsets", _NONNEGATIVE) for d in delta_list]
-    f_bound = _field_sup(f, grid) if deltas else 0.0
+    f_bound = _sweep_data(f, g, grid) if deltas else 0.0
     origin = [(np.zeros(grid.n_dim), 0.0)]
     rows = []
     for delta in deltas:

@@ -44,7 +44,7 @@ from .errors import (
     _real_array,
     _real_number,
 )
-from .linalg import SymMatrix
+from .linalg import _symmetric
 
 __all__ = [
     "Grid",
@@ -355,22 +355,29 @@ def _field_values(field, grid: Grid, level: int, coords, nodes, shape) -> np.nda
         ) from None
 
 
+def _finite_level(field, grid: Grid, level: int, mesh, name: str) -> np.ndarray:
+    """The field on every node of one level; a value that is not finite is an InputError.
+
+    mesh is grid.coordinate_mesh().  The error names the field, the
+    level and the first such node.
+    """
+    shape = grid.spatial_shape
+    vals = _field_values(field, grid, level, mesh, slice(None), shape)
+    if not np.isfinite(vals).all():
+        node = tuple(int(i) for i in np.argwhere(~np.isfinite(np.broadcast_to(vals, shape)))[0])
+        raise InputError(f"{name} is not finite at level {level}, spatial index {node}")
+    return vals
+
+
 def sample(expr, grid: Grid) -> GridFunction:
     """expr(x, t) at every node as a GridFunction; a GridFunction of grid as it is."""
     _check_field(expr, grid, "field")
     if isinstance(expr, GridFunction):
         return expr
     mesh = grid.coordinate_mesh()
-    shape = grid.spatial_shape
-    out = np.empty((grid.n_time_levels,) + shape)
+    out = np.empty((grid.n_time_levels,) + grid.spatial_shape)
     for m in range(grid.n_time_levels):
-        out[m] = _field_values(expr, grid, m, mesh, slice(None), shape)
-        if not np.all(np.isfinite(out[m])):
-            bad = np.argwhere(~np.isfinite(out[m]))[0]
-            raise InputError(
-                f"field evaluated non-finite at level {m}, spatial index "
-                f"{tuple(int(b) for b in bad)}"
-            )
+        out[m] = _finite_level(expr, grid, m, mesh, "field")
     return GridFunction._of_finite_levels(grid, out)
 
 
@@ -725,13 +732,13 @@ def _neighbourhood(u: GridFunction, node, level_shift: int = 0) -> np.ndarray:
 # difference.  operators imports this module, hence the local imports.
 
 
-def centered_hessian(u: GridFunction, node) -> SymMatrix:
+def centered_hessian(u: GridFunction, node) -> np.ndarray:
     """Second-order centered Hessian at one node (four-point cross off-diagonal)."""
     from .operators import _hessian_stack, _slice_cross_diffs, _slice_diag_diffs
 
     block, h, n = _neighbourhood(u, node), u.grid.h, u.grid.n_dim
     hess = _hessian_stack(_slice_diag_diffs(block, h), _slice_cross_diffs(block, h))
-    return SymMatrix(hess.reshape(n, n))
+    return _symmetric(hess.reshape(n, n))
 
 
 def centered_gradient(u: GridFunction, node) -> np.ndarray:

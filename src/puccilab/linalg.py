@@ -16,13 +16,11 @@ through numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, _real_array
 
-__all__ = ["SymMatrix", "jacobi_eigh_batch"]
+__all__ = ["jacobi_eigh_batch"]
 
 # A 3x3 matrix whose normalized determinant r lies within this distance
 # of +-1 has two eigenvalues close together; arccos is ill-conditioned
@@ -30,34 +28,17 @@ __all__ = ["SymMatrix", "jacobi_eigh_batch"]
 DOUBLE_ROOT_GAP = 1e-4
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """A real symmetric matrix stored densely.
-
-    The entries array is symmetrized on construction so the stored
-    upper and lower triangles agree bit for bit.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = _real_array(self.entries, "matrix entries")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputError("matrix entries must be finite")
-        # Halving before adding cannot overflow; symmetric entries stay as
-        # given.  Adding 0.0 turns every signed zero into +0.0, so a -0.0
-        # facing a +0.0 cannot leave the two triangles apart.
-        a = np.where(a == a.T, a, 0.5 * a + 0.5 * a.T) + 0.0
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-
-def _as_entries(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
-    return SymMatrix(m).entries
+def _symmetric(m) -> np.ndarray:
+    """m as a fresh square, finite, bitwise symmetric float array, or InputError."""
+    a = _real_array(m, "matrix entries")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
+    # Halving before adding cannot overflow; symmetric entries stay as
+    # given.  Adding 0.0 turns every signed zero into +0.0, so a -0.0
+    # facing a +0.0 cannot leave the two triangles apart.
+    return np.where(a == a.T, a, 0.5 * a + 0.5 * a.T) + 0.0
 
 
 def _eigvals_2(a: np.ndarray) -> np.ndarray:

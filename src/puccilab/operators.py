@@ -10,13 +10,12 @@ tolerance) when
 
 at every admissible interior node.
 
-The per-node API mirrors the math; the membership check and the
-residual evaluator work one time slice at a time with vectorized
-stencils, since grids carry millions of nodes.
-
-The solver marches operator tags, which carry ell, the ellipticity box
-of their class (heat (lam, lam), Pucci (lam, Lam), p-Laplace (min(1,
-p-1), max(1, p-1))), cfl_coefficient, its Lam, slice_value, and
+Each operator is a tag that states its arithmetic once, in _value:
+slice_value runs it on the vectorized stencils of one time slice, since
+grids carry millions of nodes, and point_value on one matrix as a
+one-row stack, so the two agree bit for bit.  A tag also carries ell,
+the ellipticity box of its class (heat (lam, lam), Pucci (lam, Lam),
+p-Laplace (min(1, p-1), max(1, p-1))), cfl_coefficient, its Lam, and
 _check_marchable, which refuses the exact p-Laplacian (epsilon = 0).
 
 The Pucci operators read only the sums of the positive and of the
@@ -25,16 +24,14 @@ a Hessian semidefinite (every diagonal entry at least, or at most the
 negative of, the sum of the absolute off-diagonal entries of its row),
 those sums are the trace and zero: M_plus = Lam tr and M_minus = lam tr
 on a positive semidefinite Hessian, and the other way round on a
-negative one.  Only the remaining Hessians are eigen-solved.  The
-pointwise pucci_plus and pucci_minus take the same path on a one-row
-stack, so they agree with the slice kernels bit for bit.
+negative one.  Only the remaining Hessians are eigen-solved.
 
-The normalized p-Laplacian has one implementation, _plaplace_value,
-which the march, pde_residual and the pointwise normalized_p_laplacian
-and envelope_residuals all run (the pointwise forms on a one-row
-stack).  At a zero gradient the exact operator is set-valued, and one
-envelope rule, _plaplace_envelope_value, bounds it by the values over
-the Hessian's extreme eigenvalues; only those rows are eigen-solved.
+The normalized p-Laplacian has one implementation, _plaplace_value.
+At a zero gradient the exact operator is set-valued, and one envelope
+rule, _plaplace_envelope_value, bounds it by the values over the
+Hessian's extreme eigenvalues; only those rows are eigen-solved.  A
+tag's _envelope hook gives it (None for every other tag), and
+pde_residual reads it.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .errors import (
     _real_number,
 )
 from .grid import GridFunction
-from .linalg import SymMatrix, _as_entries, jacobi_eigh_batch
+from .linalg import _symmetric, jacobi_eigh_batch
 
 __all__ = [
     "EllipticityPair",
@@ -65,11 +62,7 @@ __all__ = [
     "PucciPlusOp",
     "PucciMinusOp",
     "PLaplaceOp",
-    "pucci_plus",
-    "pucci_minus",
     "p_laplace_coeff",
-    "normalized_p_laplacian",
-    "envelope_residuals",
     "class_membership",
     "membership_tolerance",
     "pde_residual",
@@ -132,8 +125,26 @@ class ClassReport:
 # Operator tags, shared with the solver.
 
 
+def _check_type(value, cls, message: str) -> None:
+    if not isinstance(value, cls):
+        raise InputError(f"{message}, got {value!r}")
+
+
+def _check_tag(op) -> None:
+    """Refuse what is not an operator tag (HeatOp, PucciPlusOp, PucciMinusOp, PLaplaceOp)."""
+    if not isinstance(op, _OperatorTag):
+        raise InputError(f"unknown operator tag {op!r}")
+
+
 class _OperatorTag:
-    """Base of the tags: each supplies ell and _value(sl, h, ws, second differences)."""
+    """Base of the tags: each supplies ell and _value(diag, cross, grad, ws).
+
+    _value reads second differences, ((i, j), cross difference) pairs
+    formed as they are read and, where _reads_gradient is set, the
+    gradient, all in the workspace's units, and returns its value in them.
+    """
+
+    _reads_gradient = False
 
     @property
     def cfl_coefficient(self) -> float:
@@ -142,13 +153,33 @@ class _OperatorTag:
     def _check_marchable(self) -> None:
         """Raise InputError if the explicit march cannot step this tag."""
 
+    def _envelope(self, diag, cross, grad, ws):
+        """(low, high) scaled values where the operator is set-valued, else None.
+
+        cross is a dict here, as _slice_cross_diffs and _point_stencils give it.
+        """
+        return None
+
     def slice_value(self, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
         """The operator over the interior of a slice, in the workspace's units.
 
-        Times ws.scale it is the operator's value.
+        Times ws.scale it is the operator's value.  A tag that reads the
+        gradient takes each cross difference once, so they share a buffer.
         """
         ws = ws or _Workspace(sl.shape)
-        return self._value(sl, h, ws, _slice_diag_diffs(sl, h, ws))
+        diag = _slice_diag_diffs(sl, h, ws)
+        cross = _cross_terms(sl, h, ws, shared=self._reads_gradient)
+        grad = _slice_gradient(sl, h, ws) if self._reads_gradient else None
+        return self._value(diag, cross, grad, ws)
+
+    def point_value(self, m, q=None) -> float:
+        """The operator at one symmetric matrix m, and gradient q where it reads one.
+
+        The slice arithmetic on a one-row stack, so it equals slice_value
+        at a node bit for bit.
+        """
+        diag, cross, grad, ws = _point_stencils(m, q, self._reads_gradient)
+        return float(self._value(diag, cross.items(), grad, ws)[0])
 
 
 @dataclass(frozen=True)
@@ -164,7 +195,7 @@ class HeatOp(_OperatorTag):
     def ell(self) -> EllipticityPair:
         return EllipticityPair(self.lam, self.lam)
 
-    def _value(self, sl, h, ws, diag):
+    def _value(self, diag, cross, grad, ws):
         trace = _slice_trace(diag, ws)
         return np.multiply(self.lam, trace, out=trace)
 
@@ -175,8 +206,11 @@ class _PucciOp(_OperatorTag):
 
     ell: EllipticityPair
 
-    def _value(self, sl, h, ws, diag):
-        pos, neg = _eigen_sign_sums(diag, _slice_cross_diffs(sl, h, ws), ws)
+    def __post_init__(self):
+        _check_type(self.ell, EllipticityPair, "ell must be an EllipticityPair")
+
+    def _value(self, diag, cross, grad, ws):
+        pos, neg = _eigen_sign_sums(diag, dict(cross), ws)
         return _pucci_combine(pos, neg, self.ell, self.plus, ws)
 
 
@@ -194,6 +228,11 @@ class PLaplaceOp(_OperatorTag):
 
     params: PLaplaceParams
 
+    _reads_gradient = True
+
+    def __post_init__(self):
+        _check_type(self.params, PLaplaceParams, "params must be a PLaplaceParams")
+
     @property
     def ell(self) -> EllipticityPair:
         q = self.params.p - 1.0
@@ -204,28 +243,26 @@ class PLaplaceOp(_OperatorTag):
         if self.params.epsilon == 0.0:
             raise InputError(f"{self!r}: epsilon = 0 is analysis-only; march epsilon > 0")
 
-    def _value(self, sl, h, ws, diag):
-        # each cross difference is formed in one buffer just before its
-        # term is added, and the value lands in diag[0]'s buffer
+    def _envelope(self, diag, cross, grad, ws):
+        if self.params.epsilon == 0.0:
+            return _plaplace_envelope_value(self.params.p, diag, cross, grad, ws)
+        return None
+
+    def _value(self, diag, cross, grad, ws):
+        # the value lands in diag[0]'s buffer
         _, value, zero = _plaplace_value(
-            self.params.p,
-            self.params.epsilon,
-            diag,
-            _cross_terms(sl, h, ws, shared=True),
-            _slice_gradient(sl, h, ws),
-            ws,
-            quad=diag[0],
+            self.params.p, self.params.epsilon, diag, cross, grad, ws, quad=diag[0]
         )
         if zero.size:
             raise SingularGradientError(
                 "zero discrete gradient met with epsilon^2 = 0; evaluate through "
-                "envelope_residuals (zero_gradient='envelope') or use epsilon > 0"
+                "pde_residual(..., zero_gradient='envelope') or use epsilon > 0"
             )
         return value
 
 
 # ---------------------------------------------------------------------------
-# Pointwise operators.
+# One matrix and the Pucci combination.
 
 
 def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="value", scale=1.0):
@@ -242,28 +279,7 @@ def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="val
     return value
 
 
-def _matrix_stencils(m):
-    """One matrix as one-row diag and cross arrays, as the slice kernels give them."""
-    a = _as_entries(m)
-    n = a.shape[0]
-    diag = [a[i, i : i + 1] for i in range(n)]
-    cross = {(i, j): a[j, i : i + 1] for i in range(n) for j in range(i + 1, n)}
-    return diag, cross
-
-
-def pucci_plus(m, ell: EllipticityPair) -> float:
-    """sup of tr(A M) over symmetric A with lam I <= A <= Lam I."""
-    pos, neg = _eigen_sign_sums(*_matrix_stencils(m))
-    return float(_pucci_combine(pos, neg, ell, plus=True)[0])
-
-
-def pucci_minus(m, ell: EllipticityPair) -> float:
-    """inf of tr(A M) over the same ellipticity box."""
-    pos, neg = _eigen_sign_sums(*_matrix_stencils(m))
-    return float(_pucci_combine(pos, neg, ell, plus=False)[0])
-
-
-def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
+def p_laplace_coeff(q, params: PLaplaceParams) -> np.ndarray:
     """Coefficient matrix I + (p-2) q x q / (|q|^2 + eps^2)."""
     q = np.atleast_1d(_real_array(q, "gradient"))
     if not np.all(np.isfinite(q)):
@@ -273,42 +289,30 @@ def p_laplace_coeff(q, params: PLaplaceParams) -> SymMatrix:
     if den == 0.0:
         raise SingularGradientError(
             "coefficients undefined at q = 0 with epsilon = 0; use "
-            "envelope_residuals or a positive epsilon"
+            "pde_residual(..., zero_gradient='envelope') or a positive epsilon"
         )
     n = q.shape[0]
-    return SymMatrix(np.eye(n) + (params.p - 2.0) * np.outer(q, q) / den)
+    return _symmetric(np.eye(n) + (params.p - 2.0) * np.outer(q, q) / den)
 
 
-def _point_stencils(m, q, p: float):
-    """m and q as one-row stencils with a one-row workspace, p checked."""
-    PLaplaceParams(p)
-    diag, cross = _matrix_stencils(m)
-    q = _real_array(q, "gradient")
-    if q.shape != (len(diag),) or not np.all(np.isfinite(q)):
-        raise InputError(f"gradient must be {len(diag)} finite numbers, got {q.tolist()}")
-    return diag, cross, [q[i : i + 1] for i in range(len(diag))], _Workspace.for_rows(1)
+def _point_stencils(m, q, gradient: bool):
+    """m, and q if gradient is set (else grad is None), as one-row stencils.
 
-
-def normalized_p_laplacian(m, q, p: float) -> float:
-    """tr(a(q) M) with a(q) = I + (p-2) q x q / |q|^2; needs q != 0."""
-    diag, cross, grad, ws = _point_stencils(m, q, p)
-    _, value, zero = _plaplace_value(p, 0.0, diag, cross.items(), grad, ws)
-    if zero.size:
-        raise SingularGradientError(
-            "normalized p-Laplacian undefined at q = 0; use envelope_residuals"
-        )
-    return float(value[0])
-
-
-def envelope_residuals(m, q, p: float) -> tuple[float, float]:
-    """Operator values (sub, super) for the subsolution and supersolution tests.
-
-    Away from q = 0 both coincide with the normalized p-Laplacian.  At
-    q = 0 they are the larger and the smaller of tr M + (p-2) e over the
-    extreme eigenvalues e of M (see _plaplace_envelope_value).
+    Returns (diag, cross, grad, ws) as the slice kernels give them, cross
+    a dict, with a one-row workspace.  diag[0] is scratch for the
+    p-Laplacian's quadratic form, as in the march.
     """
-    low, high = _plaplace_envelope_value(p, *_point_stencils(m, q, p))
-    return float(high[0]), float(low[0])
+    a = _symmetric(m)
+    n = a.shape[0]
+    diag = [a[i, i : i + 1] for i in range(n)]
+    cross = {(i, j): a[j, i : i + 1] for i in range(n) for j in range(i + 1, n)}
+    grad = None
+    if gradient:
+        q = _real_array(q, "gradient")
+        if q.shape != (n,) or not np.all(np.isfinite(q)):
+            raise InputError(f"gradient must be {n} finite numbers, got {q.tolist()}")
+        grad = [q[i : i + 1] for i in range(n)]
+    return diag, cross, grad, _Workspace.for_rows(1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +389,7 @@ class _Workspace:
     difference and every cross difference in one buffer.  A march or a
     membership pass makes one workspace and hands it to every slice, so
     its step temporaries are allocated once per pass instead of once
-    per step.  Workspaces are never shared: threads marching at the same
-    time each make their own.
+    per step.
     """
 
     def __init__(self, shape, h=None):
@@ -698,6 +701,7 @@ def class_membership(
     least one level above the bottom slice.  The verdict is pass when
     both worst slacks stay above -tol.
     """
+    _check_type(ell, EllipticityPair, "ell must be an EllipticityPair")
     f_bound = _real_number(f_bound, "f_bound, a sup norm,", _NONNEGATIVE)
     grid = u.grid
     if grid.n_time_levels < 2:
@@ -765,6 +769,7 @@ def pde_residual(
     them by the signed distance of zero to the interval spanned by the
     two envelope branches, so an exact solution reports residual 0.
     """
+    _check_tag(op)
     if zero_gradient not in ("raise", "envelope"):
         raise InputError(f"zero_gradient must be 'raise' or 'envelope', got {zero_gradient!r}")
     grid = u.grid
@@ -775,9 +780,6 @@ def pde_residual(
     out = np.zeros_like(u.data)
     out_flat = out.reshape(grid.n_time_levels, -1)
 
-    envelope = (
-        isinstance(op, PLaplaceOp) and op.params.epsilon == 0.0 and zero_gradient == "envelope"
-    )
     ws = _Workspace(grid.spatial_shape, grid.h)
     lo, hi = ws.lo, ws.hi
     # ghosts can overflow where no interior node does; a non-finite
@@ -787,14 +789,16 @@ def pde_residual(
             sl = u.data[m]
             dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
             rhs = _flat(f.data[m])[lo:hi]
-            if envelope:
-                low, high = _plaplace_envelope_value(
-                    op.params.p,
+            ends = None
+            if zero_gradient == "envelope":
+                ends = op._envelope(
                     _slice_diag_diffs(sl, grid.h, ws),
                     _slice_cross_diffs(sl, grid.h, ws),
                     _slice_gradient(sl, grid.h, ws),
                     ws,
                 )
+            if ends is not None:
+                low, high = ends
                 res = np.subtract(dt, rhs, out=dt)
                 value = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
             else:

@@ -53,8 +53,8 @@ from .errors import (
     PucciLabError,
     _real_number,
 )
-from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values
-from .operators import PLaplaceOp, PLaplaceParams, _Workspace
+from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values, _finite_level
+from .operators import PLaplaceOp, PLaplaceParams, _check_tag, _Workspace
 
 __all__ = [
     "DirichletProblem",
@@ -90,9 +90,7 @@ class DirichletProblem:
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise InputError("grid must be a Grid")
-        protocol = ("cfl_coefficient", "slice_value", "_check_marchable")
-        if not all(hasattr(self.op_tag, a) for a in protocol):
-            raise InputError(f"unknown operator tag {self.op_tag!r}")
+        _check_tag(self.op_tag)
         self.op_tag._check_marchable()
         _check_field(self.f, self.grid, "forcing f")
         _check_field(self.g, self.grid, "boundary data g")
@@ -114,7 +112,9 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     the shell: every node that is not stepped, i.e. outside the open
     ball or on the box's edge (on staggered grids the ball reaches the
     last axis's edge nodes).  The finiteness guard reads every level,
-    level 0 and the boundary nodes included.
+    level 0 and the boundary nodes included.  When it fires at level m,
+    f at m - 1 and g at m are read again on every node: a value that is
+    not finite is an InputError naming the field, not a BlowUpError.
     """
     grid = prob.grid
     shape = grid.spatial_shape
@@ -164,6 +164,9 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
                 boundary = _field_values(prob.g, grid, m, shell_coords, shell, shell.shape)
                 flat[m, shell] = boundary
             if not np.isfinite(u[m], out=finite).all():
+                if m > 0:
+                    _finite_level(prob.f, grid, m - 1, mesh, "forcing f")
+                _finite_level(prob.g, grid, m, mesh, "boundary data g")
                 raise BlowUpError(
                     f"solution left the finite range at step {m} "
                     f"(t = {grid.time_value(m)})",
@@ -229,6 +232,9 @@ def epsilon_continuation(
         raise InputError("epsilon schedule is empty")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
+    _check_field(f, grid, "forcing f")
+    _check_field(g, grid, "boundary data g")
+    _finite_level(g, grid, 0, grid.coordinate_mesh(), "boundary data g")
 
     level = np.empty(grid.spatial_shape)
     distances: list[float | None] = []

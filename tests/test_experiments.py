@@ -601,6 +601,42 @@ def test_p_sweep_refuses_a_forcing_that_is_nan_at_the_top_level_before_any_march
     assert marches == []
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (5, "boundary data g must be a GridFunction or a callable field"),
+        (lambda x, t: np.inf + x[0], "boundary data g is not finite at level 0"),
+        (lambda x, t: np.ones(3), "must act elementwise"),
+    ],
+    ids=["not-a-field", "non-finite", "not-elementwise"],
+)
+@pytest.mark.parametrize("sweep", ["p", "ellipticity"])
+def test_sweeps_refuse_bad_boundary_data_before_any_march(sweep, g, message, monkeypatch):
+    marches = []
+    monkeypatch.setattr(scenarios_module, "solve_dirichlet", lambda prob: marches.append(prob))
+    grid = Grid(n_dim=2, h=0.25, tau=2.0**-8, time_extent=0.125)
+    zero = lambda x, t: 0.0
+    with pytest.raises(InputError, match=message):
+        if sweep == "p":
+            run_p_sweep([2.1, 2.2], 0.9, grid, f=zero, g=g, n_points=1)
+        else:
+            run_ellipticity_sweep([0.0, 0.5], grid, zero, g)
+    assert marches == []
+
+
+def test_cli_names_non_finite_boundary_data_as_a_validation_problem(tmp_path, capsys):
+    # |x|^2 + 2 lam n t with lam = 1e308 is -inf at t < 0: bad data (exit
+    # 1), not a blow-up of the scheme (exit 2)
+    raw = solve_raw(data={"f": "zero", "g": {"name": "quadratic_caloric", "lam": 1e308}})
+    cfg = write_config(tmp_path, "inf.json", raw)
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "boundary data g is not finite at level 0, spatial index (0, 0)" in err
+    assert "numerical failure" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_boundary_study_refuses_a_field_that_is_not_one():
     grid = Grid(**dict(GRID_2D, half_space=True))
     with pytest.raises(InputError, match="callable"):

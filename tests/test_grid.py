@@ -265,7 +265,7 @@ def test_stencils_exact_on_polynomials():
     grid = Grid(n_dim=2, h=0.125, tau=0.0625)
     u = sample(lambda x, t: 2.0 * x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2 + 0.5 * t, grid)
     node = (2, (4, 5))
-    hess = centered_hessian(u, node).entries
+    hess = centered_hessian(u, node)
     assert np.allclose(hess, [[4.0, -1.0], [-1.0, 6.0]], atol=1e-9)
     assert abs(backward_time_diff(u, node) - 0.5) < 1e-9
     v = sample(lambda x, t: 3.0 * x[0] - 2.0 * x[1] + 1.0, grid)

@@ -1,6 +1,7 @@
 """Extremal operators, p-Laplace coefficients, and the class checks."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from puccilab import operators
 from puccilab.errors import InputError, SingularGradientError
 from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict, sample
-from puccilab.linalg import SymMatrix, jacobi_eigh_batch
+from puccilab.linalg import _symmetric, jacobi_eigh_batch
 from puccilab.operators import (
     ClassReport,
     EllipticityPair,
@@ -28,14 +29,11 @@ from puccilab.operators import (
     _slice_diag_diffs,
     _slice_gradient,
     _plaplace_envelope_value,
+    _point_stencils,
     class_membership,
-    envelope_residuals,
     membership_tolerance,
-    normalized_p_laplacian,
     p_laplace_coeff,
     pde_residual,
-    pucci_minus,
-    pucci_plus,
 )
 from puccilab.regularity import decay_sequence
 from puccilab.solver import DirichletProblem, solve_dirichlet
@@ -61,59 +59,64 @@ def brute_force_pucci(entries, lam, lam_big, plus, step=1e-3):
     return total
 
 
+def _envelope(m, q, p):
+    """(sub, super): the larger and the smaller value of the envelope hook at one matrix."""
+    low, high = PLaplaceOp(PLaplaceParams(p))._envelope(*_point_stencils(m, q, True))
+    return float(high[0]), float(low[0])
+
+
 def test_pucci_frozen_hand_values():
     # diag(1,-1), lam=1, Lam=2: plus = 2*1 + 1*(-1) = 1, minus = 1 - 2 = -1
-    m = SymMatrix(np.diag([1.0, -1.0]))
+    m = np.diag([1.0, -1.0])
     ell = EllipticityPair(1.0, 2.0)
-    assert abs(pucci_plus(m, ell) - 1.0) < 1e-14
-    assert abs(pucci_minus(m, ell) + 1.0) < 1e-14
+    assert abs(PucciPlusOp(ell).point_value(m) - 1.0) < 1e-14
+    assert abs(PucciMinusOp(ell).point_value(m) + 1.0) < 1e-14
     # lam = Lam = 1 degenerates to the trace
     one = EllipticityPair(1.0, 1.0)
-    assert abs(pucci_plus(m, one) - 0.0) < 1e-14
+    assert abs(PucciPlusOp(one).point_value(m) - 0.0) < 1e-14
 
 
 def test_pucci_matches_brute_force():
     for lam, lam_big in ((1.0, 1.0), (1.0, 1.2), (1.0, 2.0)):
         ell = EllipticityPair(lam, lam_big)
+        plus, minus = PucciPlusOp(ell).point_value, PucciMinusOp(ell).point_value
         for _ in range(25):
             a = np.random.randn(3, 3) * 2.0
             m = 0.5 * (a + a.T)
             tol = 1e-2 * (1.0 + np.linalg.norm(m))
-            assert abs(pucci_plus(SymMatrix(m), ell) - brute_force_pucci(m, lam, lam_big, True)) < tol
-            assert abs(pucci_minus(SymMatrix(m), ell) - brute_force_pucci(m, lam, lam_big, False)) < tol
+            assert abs(plus(m) - brute_force_pucci(m, lam, lam_big, True)) < tol
+            assert abs(minus(m) - brute_force_pucci(m, lam, lam_big, False)) < tol
 
 
 def test_pucci_algebraic_properties():
     ell = EllipticityPair(1.0, 1.7)
+    plus, minus = PucciPlusOp(ell).point_value, PucciMinusOp(ell).point_value
     for _ in range(100):
         a = np.random.randn(3, 3)
         b = np.random.randn(3, 3)
         ma, mb = 0.5 * (a + a.T), 0.5 * (b + b.T)
         scale = 1e-12 * (1 + np.linalg.norm(ma) + np.linalg.norm(mb))
         # duality
-        assert abs(pucci_minus(SymMatrix(ma), ell) + pucci_plus(SymMatrix(-ma), ell)) < scale
+        assert abs(minus(ma) + plus(-ma)) < scale
         # positive homogeneity
-        assert abs(pucci_plus(SymMatrix(2.5 * ma), ell) - 2.5 * pucci_plus(SymMatrix(ma), ell)) < 10 * scale
+        assert abs(plus(2.5 * ma) - 2.5 * plus(ma)) < 10 * scale
         # subadditivity of the maximal operator
-        assert (
-            pucci_plus(SymMatrix(ma + mb), ell)
-            <= pucci_plus(SymMatrix(ma), ell) + pucci_plus(SymMatrix(mb), ell) + scale
-        )
+        assert plus(ma + mb) <= plus(ma) + plus(mb) + scale
         # monotonicity: adding a PSD matrix cannot decrease either operator
         psd = mb @ mb.T
-        assert pucci_plus(SymMatrix(ma + psd), ell) >= pucci_plus(SymMatrix(ma), ell) - scale
-        assert pucci_minus(SymMatrix(ma + psd), ell) >= pucci_minus(SymMatrix(ma), ell) - scale
+        assert plus(ma + psd) >= plus(ma) - scale
+        assert minus(ma + psd) >= minus(ma) - scale
 
 
 def test_p_laplace_coeff_matrix():
     params = PLaplaceParams(p=3.0, epsilon=0.0)
-    a = p_laplace_coeff(np.array([1.0, 0.0]), params).entries
+    a = p_laplace_coeff(np.array([1.0, 0.0]), params)
     assert np.allclose(a, [[2.0, 0.0], [0.0, 1.0]], atol=1e-15)
     with pytest.raises(SingularGradientError):
         p_laplace_coeff(np.zeros(2), params)
     # regularized version tolerates q = 0
     soft = p_laplace_coeff(np.zeros(2), PLaplaceParams(p=3.0, epsilon=0.5))
-    assert np.allclose(soft.entries, np.eye(2), atol=1e-15)
+    assert np.allclose(soft, np.eye(2), atol=1e-15)
 
 
 def test_coefficient_eigenvalue_sandwich():
@@ -124,7 +127,7 @@ def test_coefficient_eigenvalue_sandwich():
         eps = np.random.choice([0.0, 1e-6, 0.1])
         if eps == 0.0 and np.linalg.norm(q) == 0.0:
             continue
-        vals = np.linalg.eigvalsh(p_laplace_coeff(q, PLaplaceParams(p=p, epsilon=eps)).entries)
+        vals = np.linalg.eigvalsh(p_laplace_coeff(q, PLaplaceParams(p=p, epsilon=eps)))
         lo, hi = min(p - 1.0, 1.0), max(p - 1.0, 1.0)
         assert vals.min() >= lo - 1e-12
         assert vals.max() <= hi + 1e-12
@@ -138,25 +141,28 @@ def test_normalized_p_laplacian_is_coefficient_trace():
         m = 0.5 * (a + a.T)
         q = np.random.randn(n)
         p = np.random.uniform(1.1, 4.0)
-        direct = normalized_p_laplacian(SymMatrix(m), q, p)
-        coeff = p_laplace_coeff(q, PLaplaceParams(p=p, epsilon=0.0)).entries
+        params = PLaplaceParams(p=p, epsilon=0.0)
+        direct = PLaplaceOp(params).point_value(m, q)
+        coeff = p_laplace_coeff(q, params)
         assert abs(direct - np.trace(coeff @ m)) < 1e-10 * (1 + abs(direct))
     with pytest.raises(SingularGradientError):
-        normalized_p_laplacian(SymMatrix(np.eye(2)), np.zeros(2), 3.0)
+        PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2), np.zeros(2))
+    # the regularized operator is the trace at q = 0
+    assert PLaplaceOp(PLaplaceParams(3.0, 0.5)).point_value(np.diag([2.0, -0.5]), [0, 0]) == 1.5
 
 
 def test_envelope_frozen_values():
-    m = SymMatrix(np.diag([2.0, -1.0]))
+    m = np.diag([2.0, -1.0])
     # p = 3: sub = tr + e_max = 1 + 2 = 3, super = tr + e_min = 1 - 1 = 0
-    sub, sup = envelope_residuals(m, np.zeros(2), 3.0)
+    sub, sup = _envelope(m, np.zeros(2), 3.0)
     assert (sub, sup) == pytest.approx((3.0, 0.0), abs=1e-12)
     # p = 1.5 swaps the branches: sub = 1 - 0.5*(-1) = 1.5, super = 1 - 0.5*2 = 0
-    sub, sup = envelope_residuals(m, np.zeros(2), 1.5)
+    sub, sup = _envelope(m, np.zeros(2), 1.5)
     assert (sub, sup) == pytest.approx((1.5, 0.0), abs=1e-12)
     # away from q = 0 both coincide with the smooth value
     q = np.array([0.7, -0.2])
-    sub, sup = envelope_residuals(m, q, 3.0)
-    smooth = normalized_p_laplacian(m, q, 3.0)
+    sub, sup = _envelope(m, q, 3.0)
+    smooth = PLaplaceOp(PLaplaceParams(3.0)).point_value(m, q)
     assert sub == pytest.approx(smooth, abs=1e-12)
     assert sup == pytest.approx(smooth, abs=1e-12)
 
@@ -263,6 +269,28 @@ def test_pde_residual_envelope_at_singular_gradient():
         pde_residual(u, op, f, zero_gradient="maybe")
 
 
+_SMALL = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.125)
+_U = sample(lambda x, t: x[0] * x[1] + t, _SMALL)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pde_residual(_U, "heat", _U), "unknown operator tag 'heat'"),
+        (lambda: pde_residual(_U, None, _U), "unknown operator tag None"),
+        (lambda: class_membership(_U, (1.0, 2.0), 0.0), "ell must be an EllipticityPair"),
+        (lambda: PucciPlusOp((1.0, 2.0)), "ell must be an EllipticityPair"),
+        (lambda: PucciMinusOp(None), "ell must be an EllipticityPair"),
+        (lambda: PLaplaceOp(2.5), "params must be a PLaplaceParams"),
+    ],
+    ids=["residual-text", "residual-none", "membership-tuple", "pucci-tuple", "pucci-none",
+         "plaplace-float"],
+)
+def test_what_is_not_a_tag_or_its_parameters_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()
+
+
 def test_ellipticity_pair_validation():
     with pytest.raises(InputError):
         EllipticityPair(0.0, 1.0)
@@ -295,7 +323,8 @@ def test_duality_property(entries, width, n, seed):
     # -X the negated spectrum of X.
     m = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])
     ell = EllipticityPair(1.0, 1.0 + width)
-    assert pucci_minus(SymMatrix(m), ell) == -pucci_plus(SymMatrix(-m), ell)
+    plus, minus = PucciPlusOp(ell).point_value, PucciMinusOp(ell).point_value
+    assert minus(m) == -plus(-m)
     # Certified rows, and indefinite rows with well separated eigenvalues,
     # so that none is near a double root (where LAPACK keeps no sign
     # symmetry).  With n <= 3 no sign has more than two eigenvalues, so
@@ -315,7 +344,7 @@ def test_duality_property(entries, width, n, seed):
     lower = _pucci_combine(pos, neg, ell, plus=False)
     assert np.array_equal(lower, -_pucci_combine(neg_pos, neg_neg, ell, plus=True))
     for x in mats[::7]:
-        assert pucci_minus(x, ell) == -pucci_plus(-x, ell)
+        assert minus(x) == -plus(-x)
 
 
 def test_no_floating_point_warnings_in_3d_pucci_and_membership(monkeypatch):
@@ -355,7 +384,7 @@ def test_no_floating_point_warnings_in_3d_pucci_and_membership(monkeypatch):
         membership_rows = sum(sent) - march_rows
         del sent[:]
         pos, neg = _eigen_sign_sums(*_stencils(mixed))
-        point = pucci_plus(big[0], ell_huge)
+        point = PucciPlusOp(ell_huge).point_value(big[0])
     assert np.all(np.isfinite(u.data))
     assert report.verdict in ("pass", "fail")
     assert np.allclose(values, np.linalg.eigvalsh(stacks), rtol=0, atol=1e-15)
@@ -499,7 +528,7 @@ def test_near_identity_slice_never_reaches_an_eigen_solver(monkeypatch):
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
-def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
+def test_point_value_equals_the_slice_kernel_bitwise(n_dim):
     grid = Grid(n_dim=n_dim, h=0.125, tau=2.0**-10, spatial_extent=0.5, time_extent=2.0**-6)
     mesh = grid.coordinate_mesh()
     y = mesh[1] if n_dim > 1 else 0.0
@@ -514,19 +543,22 @@ def test_pointwise_pucci_equals_the_slice_kernel_bitwise(n_dim, monkeypatch):
     certified = _certified(hess)
     # both paths are exercised (in 1-D every row is certified)
     assert certified.any() and (n_dim == 1 or not certified.all())
-    ell = EllipticityPair(1.0, 1.5)
-    for op, pointwise in ((PucciPlusOp(ell), pucci_plus), (PucciMinusOp(ell), pucci_minus)):
-        kernel = _interior(op.slice_value(sl, grid.h), sl.shape).ravel()
-        point = np.array([pointwise(m, ell) for m in hess])
-        assert np.array_equal(point, kernel)
-        assert np.array_equal(point, [pointwise(SymMatrix(m), ell) for m in hess])
-    # the pointwise p-Laplace forms run the same helper on a one-row stack
+    # every tag runs its slice arithmetic on a one-row stack; the heat
+    # and Pucci values ignore the gradient
     grad = np.stack([_interior(g, sl.shape).ravel() for g in _slice_gradient(sl, grid.h)], -1)
-    for p in (1.5, 2.0, 3.0):
-        kernel = PLaplaceOp(PLaplaceParams(p)).slice_value(sl, grid.h)
-        point = [normalized_p_laplacian(m, q, p) for m, q in zip(hess, grad)]
-        assert np.array_equal(point, _interior(kernel, sl.shape).ravel())
-        assert all(envelope_residuals(m, q, p) == (v, v) for m, q, v in zip(hess, grad, point))
+    ell = EllipticityPair(1.0, 1.5)
+    exact = [PLaplaceOp(PLaplaceParams(p)) for p in (1.5, 2.0, 3.0)]
+    regularized = PLaplaceOp(PLaplaceParams(2.5, epsilon=grid.h))
+    for op in [HeatOp(0.75), PucciPlusOp(ell), PucciMinusOp(ell), *exact, regularized]:
+        kernel = _interior(op.slice_value(sl, grid.h), sl.shape).ravel()
+        point = [op.point_value(m, q) for m, q in zip(hess, grad)]
+        assert np.array_equal(point, kernel), op
+    # away from a zero gradient both ends of the envelope are the value
+    for op in exact:
+        p = op.params.p
+        point = [op.point_value(m, q) for m, q in zip(hess, grad)]
+        assert all(_envelope(m, q, p) == (v, v) for m, q, v in zip(hess, grad, point))
+    assert regularized._envelope(*_point_stencils(hess[0], grad[0], True)) is None
 
 
 def _planted_zero_gradients(n_dim, rng):
@@ -560,7 +592,7 @@ def test_envelope_solves_only_zero_gradient_rows_and_matches_pointwise(n_dim, mo
     hess = _hessian_stack([_interior(d, sl.shape) for d in diag], inner_cross)
     hess = hess.reshape(-1, n_dim, n_dim)
     grads = np.stack([_interior(g, sl.shape).ravel() for g in grad], -1)
-    point = np.array([envelope_residuals(m, q, 2.5) for m, q in zip(hess, grads)])
+    point = np.array([_envelope(m, q, 2.5) for m, q in zip(hess, grads)])
     assert np.array_equal(point[:, 0], _interior(high, sl.shape).ravel())
     assert np.array_equal(point[:, 1], _interior(low, sl.shape).ravel())
     zero = np.all(grads == 0.0, axis=-1)
@@ -587,22 +619,26 @@ def test_envelope_at_zero_gradient_is_max_and_min_of_the_extreme_values(p):
         m = _sym(rng.standard_normal((n, n)))
         e = np.linalg.eigvalsh(m)
         ends = (np.trace(m) + (p - 2.0) * e[0], np.trace(m) + (p - 2.0) * e[-1])
-        sub, sup = envelope_residuals(m, np.zeros(n), p)
+        sub, sup = _envelope(m, np.zeros(n), p)
         assert (sub, sup) == pytest.approx((max(ends), min(ends)), abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: normalized_p_laplacian(np.eye(2), np.ones(3), 3.0),
-        lambda: normalized_p_laplacian(np.eye(2), [np.nan, 1.0], 3.0),
-        lambda: normalized_p_laplacian(np.eye(2), [1.0, 0.0], 0.5),
-        lambda: normalized_p_laplacian(np.eye(2), [1.0, 0.0], np.inf),
-        lambda: envelope_residuals(np.eye(2), np.zeros(3), 3.0),
-        lambda: envelope_residuals(np.eye(2), [0.0, np.inf], 3.0),
-        lambda: envelope_residuals(np.eye(2), np.zeros(2), 0.5),
+        lambda: PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2), np.ones(3)),
+        lambda: PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2), [np.nan, 1.0]),
+        lambda: PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2)),
+        lambda: PLaplaceOp(PLaplaceParams(0.5)).point_value(np.eye(2), [1.0, 0.0]),
+        lambda: PLaplaceOp(PLaplaceParams(np.inf)).point_value(np.eye(2), [1.0, 0.0]),
+        lambda: _envelope(np.eye(2), np.zeros(3), 3.0),
+        lambda: _envelope(np.eye(2), [0.0, np.inf], 3.0),
+        lambda: _envelope(np.eye(2), np.zeros(2), 0.5),
     ],
-    ids=["nplap-shape", "nplap-nan", "nplap-p", "nplap-p-inf", "env-shape", "env-inf", "env-p"],
+    ids=[
+        "nplap-shape", "nplap-nan", "nplap-no-q", "nplap-p", "nplap-p-inf",
+        "env-shape", "env-inf", "env-p",
+    ],
 )
 def test_pointwise_p_laplace_rejects_malformed_input(call):
     with pytest.raises(InputError):
@@ -615,17 +651,17 @@ _GRID = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.25)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: normalized_p_laplacian(np.eye(2), ["a", 1], 3.0),
-        lambda: normalized_p_laplacian(np.eye(2), ["1", 1], 3.0),
-        lambda: normalized_p_laplacian(np.eye(2), [1, 1], "3"),
-        lambda: envelope_residuals(np.eye(2), [0, 0], None),
+        lambda: PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2), ["a", 1]),
+        lambda: PLaplaceOp(PLaplaceParams(3.0)).point_value(np.eye(2), ["1", 1]),
+        lambda: PLaplaceOp(PLaplaceParams("3")).point_value(np.eye(2), [1, 1]),
+        lambda: _envelope(np.eye(2), [0, 0], None),
         lambda: p_laplace_coeff(["a", 1], PLaplaceParams(3.0)),
         lambda: EllipticityPair("1", 2.0),
         lambda: EllipticityPair(1.0, [2.0]),
         lambda: PLaplaceParams(2.0, "0.1"),
         lambda: HeatOp(lam=1j),
-        lambda: pucci_plus([["a", 0], [0, 1]], EllipticityPair(1, 2)),
-        lambda: SymMatrix([[object(), 0], [0, 1]]),
+        lambda: PucciPlusOp(EllipticityPair(1, 2)).point_value([["a", 0], [0, 1]]),
+        lambda: _symmetric([[object(), 0], [0, 1]]),
         lambda: cylinder_nodes(_GRID, (["a", 0], 0.0), 0.5),
         lambda: cylinder_nodes(_GRID, ([0, 0], "0"), 0.5),
         lambda: cylinder_nodes(_GRID, ([0, 0], 0.0), "0.5"),

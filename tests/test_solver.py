@@ -1,6 +1,7 @@
 """Explicit marching: exactness, monotonicity, stability guards."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from puccilab.errors import BlowUpError, CFLViolationError, InputError
 from puccilab.grid import Grid, GridFunction, _ball_mask, sample
+from puccilab import solver as solver_module
 from puccilab.linalg import jacobi_eigh_batch
 from puccilab.operators import (
     EllipticityPair,
@@ -210,6 +212,23 @@ def test_epsilon_continuation_isolates_failures():
     rep = epsilon_continuation(2.5, [0.25, 0.125], boom, g, grid)
     assert rep.cauchy is None
     assert len(rep.failures) == 2
+
+
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (ZERO, 5, "boundary data g must be a GridFunction or a callable field"),
+        (ZERO, lambda mesh, t: np.nan, "boundary data g is not finite at level 0"),
+        ("zero", ZERO, "forcing f must be a GridFunction or a callable field"),
+    ],
+    ids=["g-not-a-field", "g-nan", "f-not-a-field"],
+)
+def test_epsilon_continuation_refuses_bad_data_before_any_march(f, g, message, monkeypatch):
+    marches = []
+    monkeypatch.setattr(solver_module, "solve_dirichlet", lambda prob: marches.append(prob))
+    with pytest.raises(InputError, match=message):
+        epsilon_continuation(2.5, [0.25, 0.125], f, g, small_grid(h=0.25))
+    assert marches == []
 
 
 def test_epsilon_continuation_lets_a_faulty_callable_raise():
@@ -467,11 +486,12 @@ def test_distance_pass_allocates_no_history_sized_temporary():
     [((0, 4), 5), ((1, 1), 5), ((0, 0), 0)],
     ids=["lattice-edge", "box-corner-outside-the-ball", "bottom-level-corner"],
 )
-def test_blow_up_in_boundary_data_names_its_level(bad_node, k):
+def test_non_finite_boundary_data_names_its_level_and_node(bad_node, k):
     # g turns non-finite at one non-interior node of level k only: on the
     # lattice edge, or at a node of the inner block outside the ball,
-    # which keeps g's value.  The step that writes level k must raise;
-    # for k = 0 that is the bottom level, at a corner no stencil reads.
+    # which keeps g's value.  The step that writes level k must raise,
+    # and blame g, not the scheme; for k = 0 that is the bottom level, at
+    # a corner no stencil reads.
     grid = small_grid(h=0.25)
     bad_x = [grid.axis_coords(i)[j] for i, j in enumerate(bad_node)]
     assert not _ball_mask(grid, grid.spatial_extent)[bad_node]
@@ -483,9 +503,25 @@ def test_blow_up_in_boundary_data_names_its_level(bad_node, k):
             return np.where(at_bad, np.nan, value)
         return value
 
-    with pytest.raises(BlowUpError) as info:
+    where = re.escape(f"boundary data g is not finite at level {k}, spatial index {bad_node}")
+    with pytest.raises(InputError, match=where):
         solve_dirichlet(DirichletProblem(op_tag=HeatOp(lam=1.0), f=ZERO, g=g, grid=grid))
-    assert info.value.step == k
+
+
+@pytest.mark.parametrize(
+    "f, level",
+    [(lambda mesh, t: np.nan, 0), (lambda mesh, t: np.where(t > -0.03, np.nan, 0.0 * mesh[1]), 17)],
+    ids=["bottom-level", "later-level"],
+)
+def test_non_finite_forcing_is_an_input_error_not_a_blow_up(f, level):
+    # step m reads f at level m - 1; a value there that is not finite is
+    # bad input, as sample says, not a failing scheme
+    grid = small_grid(h=0.25)
+    where = f"forcing f is not finite at level {level}, spatial index (0, 0)"
+    with pytest.raises(InputError, match=re.escape(where)):
+        solve_dirichlet(DirichletProblem(op_tag=HeatOp(lam=1.0), f=f, g=ZERO, grid=grid))
+    with pytest.raises(InputError, match=f"field is not finite at level {level},"):
+        sample(f, grid)
 
 
 @pytest.mark.parametrize(
