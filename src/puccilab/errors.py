@@ -6,7 +6,7 @@ codes: ValidationError (exit 1) for input that is wrong before any
 numerics run, and NumericalError (exit 2) for failures met while
 computing.  Every concrete error derives from exactly one of them.
 
-The two converters at the end turn a caller's malformed input into an
+The checkers at the end turn a caller's malformed input into an
 InputError instead of a raw Python or numpy error.  _real_number is the
 one checker of scalars, for the library and the config alike (config
 wraps its InputError in a ConfigError): it types each number and tests
@@ -143,3 +143,9 @@ def _real_array(value, what: str) -> np.ndarray:
         return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be real numbers, got {value!r}") from exc
+
+
+def _check_type(value, cls, message: str) -> None:
+    """InputError stating message unless value is a cls."""
+    if not isinstance(value, cls):
+        raise InputError(f"{message}, got {type(value).__name__}")

@@ -16,7 +16,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ..errors import _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _real_array, _real_number
+from ..errors import (
+    _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _check_type, _real_array, _real_number
+)
 from ..grid import (
     Grid, GridFunction, _check_field, _field_values, _finite_level, restrict, sample, write_gridfn
 )
@@ -276,6 +278,7 @@ def run_p_sweep(
     lattice; on half-space grids their face projections get boundary
     fits as well.
     """
+    _check_type(grid, Grid, "grid must be a Grid")
     alpha_target = _real_number(alpha_target, "alpha_target")
     eta, K = _decay_scales(eta, K)
     epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon", _POSITIVE)
@@ -340,6 +343,7 @@ def run_ellipticity_sweep(
     responds to the ellipticity ratio; the trend is recorded, not
     asserted (the theory promises a direction, not numbers).
     """
+    _check_type(grid, Grid, "grid must be a Grid")
     eta, K = _decay_scales(eta, K)
     deltas = [_real_number(d, "ellipticity offsets", _NONNEGATIVE) for d in delta_list]
     f_bound = _sweep_data(f, g, grid) if deltas else 0.0

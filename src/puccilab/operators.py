@@ -39,6 +39,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .errors import (
     _POSITIVE,
     InputError,
     SingularGradientError,
+    _check_type,
     _real_array,
     _real_number,
 )
@@ -125,11 +128,6 @@ class ClassReport:
 # Operator tags, shared with the solver.
 
 
-def _check_type(value, cls, message: str) -> None:
-    if not isinstance(value, cls):
-        raise InputError(f"{message}, got {value!r}")
-
-
 def _check_tag(op) -> None:
     """Refuse what is not an operator tag (HeatOp, PucciPlusOp, PucciMinusOp, PLaplaceOp)."""
     if not isinstance(op, _OperatorTag):
@@ -140,10 +138,12 @@ class _OperatorTag:
     """Base of the tags: each supplies ell and _value(diag, cross, grad, ws).
 
     _value reads second differences, ((i, j), cross difference) pairs
-    formed as they are read and, where _reads_gradient is set, the
-    gradient, all in the workspace's units, and returns its value in them.
+    (none where _reads_cross is unset) and, where _reads_gradient is set,
+    the gradient, all in the workspace's units, and returns its value in
+    them.
     """
 
+    _reads_cross = True
     _reads_gradient = False
 
     @property
@@ -163,14 +163,19 @@ class _OperatorTag:
     def slice_value(self, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
         """The operator over the interior of a slice, in the workspace's units.
 
-        Times ws.scale it is the operator's value.  A tag that reads the
-        gradient takes each cross difference once, so they share a buffer.
+        Times ws.scale it is the operator's value.  sl is a level, or with
+        ws its flat vector, as the march hands it.  A tag that reads the
+        gradient forms its cross differences from it, one at a time in
+        one buffer (_gradient_cross_terms).
         """
         ws = ws or _Workspace(sl.shape)
-        diag = _slice_diag_diffs(sl, h, ws)
-        cross = _cross_terms(sl, h, ws, shared=self._reads_gradient)
-        grad = _slice_gradient(sl, h, ws) if self._reads_gradient else None
-        return self._value(diag, cross, grad, ws)
+        x = _flat(sl)
+        diag = _slice_diag_diffs(x, h, ws)
+        if self._reads_gradient:
+            grad = _slice_gradient(x, h, ws)
+            return self._value(diag, _gradient_cross_terms(x, h, ws), grad, ws)
+        cross = _slice_cross_diffs(x, h, ws).items() if self._reads_cross else ()
+        return self._value(diag, cross, None, ws)
 
     def point_value(self, m, q=None) -> float:
         """The operator at one symmetric matrix m, and gradient q where it reads one.
@@ -187,6 +192,8 @@ class HeatOp(_OperatorTag):
     """u_t = lam * trace(D^2 u) + f, in the box (lam, lam)."""
 
     lam: float = 1.0
+
+    _reads_cross = False
 
     def __post_init__(self):
         _store_reals(self, lam=_POSITIVE)
@@ -275,7 +282,7 @@ def _pucci_combine(pos, neg, ell: EllipticityPair, plus: bool, ws=None, key="val
     ws = ws or _Workspace.for_rows(pos.size)
     a, b = (ell.Lam, ell.lam) if plus else (ell.lam, ell.Lam)
     value = np.multiply(a * scale, pos, out=ws.buf(key))
-    value += np.multiply(b * scale, neg, out=ws.buf("tmp"))
+    value += np.multiply(b * scale, neg, out=ws.tmp)
     return value
 
 
@@ -336,6 +343,15 @@ def _point_stencils(m, q, gradient: bool):
 # arrays a kernel returns are workspace buffers: they hold their values
 # until the next kernel call on the same workspace.
 #
+# The cross difference (i, j) is ((x[k+s_i+s_j] - x[k+s_i-s_j]) -
+# x[k-s_i+s_j]) + x[k-s_i-s_j], and its first difference is the raw
+# gradient's component j at node k + s_i.  A tag that reads the
+# gradient forms each component j >= 1 over [lo, hi + s_0), so each
+# cross term takes two passes, not three (_gradient_cross_terms): a
+# p-flow operator makes 24 passes over the range in 2-D (44 in 3-D),
+# and the march step three more (tau / h^2, the add, the finiteness
+# scan).  Heat, Pucci and membership use _slice_cross_diffs.
+#
 # The kernels return raw lattice differences when the workspace was made
 # for a power-of-two step h = 2^k: the second differences in units of
 # h^2 (up - 2 center + dn), the cross differences in units of 4 h^2 and
@@ -386,15 +402,17 @@ class _Workspace:
     Buffers are allocated on first use, and dead ones are reused: the
     trace overwrites 2 * center once the second differences are formed,
     and the p-Laplace march puts its quadratic form in the first second
-    difference and every cross difference in one buffer.  A march or a
-    membership pass makes one workspace and hands it to every slice, so
-    its step temporaries are allocated once per pass instead of once
-    per step.
+    difference and every cross difference in one buffer.  The buffers
+    of every step are attributes, plain ones once read; buf(key) names
+    the others.  A march or a membership pass makes one workspace and
+    hands it to every slice, so its step temporaries are allocated once
+    per pass instead of once per step.
     """
 
     def __init__(self, shape, h=None):
         self.shape = tuple(shape)
-        self.strides = tuple(int(np.prod(self.shape[i + 1 :])) for i in range(len(self.shape)))
+        self.axes = range(len(self.shape))
+        self.strides = tuple(int(np.prod(self.shape[i + 1 :])) for i in self.axes)
         self.lo = sum(self.strides)
         self.hi = sum((s - 2) * st for s, st in zip(self.shape, self.strides)) + 1
         inner = np.zeros(self.shape, dtype=bool)
@@ -410,11 +428,24 @@ class _Workspace:
         """Buffers for a plain stack of rows: a 1-D level with no ghosts, units 1."""
         return cls((rows + 2,))
 
-    def buf(self, key, dtype=float) -> np.ndarray:
+    def buf(self, key, dtype=float, extra=0) -> np.ndarray:
+        """The buffer named key, of length hi - lo + extra."""
         out = self._buffers.get(key)
         if out is None:
-            out = self._buffers[key] = np.empty(self.hi - self.lo, dtype)
+            out = self._buffers[key] = np.empty(self.hi - self.lo + extra, dtype)
         return out
+
+    trace = cached_property(lambda self: self.buf("trace"))
+    tmp = cached_property(lambda self: self.buf("tmp"))
+    norm2 = cached_property(lambda self: self.buf("norm2"))
+    cross = cached_property(lambda self: self.buf("cross"))
+    diag = cached_property(lambda self: [self.buf(("diag", i)) for i in self.axes])
+    # the raw gradient, each component but the first over [lo, hi + s_0),
+    # where _gradient_cross_terms reads it; grad is its part over [lo, hi)
+    grad_raw = cached_property(
+        lambda self: [self.buf(("grad_raw", i), extra=i and self.strides[0]) for i in self.axes]
+    )
+    grad = cached_property(lambda self: [g[: self.hi - self.lo] for g in self.grad_raw])
 
 
 def _warn_unless_finite(values: np.ndarray, ws, what: str) -> int | None:
@@ -431,29 +462,30 @@ def _warn_unless_finite(values: np.ndarray, ws, what: str) -> int | None:
 
 
 def _flat(sl: np.ndarray) -> np.ndarray:
-    """A C-contiguous level as a flat view; a strided one raises, never copies."""
+    """A level as a flat vector: a flat one as it is, a C-contiguous one as a view, never a copy."""
+    if sl.ndim == 1:
+        return sl
     if not sl.flags.c_contiguous:
         raise ValueError("the slice kernels read a level flat; it must be C-contiguous")
     return sl.reshape(-1)
 
 
-def _divide(values: np.ndarray, den: float) -> np.ndarray:
-    """values / den in place, with the bits of the division.
+def _divide(values: np.ndarray, den: float, out=None) -> np.ndarray:
+    """values / den, in place or into out, with the bits of the division.
 
-    A kernel divides by its divisor over the workspace's unit for it, so
-    den is 1 for raw differences, and then nothing is done.  When den is
-    +-2^k and 1/den is finite, x * (1/den) and x / den have the same real
-    value and both are correctly rounded, so they agree bit for bit, and
-    a multiply pass costs about half a division pass.  Every other
-    divisor (0.1, 2^-1074 whose reciprocal overflows, 0, inf, nan)
-    divides.
+    A kernel divides by its divisor over the workspace's unit for it,
+    and skips the call where that is 1, as for raw differences.  When
+    den is +-2^k and 1/den is finite, x * (1/den) and x / den have the
+    same real value and both are correctly rounded, so they agree bit
+    for bit, and a multiply pass costs about half a division pass.
+    Every other divisor (0.1, 2^-1074 whose reciprocal overflows, 0,
+    inf, nan) divides.
     """
-    if den == 1.0:
-        return values
+    out = values if out is None else out
     mant, exp = math.frexp(den)
     if abs(mant) == 0.5 and exp >= -1022:
-        return np.multiply(values, 1.0 / den, out=values)
-    return np.divide(values, den, out=values)
+        return np.multiply(values, 1.0 / den, out=out)
+    return np.divide(values, den, out=out)
 
 
 def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
@@ -462,53 +494,61 @@ def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     den = h * h / ws.units[0]
     # 2.0 * center is the same for every axis; it is computed once, in
     # the buffer that the trace takes over
-    twice = np.multiply(2.0, x[lo:hi], out=ws.buf("trace"))
-    out = []
-    for i, s in enumerate(ws.strides):
-        d = np.subtract(x[lo + s : hi + s], twice, out=ws.buf(("diag", i)))
+    twice = np.multiply(2.0, x[lo:hi], out=ws.trace)
+    for s, d in zip(ws.strides, ws.diag):
+        np.subtract(x[lo + s : hi + s], twice, out=d)
         d += x[lo - s : hi - s]
-        _divide(d, den)
-        out.append(d)
+        if den != 1.0:
+            _divide(d, den)
+    return ws.diag
+
+
+def _slice_cross_diffs(sl: np.ndarray, h: float, ws=None) -> dict[tuple[int, int], np.ndarray]:
+    """{(i, j): cross difference} for i < j, each in its own buffer."""
+    ws = ws or _Workspace(sl.shape)
+    x, lo, hi = _flat(sl), ws.lo, ws.hi
+    den = 4.0 * (h * h) / ws.units[1]
+    out = {}
+    for i, j in combinations(ws.axes, 2):
+        si, sj = ws.strides[i], ws.strides[j]
+        c = np.subtract(
+            x[lo + si + sj : hi + si + sj],
+            x[lo + si - sj : hi + si - sj],
+            out=ws.buf(("cross", i, j)),
+        )
+        c -= x[lo - si + sj : hi - si + sj]
+        c += x[lo - si - sj : hi - si - sj]
+        out[i, j] = c if den == 1.0 else _divide(c, den)
     return out
 
 
-def _cross_terms(sl: np.ndarray, h: float, ws, shared: bool = False):
-    """Yield ((i, j), cross difference) for i < j in ascending order.
+def _gradient_cross_terms(x: np.ndarray, h: float, ws):
+    """Yield ((i, j), cross difference) for i < j, each formed in ws.cross just before.
 
-    Each goes to its own buffer, or with shared=True every one to the
-    same buffer, formed just before it is yielded.
+    x is the flat level whose raw gradient _slice_gradient formed last
+    in ws: x[k + s_i + s_j] - x[k + s_i - s_j] is its component j at
+    node k + s_i, so a term takes the two passes that remain.
     """
-    x, lo, hi = _flat(sl), ws.lo, ws.hi
+    lo, hi = ws.lo, ws.hi
     den = 4.0 * (h * h) / ws.units[1]
-    for i, si in enumerate(ws.strides):
-        for j in range(i + 1, len(ws.strides)):
-            sj = ws.strides[j]
-            c = np.subtract(
-                x[lo + si + sj : hi + si + sj],
-                x[lo + si - sj : hi + si - sj],
-                out=ws.buf("cross" if shared else ("cross", i, j)),
-            )
-            c -= x[lo - si + sj : hi - si + sj]
-            c += x[lo - si - sj : hi - si - sj]
-            yield (i, j), _divide(c, den)
-
-
-def _slice_cross_diffs(
-    sl: np.ndarray, h: float, ws=None
-) -> dict[tuple[int, int], np.ndarray]:
-    return dict(_cross_terms(sl, h, ws or _Workspace(sl.shape)))
+    for i, j in combinations(ws.axes, 2):
+        si, sj = ws.strides[i], ws.strides[j]
+        first = ws.grad_raw[j][si : si + hi - lo]
+        c = np.subtract(first, x[lo - si + sj : hi - si + sj], out=ws.cross)
+        c += x[lo - si - sj : hi - si - sj]
+        yield (i, j), c if den == 1.0 else _divide(c, den)
 
 
 def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
+    """The gradient over [lo, hi); its raw differences stay in ws.grad_raw."""
     ws = ws or _Workspace(sl.shape)
-    x, lo, hi = _flat(sl), ws.lo, ws.hi
+    x, lo = _flat(sl), ws.lo
+    for s, g in zip(ws.strides, ws.grad_raw):
+        np.subtract(x[lo + s : lo + s + g.size], x[lo - s : lo - s + g.size], out=g)
     den = 2.0 * h / ws.units[2]
-    out = []
-    for i, s in enumerate(ws.strides):
-        g = np.subtract(x[lo + s : hi + s], x[lo - s : hi - s], out=ws.buf(("grad", i)))
-        _divide(g, den)
-        out.append(g)
-    return out
+    if den == 1.0:
+        return ws.grad
+    return [_divide(g, den, out=ws.buf(("grad", i))) for i, g in enumerate(ws.grad)]
 
 
 def _slice_time_diff(sl: np.ndarray, prev: np.ndarray, tau: float, ws=None) -> np.ndarray:
@@ -540,7 +580,7 @@ def _row_stack(diag, cross, rows, ws) -> np.ndarray:
 
 
 def _slice_trace(diag, ws) -> np.ndarray:
-    trace = ws.buf("trace")
+    trace = ws.trace
     if len(diag) == 1:
         np.copyto(trace, diag[0])
         return trace
@@ -610,20 +650,21 @@ def _plaplace_forms(diag, cross, grad, ws, quad):
     """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice, in the workspace's units.
 
     cross yields ((i, j), cross difference) pairs: a dict's items, or
-    _cross_terms.  The quadratic form goes to the buffer quad, which may
-    be diag[0]'s: that is read only by the trace and the form's first
-    term.
+    _gradient_cross_terms.  The quadratic form goes to the buffer quad,
+    which may be diag[0]'s: that is read only by the trace and the
+    form's first term.
     """
     trace = _slice_trace(diag, ws)
     # |Du|^2 sums the squares g_i^2 and the quadratic form the terms
     # g_i^2 d_i, then the cross terms 2 g_i g_j c_ij, each in ascending
-    # order; their factor 2 becomes 1/2 for raw differences (2 u_d / u_c)
+    # order; their factor 2 becomes 1/2 for raw differences (2 u_d / u_c).
+    # np.square is g * g bit for bit, and a unary pass is the cheaper one
     twice = 2.0 * ws.units[0] / ws.units[1]
-    tmp = ws.buf("tmp")
-    norm2 = np.multiply(grad[0], grad[0], out=ws.buf("norm2"))
+    tmp = ws.tmp
+    norm2 = np.square(grad[0], out=ws.norm2)
     quad = np.multiply(norm2, diag[0], out=quad)
     for i in range(1, len(diag)):
-        square = np.multiply(grad[i], grad[i], out=tmp)
+        square = np.square(grad[i], out=tmp)
         norm2 += square
         quad += np.multiply(square, diag[i], out=tmp)
     for (i, j), val in cross:
@@ -640,13 +681,13 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 def _plaplace_value(p: float, eps: float, diag, cross, grad, ws, quad=None):
     """trace + (p-2) quad / (|Du|^2 + eps^2) over a slice or a stack of rows.
 
-    cross yields pairs, as for _plaplace_forms.  Returns the trace, the value (both in the units of diag) and the
-    interior positions whose denominator is 0, i.e. a zero gradient at
-    eps^2 = 0.  The value there is a placeholder (the quotient is taken
-    as 0) until the caller raises or applies the envelope rule.  At
-    eps^2 > 0 the step runs no zero test.  The value is written to the
-    buffer quad (the workspace's "quad" by default), so the trace stays
-    readable.
+    cross yields pairs, as for _plaplace_forms.  Returns the trace, the
+    value (both in the units of diag) and the interior positions whose
+    denominator is 0, i.e. a zero gradient at eps^2 = 0.  The value
+    there is a placeholder (the quotient is taken as 0) until the caller
+    raises or applies the envelope rule.  At eps^2 > 0 the step runs no
+    zero test.  The value is written to the buffer quad (the
+    workspace's "quad" by default), so the trace stays readable.
     """
     quad = ws.buf("quad") if quad is None else quad
     trace, norm2, quad = _plaplace_forms(diag, cross, grad, ws, quad)
@@ -701,6 +742,7 @@ def class_membership(
     least one level above the bottom slice.  The verdict is pass when
     both worst slacks stay above -tol.
     """
+    _check_type(u, GridFunction, "u must be a GridFunction")
     _check_type(ell, EllipticityPair, "ell must be an EllipticityPair")
     f_bound = _real_number(f_bound, "f_bound, a sup norm,", _NONNEGATIVE)
     grid = u.grid
@@ -769,12 +811,12 @@ def pde_residual(
     them by the signed distance of zero to the interval spanned by the
     two envelope branches, so an exact solution reports residual 0.
     """
+    _check_type(u, GridFunction, "u must be a GridFunction")
     _check_tag(op)
     if zero_gradient not in ("raise", "envelope"):
         raise InputError(f"zero_gradient must be 'raise' or 'envelope', got {zero_gradient!r}")
     grid = u.grid
-    if not isinstance(f, GridFunction):
-        raise InputError(f"forcing term must be a GridFunction, got {type(f).__name__}")
+    _check_type(f, GridFunction, "forcing term must be a GridFunction")
     if f.grid != grid:
         raise InputError("forcing term lives on a different grid")
     out = np.zeros_like(u.data)

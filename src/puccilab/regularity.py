@@ -45,6 +45,7 @@ from .errors import (
     DegenerateFitError,
     FaceDataError,
     InputError,
+    _check_type,
     _real_number,
 )
 from .grid import (
@@ -318,6 +319,7 @@ def decay_sequence(
     scales are neither built nor fitted and entries lists only the
     contained ones; alpha_est and regression_residual are the same.
     """
+    _check_type(u, GridFunction, "u must be a GridFunction")
     x0, t0, eta, K = _decay_arguments(u.grid, center, eta, K)
     scales = _fitted_scales(u, x0, t0, eta, K, boundary=False, fit_clipped=fit_clipped)
     return _assemble_report(u, x0, t0, eta, scales, mode="interior")
@@ -345,6 +347,7 @@ def boundary_decay_sequence(
     The fitted slopes live in entry b[n-1] of each scale's fit.
     fit_clipped is as in decay_sequence.
     """
+    _check_type(u, GridFunction, "u must be a GridFunction")
     grid = u.grid
     if not grid.half_space:
         raise InputError("boundary decay needs a half-space grid")

@@ -18,21 +18,24 @@ of the axis-0 slabs 1..N-2, which hold the step range below.
 The march's own arithmetic allocates nothing per step: the stencils
 write into one workspace that the march creates for itself (never a
 module-level one, so threads can march at the same time), and each
-level is written in place into the preallocated history.  On a
-power-of-two h the stencils return raw lattice differences, and the
-operator value comes in units of h^2; the step multiplies it by
-tau / h^2 instead of tau, and adds a scalar forcing as f h^2 (an array
-forcing takes one more pass, which scales the value first).  The
-scaling is exact, so each level keeps the bits of the divided
-stencils.  A level is
+level is written in place into the preallocated history, whose levels
+the operator reads as flat vectors.  On a power-of-two h the stencils
+return raw lattice differences, and the operator value comes in units
+of h^2; the step multiplies it by tau / h^2 instead of tau, and adds a
+scalar forcing as f h^2 (an array forcing takes one more pass, which
+scales the value first).  The scaling is exact, so each level keeps the
+bits of the divided stencils.  A scalar forcing of +-0.0 is not added
+unless a stepped node of level 0 holds -0.0: u + (y + 0.0) and u + y
+differ only where u and y are both -0.0, and a sum is -0.0 only where
+both terms are, so no later level holds one there either.  A level is
 stepped as one flat vector, on the range [lo, hi) that holds its
 interior nodes and the ghost positions between interior rows (see
 operators._Workspace).  Each step first writes the stepped range into
 the next level and then scatters g over the shell, which overwrites
 the ghosts and the nodes outside the ball.  The march keeps the
-shell's indices and, for a callable g, their coordinates; what a
-callable field returns, and the stack of Pucci Hessians that reach
-the eigen-solver, are still fresh arrays.  The history itself is
+shell's mask, its indices and, for a callable g, their coordinates;
+what a callable field returns, and the stack of Pucci Hessians that
+reach the eigen-solver, are still fresh arrays.  The history itself is
 levels x nodes; eps-continuation reads its distances level by level
 and drops each solution once its distance to the next is read, so at
 most two histories are live.
@@ -51,6 +54,7 @@ from .errors import (
     CFLViolationError,
     InputError,
     PucciLabError,
+    _check_type,
     _real_number,
 )
 from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values, _finite_level
@@ -88,8 +92,7 @@ class DirichletProblem:
     grid: Grid
 
     def __post_init__(self):
-        if not isinstance(self.grid, Grid):
-            raise InputError("grid must be a Grid")
+        _check_type(self.grid, Grid, "grid must be a Grid")
         _check_tag(self.op_tag)
         self.op_tag._check_marchable()
         _check_field(self.f, self.grid, "forcing f")
@@ -111,10 +114,13 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     u[m+1], then g, evaluated on the shell nodes only, is scattered over
     the shell: every node that is not stepped, i.e. outside the open
     ball or on the box's edge (on staggered grids the ball reaches the
-    last axis's edge nodes).  The finiteness guard reads every level,
-    level 0 and the boundary nodes included.  When it fires at level m,
-    f at m - 1 and g at m are read again on every node: a value that is
-    not finite is an InputError naming the field, not a BlowUpError.
+    last axis's edge nodes).  f is read at every step; a scalar +-0.0
+    is added only if a stepped node of level 0 holds -0.0, since
+    elsewhere the add changes no bit (see the module docstring).  The
+    finiteness guard reads every level, level 0 and the boundary nodes
+    included.  When it fires at level m, f at m - 1 and g at m are read
+    again on every node: a value that is not finite is an InputError
+    naming the field, not a BlowUpError.
     """
     grid = prob.grid
     shape = grid.spatial_shape
@@ -124,7 +130,8 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     lo, hi = ws.lo, ws.hi
     stepped = np.zeros(int(np.prod(shape)), dtype=bool)
     stepped[lo:hi] = _ball_mask(grid, grid.spatial_extent).reshape(-1)[lo:hi] & ws.valid
-    shell = np.flatnonzero(~stepped)
+    outside = ~stepped
+    shell = np.flatnonzero(outside)
     shell_coords = None
     if callable(prob.g):
         nodes = np.unravel_index(shell, shape)
@@ -143,6 +150,7 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     u = np.empty((grid.n_time_levels,) + shape)
     flat = u.reshape(grid.n_time_levels, -1)
     u[0] = _field_values(prob.g, grid, 0, mesh, slice(None), shape)
+    adds_zero = bool(np.any(stepped & (flat[0] == 0.0) & np.signbit(flat[0])))
     # overflow inside a step is legitimate state, not a numpy error: the
     # finiteness guard below turns it into a diagnosable BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -151,10 +159,11 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
                 # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation;
                 # the operator value comes in the units of h^2 (see
                 # operators._Workspace), which tau / h^2 takes out
-                value = prob.op_tag.slice_value(u[m - 1], grid.h, ws)
+                value = prob.op_tag.slice_value(flat[m - 1], grid.h, ws)
                 forcing = _field_values(prob.f, grid, m - 1, slab_mesh, slabs, slab_shape)
                 if forcing.ndim == 0:
-                    value += forcing * unit
+                    if forcing != 0.0 or adds_zero:
+                        value += forcing * unit
                     np.multiply(tau * scale, value, out=value)
                 else:
                     np.multiply(value, scale, out=value)
@@ -162,7 +171,8 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
                     np.multiply(tau, value, out=value)
                 np.add(flat[m - 1, lo:hi], value, out=flat[m, lo:hi])
                 boundary = _field_values(prob.g, grid, m, shell_coords, shell, shell.shape)
-                flat[m, shell] = boundary
+                # a boolean mask on the flat level scatters faster than the indices
+                flat[m][outside] = boundary
             if not np.isfinite(u[m], out=finite).all():
                 if m > 0:
                     _finite_level(prob.f, grid, m - 1, mesh, "forcing f")
@@ -226,6 +236,7 @@ def epsilon_continuation(
     A rolling pair: at most two histories are live, and only the report
     is returned (solve_p_laplace_regularized gives any field's bits).
     """
+    _check_type(grid, Grid, "grid must be a Grid")
     p = _real_number(p, "p", _ABOVE_ONE)
     schedule = [_real_number(e, "epsilon schedule entry", _POSITIVE) for e in eps_schedule]
     if len(schedule) == 0:

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -889,7 +890,61 @@ def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
     ws = operators._Workspace(sl.shape, h)
     assert ws.units == (h * h, 4.0 * h * h, 2.0 * h)
     op.slice_value(sl, h, ws)
-    buffers = list(ws._buffers.values())
-    assert all(b.shape == (ws.hi - ws.lo,) for b in buffers)
+    buffers = ws._buffers
+    for key, b in buffers.items():
+        # the raw gradient's components past the first also cover the
+        # shifted range that the shared cross differences read
+        extra = ws.strides[0] if key in [("grad_raw", i) for i in range(1, n_dim)] else 0
+        assert b.shape == (ws.hi - ws.lo + extra,), key
     assert len(buffers) <= bound
     assert sum(sent) > 0 or isinstance(op, PLaplaceOp)
+
+
+@pytest.mark.parametrize("h", [1.0 / 8, 0.1], ids=["dyadic", "h=0.1"])
+@pytest.mark.parametrize("shape", [(9, 11), (5, 6, 7)], ids=["2d", "3d"])
+def test_cross_terms_from_the_gradient_equal_the_four_point_formula(shape, h):
+    # every position of [lo, hi), ghosts included, on a random level
+    x = np.random.default_rng(5).standard_normal(shape).reshape(-1)
+    ws = operators._Workspace(shape, h)
+    lo, hi = ws.lo, ws.hi
+    grad = _slice_gradient(x, h, ws)
+    assert [g.shape for g in grad] == [(hi - lo,)] * len(shape)
+    at = lambda o: x[lo + o : hi + o]
+    for i, s in enumerate(ws.strides):
+        want = (at(s) - at(-s)) / (2.0 * h / ws.units[2])
+        assert np.array_equal(grad[i].view(np.int64), want.view(np.int64))
+    # the terms share one buffer, so each is read as it is yielded
+    terms = [(key, c.copy()) for key, c in operators._gradient_cross_terms(x, h, ws)]
+    assert [key for key, _ in terms] == list(itertools.combinations(range(len(shape)), 2))
+    for (i, j), c in terms:
+        si, sj = ws.strides[i], ws.strides[j]
+        want = ((at(si + sj) - at(si - sj)) - at(-si + sj)) + at(-si - sj)
+        want /= 4.0 * h * h / ws.units[1]
+        assert np.array_equal(c.view(np.int64), want.view(np.int64)), (i, j)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [HeatOp(), PLaplaceOp(PLaplaceParams(2.5, 1.0 / 64)), PucciPlusOp(EllipticityPair(1.0, 2.0))],
+    ids=["heat", "p-flow", "pucci"],
+)
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_a_repeated_slice_value_allocates_no_level_sized_array(op, n_dim, monkeypatch):
+    # the march calls slice_value once per step on one workspace; on
+    # quadratic data Gershgorin certifies every Pucci row, so none is
+    # gathered into a Hessian stack
+    h = 1.0 / 32 if n_dim == 2 else 1.0 / 8
+    grid = Grid(n_dim=n_dim, h=h, tau=h * h / 16, spatial_extent=1.0, time_extent=h * h / 16)
+    quadratic = lambda x, t: sum((i + 1.0) * xi * xi for i, xi in enumerate(x)) + 0.25 * x[0] * x[-1]
+    sl = sample(quadratic, grid).data[1]
+    sent = _count_eigen_rows(monkeypatch)
+    ws = operators._Workspace(sl.shape, h)
+    first = op.slice_value(sl, h, ws).copy()
+    tracemalloc.start()
+    try:
+        again = op.slice_value(sl, h, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first) and sent == []
+    assert peak < (ws.hi - ws.lo) * again.itemsize, peak

@@ -307,3 +307,36 @@ MALFORMED = {
 def test_malformed_centers_and_forcing_are_input_errors(name):
     with pytest.raises(InputError):
         MALFORMED[name]()
+
+
+# ---------------------------------------------------------------------------
+# Arguments of the wrong type.
+
+WRONG_TYPE = {
+    "epsilon_continuation-grid": (
+        lambda: epsilon_continuation(2.5, [0.2, 0.1], zero, zero, "grid"), "grid must be a Grid"
+    ),
+    "run_ellipticity_sweep-grid": (
+        lambda: run_ellipticity_sweep([0.1], "grid", zero, zero), "grid must be a Grid"
+    ),
+    "run_p_sweep-grid": (lambda: run_p_sweep([2.1], 0.9, "grid", zero, zero), "grid must be a Grid"),
+    "class_membership-u": (lambda: class_membership(U.data, ELL, 0.0), "u must be a GridFunction"),
+    "pde_residual-u": (lambda: pde_residual(U.data, HeatOp(), U), "u must be a GridFunction"),
+    "decay_sequence-u": (lambda: decay_sequence(U.data, ORIGIN), "u must be a GridFunction"),
+    "boundary_decay_sequence-u": (
+        lambda: boundary_decay_sequence(W.data), "u must be a GridFunction"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE))
+def test_a_wrong_argument_type_is_an_input_error_before_any_march(name, monkeypatch):
+    from puccilab import solver
+
+    marches = []
+    for module in (scenarios, solver):
+        monkeypatch.setattr(module, "solve_dirichlet", lambda prob: marches.append(prob))
+    call, message = WRONG_TYPE[name]
+    with pytest.raises(InputError, match=message):
+        call()
+    assert marches == []

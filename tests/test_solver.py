@@ -400,6 +400,58 @@ def test_march_equals_the_allocating_reference_bitwise(op_name, grid_name, store
     assert not np.array_equal(u.data, sample(_wavy_g, grid).data)
 
 
+class _CountedZero(np.ndarray):
+    """A 0-d forcing value that logs the arithmetic made with it, comparisons aside."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc.__name__ in ("add", "subtract", "multiply", "divide"):
+            _CountedZero.log.append(ufunc.__name__)
+        inputs = [np.asarray(a) if isinstance(a, _CountedZero) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _signed_zero_g(mesh, t):
+    # -0.0 on every node with x > 1/4, stepped nodes included, on each grid
+    return np.where(mesh[0] > 0.25, -0.0, _wavy_g(mesh, t))
+
+
+def _stepped_negative_zeros(g, grid):
+    level = sample(g, grid).data[0][tuple(slice(1, -1) for _ in range(grid.n_dim))]
+    inside = _ball_mask(grid, grid.spatial_extent)[tuple(slice(1, -1) for _ in range(grid.n_dim))]
+    return int(np.count_nonzero((level == 0.0) & np.signbit(level) & inside))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("g", [_wavy_g, _signed_zero_g], ids=["no-neg-zero", "neg-zero"])
+@pytest.mark.parametrize("grid_name", ["n=1", "n=2", "n=3", "h=0.1"])
+@pytest.mark.parametrize("op_name", ["p=1.5", "p=2.1", "p=2.5"])
+def test_a_zero_forcing_is_skipped_only_where_level_0_has_no_stepped_negative_zero(
+    op_name, grid_name, g, zero, monkeypatch
+):
+    grid = _GRIDS[grid_name]
+    f = lambda mesh, t: zero
+    prob = DirichletProblem(op_tag=_OPS[op_name], f=f, g=g, grid=grid)
+    read = solver_module._field_values
+
+    def counted(field, *args):
+        vals = read(field, *args)
+        return vals.view(_CountedZero) if field is f else vals
+
+    monkeypatch.setattr(solver_module, "_field_values", counted)
+    monkeypatch.setattr(_CountedZero, "log", [])
+    u = solve_dirichlet(prob)
+    assert np.array_equal(u.data.view(np.int64), _reference_march(prob).view(np.int64))
+    negative_zeros = _stepped_negative_zeros(g, grid)
+    assert (negative_zeros > 0) == (g is _signed_zero_g)
+    if negative_zeros:
+        # the add runs at every step, from forcing * h^2 (or / 1 at h = 0.1)
+        assert _CountedZero.log == ["multiply"] * (grid.n_time_levels - 1)
+    else:
+        assert _CountedZero.log == []
+
+
 _SCHEDULE = [1.0 / 16, 1.0 / 32, 1.0 / 64]
 
 
