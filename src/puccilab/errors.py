@@ -134,6 +134,14 @@ def _real_number(value, what: str, rng=_ANY, integer: bool = False):
     return x
 
 
+def _real_numbers(values, what: str, rng=_ANY) -> list:
+    """Each entry of a sequence through _real_number; a non-sequence is an InputError too."""
+    try:
+        return [_real_number(v, what, rng) for v in values]
+    except TypeError:
+        raise InputError(f"{what} must be a list of real numbers, got {values!r}") from None
+
+
 def _real_array(value, what: str) -> np.ndarray:
     """value as a float array, or InputError naming what (text refused too)."""
     try:
@@ -145,7 +153,8 @@ def _real_array(value, what: str) -> np.ndarray:
         raise InputError(f"{what} must be real numbers, got {value!r}") from exc
 
 
-def _check_type(value, cls, message: str) -> None:
-    """InputError stating message unless value is a cls."""
+def _check_type(value, cls, message: str):
+    """value, or InputError stating message unless it is a cls."""
     if not isinstance(value, cls):
         raise InputError(f"{message}, got {type(value).__name__}")
+    return value

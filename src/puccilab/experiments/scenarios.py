@@ -17,7 +17,8 @@ from itertools import zip_longest
 import numpy as np
 
 from ..errors import (
-    _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _check_type, _real_array, _real_number
+    _NONNEGATIVE, _POSITIVE, InputError, PucciLabError, _check_type, _real_array, _real_number,
+    _real_numbers,
 )
 from ..grid import (
     Grid, GridFunction, _check_field, _field_values, _finite_level, restrict, sample, write_gridfn
@@ -84,7 +85,7 @@ def sample_interior_points(grid: Grid, n_points: int, seed: int):
     """
     n_points = _real_number(n_points, "n_points", _POSITIVE, integer=True)
     seed = _real_number(seed, "seed", _NONNEGATIVE, integer=True)
-    if grid.n_dim > len(_PRIMES):
+    if _check_type(grid, Grid, "grid must be a Grid").n_dim > len(_PRIMES):
         raise InputError(f"point sampling supports up to {len(_PRIMES)} dimensions")
     half = _SAMPLING_BOX * grid.spatial_extent
     axes = [grid.axis_coords(i) for i in range(grid.n_dim)]
@@ -171,7 +172,7 @@ def run_counterexample(
             n_dim=1, h=1.0 / 128, tau=1.0 / 128, spatial_extent=1.0,
             time_extent=1.0, stagger=True,
         )
-    if not grid.stagger:
+    if not _check_type(grid, Grid, "grid must be a Grid").stagger:
         raise InputError(
             "the counterexample grid must stagger the last axis so the "
             "interface falls between nodes"
@@ -282,7 +283,7 @@ def run_p_sweep(
     alpha_target = _real_number(alpha_target, "alpha_target")
     eta, K = _decay_scales(eta, K)
     epsilon = grid.h if epsilon is None else _real_number(epsilon, "epsilon", _POSITIVE)
-    p_values = [_real_number(p, "p") for p in p_list]
+    p_values = _real_numbers(p_list, "p")
     points = sample_interior_points(grid, n_points, seed) if p_values else []
     if grid.half_space:
         boundary_points = [
@@ -345,7 +346,7 @@ def run_ellipticity_sweep(
     """
     _check_type(grid, Grid, "grid must be a Grid")
     eta, K = _decay_scales(eta, K)
-    deltas = [_real_number(d, "ellipticity offsets", _NONNEGATIVE) for d in delta_list]
+    deltas = _real_numbers(delta_list, "ellipticity offsets", _NONNEGATIVE)
     f_bound = _sweep_data(f, g, grid) if deltas else 0.0
     origin = [(np.zeros(grid.n_dim), 0.0)]
     rows = []
@@ -401,7 +402,7 @@ def run_boundary_study(
     estimates the normal derivative, reported both reduced and with
     the affine part's own normal slope added back.
     """
-    if not grid.half_space:
+    if not _check_type(grid, Grid, "grid must be a Grid").half_space:
         raise InputError("boundary study needs a half-space grid")
     affine_value = _real_number(affine_value, "affine_value")
     if (u is None) == (g is None):

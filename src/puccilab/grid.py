@@ -41,6 +41,7 @@ from .errors import (
     DegenerateCylinderError,
     GridFileError,
     InputError,
+    _check_type,
     _real_array,
     _real_number,
 )
@@ -212,7 +213,8 @@ class GridFunction:
 
     def _freeze(self) -> np.ndarray:
         """Check the layout and store the data C-contiguous and read-only."""
-        expected = (self.grid.n_time_levels,) + self.grid.spatial_shape
+        grid = _check_type(self.grid, Grid, "grid must be a Grid")
+        expected = (grid.n_time_levels,) + grid.spatial_shape
         a = np.asarray(self.data, dtype=float)
         if a.shape != expected:
             raise InputError(
@@ -325,7 +327,8 @@ def _level_sum(block: np.ndarray) -> np.ndarray:
 
 
 def _check_field(field, grid: Grid, name: str) -> None:
-    """Refuse a field that is neither a callable nor a GridFunction of grid."""
+    """Refuse a grid that is no Grid, and a field neither callable nor a GridFunction of grid."""
+    _check_type(grid, Grid, "grid must be a Grid")
     if isinstance(field, GridFunction):
         if field.grid != grid:
             raise InputError(f"{name} lives on a different grid")
@@ -390,7 +393,7 @@ def restrict(
     Useful for studying a marched field away from the Dirichlet shell,
     where the scheme's stencils mix solved and copied values.
     """
-    grid = u.grid
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     spatial_extent = _real_number(spatial_extent, "sub-box extent", _POSITIVE)
     if time_extent is None:
         time_extent = grid.time_extent
@@ -540,6 +543,7 @@ def _ball_mask(
 
 def _cylinder_center(grid: Grid, center) -> tuple[np.ndarray, float]:
     """center = (x0, t0) checked against the grid: a copy of x0, and t0."""
+    _check_type(grid, Grid, "grid must be a Grid")
     try:
         x0, t0 = center
     except (TypeError, ValueError):
@@ -659,7 +663,7 @@ def parabolic_boundary_nodes(grid: Grid, r: float) -> list[tuple[int, tuple[int,
     the face x_n = 0 inside the ball, at every level including the top.
     """
     r = _real_number(r, "radius", _POSITIVE)
-    steps = r / grid.h
+    steps = r / _check_type(grid, Grid, "grid must be a Grid").h
     if abs(steps - round(steps)) > 1e-9:
         raise InputError(f"radius {r} is not a multiple of the spatial step {grid.h}")
     try:
@@ -704,7 +708,7 @@ def _check_stencil_room(u: GridFunction, node) -> tuple[int, tuple[int, ...]]:
     level, idx = node
     level = int(level)
     idx = tuple(int(i) for i in idx)
-    grid = u.grid
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     if len(idx) != grid.n_dim:
         raise InputError(f"node index {idx} does not match dimension {grid.n_dim}")
     if level < 1 or level >= grid.n_time_levels:
@@ -762,6 +766,7 @@ def backward_time_diff(u: GridFunction, node) -> float:
 
 
 def write_gridfn(u: GridFunction, path) -> None:
+    _check_type(u, GridFunction, "u must be a GridFunction")
     meta = {**asdict(u.grid), "endianness": "little", "index_order": "time-major row-major"}
     payload = np.ascontiguousarray(u.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:

@@ -137,10 +137,14 @@ def _check_tag(op) -> None:
 class _OperatorTag:
     """Base of the tags: each supplies ell and _value(diag, cross, grad, ws).
 
-    _value reads second differences, ((i, j), cross difference) pairs
-    (none where _reads_cross is unset) and, where _reads_gradient is set,
-    the gradient, all in the workspace's units, and returns its value in
-    them.
+    _value reads second differences, the dict {(i, j): cross difference}
+    (empty where _reads_cross is unset) and, where _reads_gradient is
+    set, the gradient, all in the workspace's units, and returns its
+    value in them.  A slice costs the passes of the kernels (on a dyadic
+    h one for 2 * center, 2 per second difference, 1 per gradient
+    component, 3 per cross term or 2 where the tag reads the gradient)
+    and of _value: 7, 24 and 32 for heat, p-flow and Pucci in 2-D (10,
+    44 and 56 in 3-D), Pucci's gather aside.
     """
 
     _reads_cross = True
@@ -154,10 +158,7 @@ class _OperatorTag:
         """Raise InputError if the explicit march cannot step this tag."""
 
     def _envelope(self, diag, cross, grad, ws):
-        """(low, high) scaled values where the operator is set-valued, else None.
-
-        cross is a dict here, as _slice_cross_diffs and _point_stencils give it.
-        """
+        """(low, high) scaled values where the operator is set-valued, else None."""
         return None
 
     def slice_value(self, sl: np.ndarray, h: float, ws=None) -> np.ndarray:
@@ -165,17 +166,15 @@ class _OperatorTag:
 
         Times ws.scale it is the operator's value.  sl is a level, or with
         ws its flat vector, as the march hands it.  A tag that reads the
-        gradient forms its cross differences from it, one at a time in
-        one buffer (_gradient_cross_terms).
+        gradient forms its cross differences from the raw one.
         """
         ws = ws or _Workspace(sl.shape)
         x = _flat(sl)
         diag = _slice_diag_diffs(x, h, ws)
-        if self._reads_gradient:
-            grad = _slice_gradient(x, h, ws)
-            return self._value(diag, _gradient_cross_terms(x, h, ws), grad, ws)
-        cross = _slice_cross_diffs(x, h, ws).items() if self._reads_cross else ()
-        return self._value(diag, cross, None, ws)
+        grad = _slice_gradient(x, h, ws) if self._reads_gradient else None
+        raw = ws.grad_raw if self._reads_gradient else None
+        cross = _slice_cross_diffs(x, h, ws, raw) if self._reads_cross else {}
+        return self._value(diag, cross, grad, ws)
 
     def point_value(self, m, q=None) -> float:
         """The operator at one symmetric matrix m, and gradient q where it reads one.
@@ -184,7 +183,7 @@ class _OperatorTag:
         at a node bit for bit.
         """
         diag, cross, grad, ws = _point_stencils(m, q, self._reads_gradient)
-        return float(self._value(diag, cross.items(), grad, ws)[0])
+        return float(self._value(diag, cross, grad, ws)[0])
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class _PucciOp(_OperatorTag):
         _check_type(self.ell, EllipticityPair, "ell must be an EllipticityPair")
 
     def _value(self, diag, cross, grad, ws):
-        pos, neg = _eigen_sign_sums(diag, dict(cross), ws)
+        pos, neg = _eigen_sign_sums(diag, cross, ws)
         return _pucci_combine(pos, neg, self.ell, self.plus, ws)
 
 
@@ -292,7 +291,8 @@ def p_laplace_coeff(q, params: PLaplaceParams) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise InputError("gradient must be finite")
     qq = float(q @ q)
-    den = qq + params.epsilon * params.epsilon
+    eps = _check_type(params, PLaplaceParams, "params must be a PLaplaceParams").epsilon
+    den = qq + eps * eps
     if den == 0.0:
         raise SingularGradientError(
             "coefficients undefined at q = 0 with epsilon = 0; use "
@@ -344,13 +344,14 @@ def _point_stencils(m, q, gradient: bool):
 # until the next kernel call on the same workspace.
 #
 # The cross difference (i, j) is ((x[k+s_i+s_j] - x[k+s_i-s_j]) -
-# x[k-s_i+s_j]) + x[k-s_i-s_j], and its first difference is the raw
-# gradient's component j at node k + s_i.  A tag that reads the
-# gradient forms each component j >= 1 over [lo, hi + s_0), so each
-# cross term takes two passes, not three (_gradient_cross_terms): a
-# p-flow operator makes 24 passes over the range in 2-D (44 in 3-D),
+# x[k-s_i+s_j]) + x[k-s_i-s_j], each term in its own buffer.  Its first
+# difference is the raw gradient's component j at node k + s_i, and
+# _slice_gradient forms each component j >= 1 over [lo, hi + s_0): a
+# caller that formed the gradient of the same level hands it to
+# _slice_cross_diffs, which then takes two passes per term, not three.
+# A p-flow operator makes 24 passes over the range in 2-D (44 in 3-D),
 # and the march step three more (tau / h^2, the add, the finiteness
-# scan).  Heat, Pucci and membership use _slice_cross_diffs.
+# scan), plus one for a scalar forcing it adds and two for an array.
 #
 # The kernels return raw lattice differences when the workspace was made
 # for a power-of-two step h = 2^k: the second differences in units of
@@ -360,8 +361,8 @@ def _point_stencils(m, q, gradient: bool):
 # bit for bit while the values stay in the normal range, so each
 # consumer folds the units into a multiply that it already makes and
 # gets the bits of the divided differences:
-#   - the march multiplies by tau / h^2 instead of tau, and adds a scalar
-#     forcing as f h^2;
+#   - the march adds the forcing as f h^2 and multiplies by tau / h^2
+#     instead of tau;
 #   - membership multiplies the Pucci sums by Lam / h^2 and lam / h^2;
 #   - the p-Laplacian adds eps^2 4 h^2 to |Du|^2 and weighs its cross
 #     terms by 1/2 instead of 2, and its value carries the units of h^2;
@@ -402,9 +403,10 @@ class _Workspace:
     Buffers are allocated on first use, and dead ones are reused: the
     trace overwrites 2 * center once the second differences are formed,
     and the p-Laplace march puts its quadratic form in the first second
-    difference and every cross difference in one buffer.  The buffers
-    of every step are attributes, plain ones once read; buf(key) names
-    the others.  A march or a membership pass makes one workspace and
+    difference.  Each cross term has its own buffer ("cross", i, j), so
+    a 2-D p-flow step reads 8 buffers and a 3-D one 12.  The buffers of
+    every step are attributes, plain ones once read; buf(key) names the
+    others.  A march or a membership pass makes one workspace and
     hands it to every slice, so its step temporaries are allocated once
     per pass instead of once per step.
     """
@@ -438,10 +440,9 @@ class _Workspace:
     trace = cached_property(lambda self: self.buf("trace"))
     tmp = cached_property(lambda self: self.buf("tmp"))
     norm2 = cached_property(lambda self: self.buf("norm2"))
-    cross = cached_property(lambda self: self.buf("cross"))
     diag = cached_property(lambda self: [self.buf(("diag", i)) for i in self.axes])
     # the raw gradient, each component but the first over [lo, hi + s_0),
-    # where _gradient_cross_terms reads it; grad is its part over [lo, hi)
+    # where _slice_cross_diffs reads it; grad is its part over [lo, hi)
     grad_raw = cached_property(
         lambda self: [self.buf(("grad_raw", i), extra=i and self.strides[0]) for i in self.axes]
     )
@@ -503,40 +504,29 @@ def _slice_diag_diffs(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
     return ws.diag
 
 
-def _slice_cross_diffs(sl: np.ndarray, h: float, ws=None) -> dict[tuple[int, int], np.ndarray]:
-    """{(i, j): cross difference} for i < j, each in its own buffer."""
+def _slice_cross_diffs(sl: np.ndarray, h: float, ws=None, grad_raw=None):
+    """{(i, j): cross difference} for i < j, each in its own buffer.
+
+    grad_raw, if given, is the raw gradient of this level as
+    _slice_gradient leaves it in ws.grad_raw: the first difference
+    x[k + s_i + s_j] - x[k + s_i - s_j] is then read as its component j
+    at node k + s_i, the same subtraction, instead of being formed.
+    """
     ws = ws or _Workspace(sl.shape)
     x, lo, hi = _flat(sl), ws.lo, ws.hi
     den = 4.0 * (h * h) / ws.units[1]
     out = {}
     for i, j in combinations(ws.axes, 2):
         si, sj = ws.strides[i], ws.strides[j]
-        c = np.subtract(
-            x[lo + si + sj : hi + si + sj],
-            x[lo + si - sj : hi + si - sj],
-            out=ws.buf(("cross", i, j)),
-        )
-        c -= x[lo - si + sj : hi - si + sj]
+        c = ws.buf(("cross", i, j))
+        if grad_raw is None:
+            np.subtract(x[lo + si + sj : hi + si + sj], x[lo + si - sj : hi + si - sj], out=c)
+            c -= x[lo - si + sj : hi - si + sj]
+        else:
+            np.subtract(grad_raw[j][si : si + hi - lo], x[lo - si + sj : hi - si + sj], out=c)
         c += x[lo - si - sj : hi - si - sj]
         out[i, j] = c if den == 1.0 else _divide(c, den)
     return out
-
-
-def _gradient_cross_terms(x: np.ndarray, h: float, ws):
-    """Yield ((i, j), cross difference) for i < j, each formed in ws.cross just before.
-
-    x is the flat level whose raw gradient _slice_gradient formed last
-    in ws: x[k + s_i + s_j] - x[k + s_i - s_j] is its component j at
-    node k + s_i, so a term takes the two passes that remain.
-    """
-    lo, hi = ws.lo, ws.hi
-    den = 4.0 * (h * h) / ws.units[1]
-    for i, j in combinations(ws.axes, 2):
-        si, sj = ws.strides[i], ws.strides[j]
-        first = ws.grad_raw[j][si : si + hi - lo]
-        c = np.subtract(first, x[lo - si + sj : hi - si + sj], out=ws.cross)
-        c += x[lo - si - sj : hi - si - sj]
-        yield (i, j), c if den == 1.0 else _divide(c, den)
 
 
 def _slice_gradient(sl: np.ndarray, h: float, ws=None) -> list[np.ndarray]:
@@ -649,10 +639,8 @@ def _eigen_sign_sums(diag, cross, ws=None):
 def _plaplace_forms(diag, cross, grad, ws, quad):
     """trace(D^2 u), |Du|^2 and Du . D^2 u Du over a slice, in the workspace's units.
 
-    cross yields ((i, j), cross difference) pairs: a dict's items, or
-    _gradient_cross_terms.  The quadratic form goes to the buffer quad,
-    which may be diag[0]'s: that is read only by the trace and the
-    form's first term.
+    The quadratic form goes to the buffer quad, which may be diag[0]'s:
+    that is read only by the trace and the form's first term.
     """
     trace = _slice_trace(diag, ws)
     # |Du|^2 sums the squares g_i^2 and the quadratic form the terms
@@ -667,7 +655,7 @@ def _plaplace_forms(diag, cross, grad, ws, quad):
         square = np.square(grad[i], out=tmp)
         norm2 += square
         quad += np.multiply(square, diag[i], out=tmp)
-    for (i, j), val in cross:
+    for (i, j), val in cross.items():
         np.multiply(grad[i], grad[j], out=tmp)
         tmp *= val
         np.multiply(twice, tmp, out=tmp)
@@ -681,13 +669,13 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 def _plaplace_value(p: float, eps: float, diag, cross, grad, ws, quad=None):
     """trace + (p-2) quad / (|Du|^2 + eps^2) over a slice or a stack of rows.
 
-    cross yields pairs, as for _plaplace_forms.  Returns the trace, the
-    value (both in the units of diag) and the interior positions whose
-    denominator is 0, i.e. a zero gradient at eps^2 = 0.  The value
-    there is a placeholder (the quotient is taken as 0) until the caller
-    raises or applies the envelope rule.  At eps^2 > 0 the step runs no
-    zero test.  The value is written to the buffer quad (the
-    workspace's "quad" by default), so the trace stays readable.
+    Returns the trace, the value (both in the units of diag) and the
+    interior positions whose denominator is 0, i.e. a zero gradient at
+    eps^2 = 0.  The value there is a placeholder (the quotient is taken
+    as 0) until the caller raises or applies the envelope rule.  At
+    eps^2 > 0 the step runs no zero test.  The value is written to the
+    buffer quad (the workspace's "quad" by default), so the trace stays
+    readable.
     """
     quad = ws.buf("quad") if quad is None else quad
     trace, norm2, quad = _plaplace_forms(diag, cross, grad, ws, quad)
@@ -714,7 +702,7 @@ def _plaplace_envelope_value(p: float, diag, cross, grad, ws):
     p - 2.  Only those rows are eigen-solved.  Both come scaled to
     values, whatever the workspace's units.
     """
-    trace, value, zero = _plaplace_value(p, 0.0, diag, cross.items(), grad, ws)
+    trace, value, zero = _plaplace_value(p, 0.0, diag, cross, grad, ws)
     low = np.multiply(value, ws.scale, out=value)
     high = low.copy()
     if zero.size:
@@ -730,7 +718,8 @@ def _plaplace_envelope_value(p: float, diag, cross, grad, ws):
 
 def membership_tolerance(u: GridFunction) -> float:
     """Default stencil-consistency tolerance 10 (h + tau) (1 + max|u|)."""
-    return 10.0 * (u.grid.h + u.grid.tau) * (1.0 + u.sup_norm)
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
+    return 10.0 * (grid.h + grid.tau) * (1.0 + u.sup_norm)
 
 
 def class_membership(
@@ -742,10 +731,9 @@ def class_membership(
     least one level above the bottom slice.  The verdict is pass when
     both worst slacks stay above -tol.
     """
-    _check_type(u, GridFunction, "u must be a GridFunction")
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     _check_type(ell, EllipticityPair, "ell must be an EllipticityPair")
     f_bound = _real_number(f_bound, "f_bound, a sup norm,", _NONNEGATIVE)
-    grid = u.grid
     if grid.n_time_levels < 2:
         raise InputError("membership needs at least two time levels")
     if any(s < 3 for s in grid.spatial_shape):
@@ -811,11 +799,10 @@ def pde_residual(
     them by the signed distance of zero to the interval spanned by the
     two envelope branches, so an exact solution reports residual 0.
     """
-    _check_type(u, GridFunction, "u must be a GridFunction")
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     _check_tag(op)
     if zero_gradient not in ("raise", "envelope"):
         raise InputError(f"zero_gradient must be 'raise' or 'envelope', got {zero_gradient!r}")
-    grid = u.grid
     _check_type(f, GridFunction, "forcing term must be a GridFunction")
     if f.grid != grid:
         raise InputError("forcing term lives on a different grid")
@@ -833,12 +820,10 @@ def pde_residual(
             rhs = _flat(f.data[m])[lo:hi]
             ends = None
             if zero_gradient == "envelope":
-                ends = op._envelope(
-                    _slice_diag_diffs(sl, grid.h, ws),
-                    _slice_cross_diffs(sl, grid.h, ws),
-                    _slice_gradient(sl, grid.h, ws),
-                    ws,
-                )
+                diag = _slice_diag_diffs(sl, grid.h, ws)
+                grad = _slice_gradient(sl, grid.h, ws)
+                cross = _slice_cross_diffs(sl, grid.h, ws, ws.grad_raw)
+                ends = op._envelope(diag, cross, grad, ws)
             if ends is not None:
                 low, high = ends
                 res = np.subtract(dt, rhs, out=dt)

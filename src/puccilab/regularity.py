@@ -154,7 +154,7 @@ def _fit_over_cylinder(
 
 def best_linear_fit(u: GridFunction, cyl: CylinderIndex) -> LinearFit:
     """Least-squares affine fit with its exact sup error on the cylinder."""
-    if cyl.grid != u.grid:
+    if cyl.grid != _check_type(u, GridFunction, "u must be a GridFunction").grid:
         raise InputError("cylinder indexes a different grid")
     return _fit_over_cylinder(u, cyl, boundary=False)
 
@@ -347,8 +347,7 @@ def boundary_decay_sequence(
     The fitted slopes live in entry b[n-1] of each scale's fit.
     fit_clipped is as in decay_sequence.
     """
-    _check_type(u, GridFunction, "u must be a GridFunction")
-    grid = u.grid
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     if not grid.half_space:
         raise InputError("boundary decay needs a half-space grid")
     if center is None:
@@ -388,7 +387,7 @@ def coefficient_cauchy_check(
     """
     c1 = _real_number(c1, "c1", _POSITIVE)
     alpha = _real_number(alpha, "alpha", _EXPONENT)
-    eta = report.eta
+    eta = _check_type(report, DecayReport, "report must be a DecayReport").eta
     margins = []
     worst_ratio = 0.0
     for prev, cur in zip(report.entries, report.entries[1:]):
@@ -424,7 +423,7 @@ def odd_reflection(u: GridFunction) -> GridFunction:
     zero so the result is odd in x_n bit for bit, and it reproduces u
     on x_n > 0 exactly.
     """
-    grid = u.grid
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     if not grid.half_space:
         raise InputError("odd reflection needs a half-space grid")
     _require_zero_face(u, "odd reflection needs zero Dirichlet data on the face")
@@ -447,7 +446,7 @@ def rescale(
     node; no interpolation happens.  r must divide the lattice: r/h
     and r^2/tau integers, r <= R, r^2 <= T.
     """
-    grid = u.grid
+    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
     r = _real_number(r, "rescaling radius", _POSITIVE)
     alpha = _real_number(alpha, "alpha", _EXPONENT)
     steps = r / grid.h

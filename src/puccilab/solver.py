@@ -21,10 +21,10 @@ module-level one, so threads can march at the same time), and each
 level is written in place into the preallocated history, whose levels
 the operator reads as flat vectors.  On a power-of-two h the stencils
 return raw lattice differences, and the operator value comes in units
-of h^2; the step multiplies it by tau / h^2 instead of tau, and adds a
-scalar forcing as f h^2 (an array forcing takes one more pass, which
-scales the value first).  The scaling is exact, so each level keeps the
-bits of the divided stencils.  A scalar forcing of +-0.0 is not added
+of h^2; every forcing, array or scalar, is added to it as f h^2, and
+the sum is multiplied by tau / h^2 instead of tau.  h^2 is then a power
+of two, so the scaling is exact and each level keeps the bits of the
+divided stencils.  A scalar forcing of +-0.0 is not added
 unless a stepped node of level 0 holds -0.0: u + (y + 0.0) and u + y
 differ only where u and y are both -0.0, and a sum is -0.0 only where
 both terms are, so no later level holds one there either.  A level is
@@ -56,6 +56,7 @@ from .errors import (
     PucciLabError,
     _check_type,
     _real_number,
+    _real_numbers,
 )
 from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values, _finite_level
 from .operators import PLaplaceOp, PLaplaceParams, _check_tag, _Workspace
@@ -74,7 +75,9 @@ CFL_SAFETY = 0.9
 
 def cfl_limit(op, grid: Grid) -> float:
     """Largest admissible tau/h^2 for the operator's diffusion bound."""
-    return CFL_SAFETY / (2.0 * grid.n_dim * op.cfl_coefficient)
+    _check_tag(op)
+    n_dim = _check_type(grid, Grid, "grid must be a Grid").n_dim
+    return CFL_SAFETY / (2.0 * n_dim * op.cfl_coefficient)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,6 @@ class DirichletProblem:
     grid: Grid
 
     def __post_init__(self):
-        _check_type(self.grid, Grid, "grid must be a Grid")
         _check_tag(self.op_tag)
         self.op_tag._check_marchable()
         _check_field(self.f, self.grid, "forcing f")
@@ -114,8 +116,8 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
     u[m+1], then g, evaluated on the shell nodes only, is scattered over
     the shell: every node that is not stepped, i.e. outside the open
     ball or on the box's edge (on staggered grids the ball reaches the
-    last axis's edge nodes).  f is read at every step; a scalar +-0.0
-    is added only if a stepped node of level 0 holds -0.0, since
+    last axis's edge nodes).  f is read and added at every step; a scalar
+    +-0.0 is added only if a stepped node of level 0 holds -0.0, since
     elsewhere the add changes no bit (see the module docstring).  The
     finiteness guard reads every level, level 0 and the boundary nodes
     included.  When it fires at level m, f at m - 1 and g at m are read
@@ -158,17 +160,15 @@ def solve_dirichlet(prob: DirichletProblem) -> GridFunction:
             if m > 0:
                 # u[m-1] + tau * (F(u[m-1]) + f), one ufunc per operation;
                 # the operator value comes in the units of h^2 (see
-                # operators._Workspace), which tau / h^2 takes out
+                # operators._Workspace), so f is added as f h^2 and
+                # tau / h^2 takes them out
                 value = prob.op_tag.slice_value(flat[m - 1], grid.h, ws)
                 forcing = _field_values(prob.f, grid, m - 1, slab_mesh, slabs, slab_shape)
-                if forcing.ndim == 0:
-                    if forcing != 0.0 or adds_zero:
-                        value += forcing * unit
-                    np.multiply(tau * scale, value, out=value)
-                else:
-                    np.multiply(value, scale, out=value)
-                    value += forcing.reshape(-1)[f_range]
-                    np.multiply(tau, value, out=value)
+                if forcing.ndim > 0:
+                    value += np.multiply(forcing.reshape(-1)[f_range], unit, out=ws.tmp)
+                elif forcing != 0.0 or adds_zero:
+                    value += forcing * unit
+                np.multiply(tau * scale, value, out=value)
                 np.add(flat[m - 1, lo:hi], value, out=flat[m, lo:hi])
                 boundary = _field_values(prob.g, grid, m, shell_coords, shell, shell.shape)
                 # a boolean mask on the flat level scatters faster than the indices
@@ -195,7 +195,8 @@ def solve_p_laplace_regularized(
     spatial step, tying the regularization error to the truncation
     order; epsilon = 0 is refused, the exact operator is analysis-only.
     """
-    params = PLaplaceParams(p=p, epsilon=grid.h if epsilon is None else epsilon)
+    h = _check_type(grid, Grid, "grid must be a Grid").h
+    params = PLaplaceParams(p=p, epsilon=h if epsilon is None else epsilon)
     return solve_dirichlet(DirichletProblem(op_tag=PLaplaceOp(params), f=f, g=g, grid=grid))
 
 
@@ -236,9 +237,8 @@ def epsilon_continuation(
     A rolling pair: at most two histories are live, and only the report
     is returned (solve_p_laplace_regularized gives any field's bits).
     """
-    _check_type(grid, Grid, "grid must be a Grid")
     p = _real_number(p, "p", _ABOVE_ONE)
-    schedule = [_real_number(e, "epsilon schedule entry", _POSITIVE) for e in eps_schedule]
+    schedule = _real_numbers(eps_schedule, "epsilon schedule", _POSITIVE)
     if len(schedule) == 0:
         raise InputError("epsilon schedule is empty")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):

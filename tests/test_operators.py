@@ -876,8 +876,11 @@ def test_divide_divides_when_no_exact_reciprocal_exists():
     [
         (2, PLaplaceOp(PLaplaceParams(p=2.5, epsilon=1.0 / 64)), 8),
         (3, PucciPlusOp(EllipticityPair(1.0, 2.0)), 20),
+        (2, PucciPlusOp(EllipticityPair(1.0, 2.0)), 14),
+        (3, PLaplaceOp(PLaplaceParams(p=2.5, epsilon=1.0 / 8)), 12),
+        (2, HeatOp(), 3),
     ],
-    ids=["2d-p-flow", "3d-pucci"],
+    ids=["2d-p-flow", "3d-pucci", "2d-pucci", "3d-p-flow", "2d-heat"],
 )
 def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
     # Every buffer of a workspace is as long as the stencil range, and a
@@ -897,13 +900,16 @@ def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
         extra = ws.strides[0] if key in [("grad_raw", i) for i in range(1, n_dim)] else 0
         assert b.shape == (ws.hi - ws.lo + extra,), key
     assert len(buffers) <= bound
-    assert sum(sent) > 0 or isinstance(op, PLaplaceOp)
+    assert sum(sent) > 0 or not isinstance(op, PucciPlusOp)
 
 
+@pytest.mark.parametrize("source", ["level", "gradient"])
 @pytest.mark.parametrize("h", [1.0 / 8, 0.1], ids=["dyadic", "h=0.1"])
 @pytest.mark.parametrize("shape", [(9, 11), (5, 6, 7)], ids=["2d", "3d"])
-def test_cross_terms_from_the_gradient_equal_the_four_point_formula(shape, h):
-    # every position of [lo, hi), ghosts included, on a random level
+def test_cross_terms_equal_the_four_point_formula(shape, h, source):
+    # every position of [lo, hi), ghosts included, on a random level;
+    # the first difference is formed from the level or read from the
+    # raw gradient of the same level
     x = np.random.default_rng(5).standard_normal(shape).reshape(-1)
     ws = operators._Workspace(shape, h)
     lo, hi = ws.lo, ws.hi
@@ -913,8 +919,8 @@ def test_cross_terms_from_the_gradient_equal_the_four_point_formula(shape, h):
     for i, s in enumerate(ws.strides):
         want = (at(s) - at(-s)) / (2.0 * h / ws.units[2])
         assert np.array_equal(grad[i].view(np.int64), want.view(np.int64))
-    # the terms share one buffer, so each is read as it is yielded
-    terms = [(key, c.copy()) for key, c in operators._gradient_cross_terms(x, h, ws)]
+    grad_raw = ws.grad_raw if source == "gradient" else None
+    terms = list(_slice_cross_diffs(x, h, ws, grad_raw).items())
     assert [key for key, _ in terms] == list(itertools.combinations(range(len(shape)), 2))
     for (i, j), c in terms:
         si, sj = ws.strides[i], ws.strides[j]

@@ -6,6 +6,7 @@ never a raw TypeError, ValueError, OverflowError or IndexError.
 """
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -15,16 +16,22 @@ from puccilab import (
     ConfigError,
     EllipticityPair,
     Grid,
+    GridFunction,
     HeatOp,
     InputError,
     PLaplaceParams,
+    best_linear_fit,
     boundary_decay_sequence,
+    cfl_limit,
     class_membership,
     coefficient_cauchy_check,
     cylinder_nodes,
     decay_sequence,
     epsilon_continuation,
     global_report,
+    membership_tolerance,
+    odd_reflection,
+    p_laplace_coeff,
     parabolic_boundary_nodes,
     pde_residual,
     pointwise_c1a_norm,
@@ -32,6 +39,7 @@ from puccilab import (
     restrict,
     sample,
     solve_p_laplace_regularized,
+    write_gridfn,
 )
 from puccilab.experiments import (
     make_field,
@@ -43,6 +51,7 @@ from puccilab.experiments import (
 )
 from puccilab.experiments import scenarios
 from puccilab.experiments.scenarios import sample_interior_points
+from puccilab.grid import centered_hessian
 
 BAD = ["x", None, True, math.nan, 10**400]
 BAD_IDS = ["text", "none", "bool", "nan", "huge-int"]
@@ -326,7 +335,51 @@ WRONG_TYPE = {
     "boundary_decay_sequence-u": (
         lambda: boundary_decay_sequence(W.data), "u must be a GridFunction"
     ),
+    "restrict-u": (lambda: restrict(U.data, 0.5), "u must be a GridFunction"),
+    "odd_reflection-u": (lambda: odd_reflection(W.data), "u must be a GridFunction"),
+    "rescale-u": (lambda: rescale(U.data, None, 0.25, 0.5), "u must be a GridFunction"),
+    "best_linear_fit-u": (
+        lambda: best_linear_fit(U.data, cylinder_nodes(GRID, ORIGIN, 0.5)),
+        "u must be a GridFunction",
+    ),
+    "membership_tolerance-u": (lambda: membership_tolerance(U.data), "u must be a GridFunction"),
+    "write_gridfn-u": (lambda: write_gridfn(U.data, "unwritten.pgf"), "u must be a GridFunction"),
+    "centered_hessian-u": (
+        lambda: centered_hessian(U.data, (1, (1, 1))), "u must be a GridFunction"
+    ),
+    "GridFunction-grid": (lambda: GridFunction(grid="grid", data=U.data), "grid must be a Grid"),
+    "sample-grid": (lambda: sample(zero, "grid"), "grid must be a Grid"),
+    "cylinder_nodes-grid": (lambda: cylinder_nodes("grid", ORIGIN, 0.5), "grid must be a Grid"),
+    "parabolic_boundary_nodes-grid": (
+        lambda: parabolic_boundary_nodes("grid", 0.5), "grid must be a Grid"
+    ),
+    "cfl_limit-grid": (lambda: cfl_limit(HeatOp(), "grid"), "grid must be a Grid"),
+    "cfl_limit-op": (lambda: cfl_limit("heat", GRID), "unknown operator tag"),
+    "solve_p_laplace_regularized-grid": (
+        lambda: solve_p_laplace_regularized(2.5, None, zero, zero, "grid"), "grid must be a Grid"
+    ),
+    "run_boundary_study-grid": (lambda: run_boundary_study("grid", u=W), "grid must be a Grid"),
+    "run_counterexample-grid": (lambda: run_counterexample(0.5, "grid"), "grid must be a Grid"),
+    "sample_interior_points-grid": (
+        lambda: sample_interior_points("grid", 3, 0), "grid must be a Grid"
+    ),
+    "coefficient_cauchy_check-report": (
+        lambda: coefficient_cauchy_check("report", 1.0, 0.5), "report must be a DecayReport"
+    ),
+    "p_laplace_coeff-params": (
+        lambda: p_laplace_coeff([1.0, 0.0], "params"), "params must be a PLaplaceParams"
+    ),
 }
+LIST_ARGUMENTS = {
+    "epsilon_continuation-schedule": lambda v: epsilon_continuation(2.5, v, zero, zero, GRID),
+    "run_p_sweep-p_list": lambda v: run_p_sweep(v, 0.9, GRID, zero, zero),
+    "run_ellipticity_sweep-delta_list": lambda v: run_ellipticity_sweep(v, GRID, zero, zero),
+}
+WRONG_TYPE.update(
+    (f"{name}-{kind}", (functools.partial(call, bad), "must be a list of real numbers"))
+    for name, call in LIST_ARGUMENTS.items()
+    for kind, bad in (("none", None), ("float", 0.25))
+)
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_TYPE))
