@@ -112,9 +112,9 @@ class ClassReport:
     u_t - M_minus + f_bound >= 0 (negative when u is too strong a
     subsolution for the budget); worst_super_slack the same for the
     upper inequality f_bound - (u_t - M_plus) >= 0.  worst_node is the
-    (time level, spatial index) achieving the smaller of the two, ties
-    resolved toward the lower inequality and then the lowest node in
-    time-major row-major order.
+    (time level, spatial index) achieving the smaller of the two.  Ties
+    go to the earlier level, then within a level to the lower
+    inequality, then to the lowest node in row-major order.
     """
 
     verdict: str
@@ -165,16 +165,23 @@ class _OperatorTag:
         """The operator over the interior of a slice, in the workspace's units.
 
         Times ws.scale it is the operator's value.  sl is a level, or with
-        ws its flat vector, as the march hands it.  A tag that reads the
-        gradient forms its cross differences from the raw one.
+        ws its flat vector, as the march hands it.
         """
         ws = ws or _Workspace(sl.shape)
+        return self._value(*self._stencils(sl, h, ws), ws)
+
+    def _stencils(self, sl: np.ndarray, h: float, ws):
+        """(diag, cross, grad) of a slice, each formed only where the tag reads it.
+
+        A tag that reads the gradient forms its cross differences from
+        the raw one.
+        """
         x = _flat(sl)
         diag = _slice_diag_diffs(x, h, ws)
         grad = _slice_gradient(x, h, ws) if self._reads_gradient else None
         raw = ws.grad_raw if self._reads_gradient else None
         cross = _slice_cross_diffs(x, h, ws, raw) if self._reads_cross else {}
-        return self._value(diag, cross, grad, ws)
+        return diag, cross, grad
 
     def point_value(self, m, q=None) -> float:
         """The operator at one symmetric matrix m, and gradient q where it reads one.
@@ -343,6 +350,18 @@ def _point_stencils(m, q, gradient: bool):
 # arrays a kernel returns are workspace buffers: they hold their values
 # until the next kernel call on the same workspace.
 #
+# Every buffer starts on a page boundary, so on a 64-byte cache line
+# too.  numpy's binary float loops run at less than half speed when the
+# output of an out-of-place pass does not start on a line: on an
+# AVX-512 Xeon, np.add(a, b, out=c) on 16 381 doubles took 8.5-9.7 us
+# with c 8-120 bytes past a line and 3.8-4.3 us with c on one, whatever
+# the offsets of a and b; in-place and unary passes lost 15-60 %, and a
+# division nothing.  np.empty gives 16-byte-aligned memory, so most
+# buffers missed a line and an out-of-place pass of a step cost about
+# twice the others.  A page boundary is a boundary of every smaller
+# power of two, whatever vector width a numpy build uses.  The rule
+# costs at most one page per buffer and moves no bit.
+#
 # The cross difference (i, j) is ((x[k+s_i+s_j] - x[k+s_i-s_j]) -
 # x[k-s_i+s_j]) + x[k-s_i-s_j], each term in its own buffer.  Its first
 # difference is the raw gradient's component j at node k + s_i, and
@@ -389,6 +408,22 @@ def _lattice_units(h) -> tuple[float, float, float]:
     return 1.0, 1.0, 1.0
 
 
+_PAGE = 4096
+
+
+def _page_aligned(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array of this shape whose data starts on a page boundary.
+
+    One page more than the array needs is allocated, and the array is
+    the view that starts at its first 4096-byte boundary.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    raw = np.empty(nbytes + _PAGE, np.uint8)
+    start = -raw.ctypes.data % _PAGE
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
 class _Workspace:
     """The flat layout of one level shape, its stencil units, and buffers of length hi - lo.
 
@@ -408,7 +443,11 @@ class _Workspace:
     every step are attributes, plain ones once read; buf(key) names the
     others.  A march or a membership pass makes one workspace and
     hands it to every slice, so its step temporaries are allocated once
-    per pass instead of once per step.
+    per pass instead of once per step.  Every buffer, and the valid and
+    ghost masks, start on a page boundary (_page_aligned): an
+    out-of-place binary pass whose output did not start on a 64-byte
+    line, as most heap buffers did not, ran at less than half speed (see
+    the stencil comment above).
     """
 
     def __init__(self, shape, h=None):
@@ -419,8 +458,9 @@ class _Workspace:
         self.hi = sum((s - 2) * st for s, st in zip(self.shape, self.strides)) + 1
         inner = np.zeros(self.shape, dtype=bool)
         inner[tuple(slice(1, -1) for _ in self.shape)] = True
-        self.valid = inner.reshape(-1)[self.lo : self.hi]
-        self.ghost = ~self.valid
+        self.valid = _page_aligned(self.hi - self.lo, bool)
+        np.copyto(self.valid, inner.reshape(-1)[self.lo : self.hi])
+        self.ghost = np.logical_not(self.valid, out=_page_aligned(self.hi - self.lo, bool))
         self.units = (1.0, 1.0, 1.0) if h is None else _lattice_units(h)
         self.scale = 1.0 / self.units[0]
         self._buffers = {}
@@ -434,7 +474,7 @@ class _Workspace:
         """The buffer named key, of length hi - lo + extra."""
         out = self._buffers.get(key)
         if out is None:
-            out = self._buffers[key] = np.empty(self.hi - self.lo + extra, dtype)
+            out = self._buffers[key] = _page_aligned(self.hi - self.lo + extra, dtype)
         return out
 
     trace = cached_property(lambda self: self.buf("trace"))
@@ -818,18 +858,15 @@ def pde_residual(
             sl = u.data[m]
             dt = _slice_time_diff(sl, u.data[m - 1], grid.tau, ws)
             rhs = _flat(f.data[m])[lo:hi]
-            ends = None
-            if zero_gradient == "envelope":
-                diag = _slice_diag_diffs(sl, grid.h, ws)
-                grad = _slice_gradient(sl, grid.h, ws)
-                cross = _slice_cross_diffs(sl, grid.h, ws, ws.grad_raw)
-                ends = op._envelope(diag, cross, grad, ws)
+            # the stencils are formed once, for the envelope and the value
+            stencils = op._stencils(sl, grid.h, ws)
+            ends = op._envelope(*stencils, ws) if zero_gradient == "envelope" else None
             if ends is not None:
                 low, high = ends
                 res = np.subtract(dt, rhs, out=dt)
                 value = np.maximum(res - high, 0.0) + np.minimum(res - low, 0.0)
             else:
-                value = op.slice_value(sl, grid.h, ws)
+                value = op._value(*stencils, ws)
                 value = np.subtract(dt, np.multiply(value, ws.scale, out=value), out=dt)
                 value -= rhs
             bad = _warn_unless_finite(value, ws, "the residual")

@@ -59,7 +59,7 @@ from .errors import (
     _real_numbers,
 )
 from .grid import Grid, GridFunction, _ball_mask, _check_field, _field_values, _finite_level
-from .operators import PLaplaceOp, PLaplaceParams, _check_tag, _Workspace
+from .operators import PLaplaceOp, PLaplaceParams, _check_tag, _page_aligned, _Workspace
 
 __all__ = [
     "DirichletProblem",
@@ -247,7 +247,7 @@ def epsilon_continuation(
     _check_field(g, grid, "boundary data g")
     _finite_level(g, grid, 0, grid.coordinate_mesh(), "boundary data g")
 
-    level = np.empty(grid.spatial_shape)
+    level = _page_aligned(grid.spatial_shape)
     distances: list[float | None] = []
     failures: list[str] = []
     previous: GridFunction | None = None

@@ -270,6 +270,36 @@ def test_pde_residual_envelope_at_singular_gradient():
         pde_residual(u, op, f, zero_gradient="maybe")
 
 
+@pytest.mark.parametrize("zero_gradient", ["raise", "envelope"])
+@pytest.mark.parametrize(
+    "op, kernels",
+    [
+        (HeatOp(), ["diag"]),
+        (PucciPlusOp(EllipticityPair(1.0, 2.0)), ["diag", "cross"]),
+        (PLaplaceOp(PLaplaceParams(2.5, 0.125)), ["diag", "gradient", "cross"]),
+    ],
+    ids=["heat", "pucci", "p-flow"],
+)
+def test_the_residual_forms_each_stencil_once_per_level(op, kernels, zero_gradient, monkeypatch):
+    # the envelope hook and, where it gives none, the value read the
+    # same stencils, and a tag's residual forms only those it reads
+    grid = Grid(n_dim=2, h=0.125, tau=1.0 / 256, time_extent=4.0 / 256)
+    u = sample(lambda x, t: np.sin(3.0 * x[0]) * np.cos(2.0 * x[1]) + t, grid)
+    calls = []
+    for name, kernel in [
+        ("diag", "_slice_diag_diffs"),
+        ("gradient", "_slice_gradient"),
+        ("cross", "_slice_cross_diffs"),
+    ]:
+        def counting(*args, _name=name, _kernel=getattr(operators, kernel)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(operators, kernel, counting)
+    pde_residual(u, op, sample(lambda x, t: 0.0, grid), zero_gradient=zero_gradient)
+    assert calls == kernels * (grid.n_time_levels - 1)
+
+
 _SMALL = Grid(n_dim=2, h=0.25, tau=1.0 / 64, time_extent=0.125)
 _U = sample(lambda x, t: x[0] * x[1] + t, _SMALL)
 
@@ -901,6 +931,47 @@ def test_one_slice_keeps_the_workspace_small(n_dim, op, bound, monkeypatch):
         assert b.shape == (ws.hi - ws.lo + extra,), key
     assert len(buffers) <= bound
     assert sum(sent) > 0 or not isinstance(op, PucciPlusOp)
+
+
+def _starts_on_a_page(a, whole=True):
+    """Whether a starts on a 4096-byte boundary; if whole, of an allocation at most one page longer."""
+    owner = a
+    while owner.base is not None:
+        owner = owner.base
+    return a.ctypes.data % 4096 == 0 and (not whole or owner.nbytes <= a.nbytes + 4096)
+
+
+@pytest.mark.parametrize("h", [1.0 / 8, 0.1], ids=["dyadic", "h=0.1"])
+@pytest.mark.parametrize("shape", [(9,), (9, 11), (5, 6, 7)], ids=["1d", "2d", "3d"])
+def test_every_workspace_array_starts_on_a_page(shape, h):
+    # what a workspace hands out is page-aligned, so every out-of-place
+    # pass writes from the start of a 64-byte line
+    x = np.random.default_rng(7).standard_normal(shape)
+    ws = operators._Workspace(shape, h)
+    for op in [HeatOp(), PucciPlusOp(EllipticityPair(1.0, 2.0)), PLaplaceOp(PLaplaceParams(2.5, h))]:
+        op.slice_value(x, h, ws)
+    operators._slice_time_diff(x, x, 0.1, ws)
+    step = [ws.trace, ws.tmp, ws.norm2, *ws.diag, *ws.grad_raw]
+    arrays = [ws.valid, ws.ghost, *step, *ws._buffers.values()]
+    assert all(_starts_on_a_page(a) for a in arrays)
+    # grad is the first hi - lo entries of grad_raw
+    assert all(_starts_on_a_page(g, whole=False) for g in ws.grad)
+    assert {a.dtype for a in arrays} == {np.dtype(bool), np.dtype(float)}
+    # the raw gradient's longer components, and at h = 0.1 its divided copies
+    assert [g.size for g in ws.grad_raw] == [ws.hi - ws.lo + (i and ws.strides[0]) for i in ws.axes]
+    assert (("grad", 0) in ws._buffers) == (h == 0.1)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 600])
+def test_a_row_workspace_starts_on_a_page(rows):
+    ws = operators._Workspace.for_rows(rows)
+    diag, cross, _, _ = _point_stencils(np.arange(9.0).reshape(3, 3), None, False)
+    diag = [np.repeat(d, rows) for d in diag]
+    cross = {key: np.repeat(c, rows) for key, c in cross.items()}
+    pos, neg = _eigen_sign_sums(diag, cross, ws)
+    value = _pucci_combine(pos, neg, EllipticityPair(1.0, 2.0), True, ws)
+    assert value.size == rows
+    assert all(_starts_on_a_page(a) for a in [ws.valid, ws.ghost, *ws._buffers.values()])
 
 
 @pytest.mark.parametrize("source", ["level", "gradient"])

@@ -782,6 +782,22 @@ def test_membership_equals_the_dividing_reference_bitwise(grid_name, monkeypatch
     assert (sum(sent) > 0) == (grid.n_dim > 1)
 
 
+def test_membership_ties_go_to_the_earlier_level_before_the_lower_inequality():
+    # a bump of 2^-7 at node 3 from level 1 on and a dip of 2^-7 at
+    # node 6 on level 2: in the box (1, 1) each slack is -0.375 once,
+    # the super-slack on level 1 and the sub-slack on level 2
+    grid = Grid(n_dim=1, h=0.25, tau=1.0 / 16, time_extent=0.125)
+    data = np.zeros((3, 9))
+    data[1:, 3] = 2.0**-7
+    data[2, 6] = -(2.0**-7)
+    u = GridFunction(grid=grid, data=data)
+    ell = EllipticityPair(1.0, 1.0)
+    report = class_membership(u, ell, f_bound=0.0)
+    assert (report.worst_sub_slack, report.worst_super_slack) == (-0.375, -0.375)
+    assert report.worst_node == (1, (3,))
+    assert _reference_membership(u, ell, 0.0) == (-0.375, -0.375, (1, (3,)))
+
+
 @pytest.mark.parametrize("grid_name", sorted(_GRIDS))
 @pytest.mark.parametrize("op_name", sorted(_OPS) + ["p=2.5, eps=0"])
 def test_residual_equals_the_dividing_reference_bitwise(op_name, grid_name):
