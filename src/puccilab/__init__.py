@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     AlignmentError,
     BlowUpError,
-    BoundaryProximityError,
     CFLViolationError,
     ConfigError,
     DegenerateCylinderError,
@@ -29,7 +28,6 @@ from .grid import (
     GridFunction,
     CylinderIndex,
     cylinder_nodes,
-    parabolic_boundary_nodes,
     read_gridfn,
     write_gridfn,
     sample,
@@ -58,7 +56,6 @@ from .solver import (
 from .regularity import (
     LinearFit,
     DecayReport,
-    best_linear_fit,
     decay_sequence,
     boundary_decay_sequence,
     coefficient_cauchy_check,

@@ -26,7 +26,6 @@ __all__ = [
     "NumericalError",
     "InputError",
     "DegenerateCylinderError",
-    "BoundaryProximityError",
     "GridFileError",
     "SingularGradientError",
     "CFLViolationError",
@@ -56,10 +55,6 @@ class InputError(ValidationError):
 
 class DegenerateCylinderError(NumericalError):
     """A parabolic cylinder too small to contain any usable grid node."""
-
-
-class BoundaryProximityError(NumericalError):
-    """A stencil was requested at a node without room for its footprint."""
 
 
 class GridFileError(ValidationError):

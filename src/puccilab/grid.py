@@ -1,4 +1,4 @@
-"""Space-time lattices, grid functions, stencils, and file I/O.
+"""Space-time lattices, grid functions, cylinders, and file I/O.
 
 A Grid is a uniform lattice over the box [-R, R]^n x [-T, 0], the
 discrete stand-in for the parabolic cylinder B_R x (-T, 0].  Spatial
@@ -36,8 +36,6 @@ import numpy as np
 
 from .errors import (
     _POSITIVE,
-    AlignmentError,
-    BoundaryProximityError,
     DegenerateCylinderError,
     GridFileError,
     InputError,
@@ -45,7 +43,6 @@ from .errors import (
     _real_array,
     _real_number,
 )
-from .linalg import _symmetric
 
 __all__ = [
     "Grid",
@@ -54,10 +51,6 @@ __all__ = [
     "sample",
     "restrict",
     "cylinder_nodes",
-    "parabolic_boundary_nodes",
-    "centered_hessian",
-    "centered_gradient",
-    "backward_time_diff",
     "write_gridfn",
     "read_gridfn",
 ]
@@ -180,14 +173,6 @@ class Grid:
         times = (np.arange(m + 1) - m) * self.tau
         times.flags.writeable = False
         return times
-
-    def time_level_of(self, t: float) -> int:
-        """Level index of a time value that must lie on the lattice."""
-        m = (_real_number(t, "time") + self.time_extent) / self.tau
-        level = int(round(m))
-        if abs(m - level) > 1e-9 or level < 0 or level >= self.n_time_levels:
-            raise AlignmentError(f"time {t!r} is not a lattice level of {self}")
-        return level
 
 
 @dataclass(frozen=True)
@@ -513,17 +498,14 @@ class CylinderIndex:
         return tuple(r[self.box_mask] for r in reductions)
 
 
-def _ball_mask(
-    grid: Grid, r: float, closed: bool = False, box=None, offsets=None
-) -> np.ndarray:
+def _ball_mask(grid: Grid, r: float, box=None, offsets=None) -> np.ndarray:
     """The lattice nodes of the open ball |x - x0| < r.
 
     box is one index range per axis and offsets the x_i - x0_i along
     each axis of it; by default the box is the whole lattice and x0 the
     origin.  The mask covers the box only.  On half-space grids the
-    face x_n = 0 is boundary, so only x_n > 0 nodes belong.  closed
-    gives the closed ball |x - x0| <= r, face included.  The slack only
-    absorbs rounding in the dist**2 sums.
+    face x_n = 0 is boundary, so only x_n > 0 nodes belong.  The slack
+    only absorbs rounding in the dist**2 sums.
     """
     if box is None:
         offsets = [grid.axis_coords(i) for i in range(grid.n_dim)]
@@ -532,10 +514,7 @@ def _ball_mask(
     dist2 = squares[0].reshape((-1,) + (1,) * (grid.n_dim - 1))
     for i in range(1, grid.n_dim):
         dist2 = dist2 + squares[i].reshape((-1,) + (1,) * (grid.n_dim - 1 - i))
-    slack = _EDGE_SLACK * r * r
-    if closed:
-        return dist2 <= r * r + slack
-    mask = dist2 < r * r - slack
+    mask = dist2 < r * r - _EDGE_SLACK * r * r
     if grid.half_space and (box is None or box[-1].start == 0):
         mask[..., 0] = False  # the face, the one node with x_n = 0
     return mask
@@ -653,126 +632,24 @@ def cylinder_nodes(grid: Grid, center, r: float) -> CylinderIndex:
     )
 
 
-def parabolic_boundary_nodes(grid: Grid, r: float) -> list[tuple[int, tuple[int, ...]]]:
-    """Nodes of the discrete parabolic boundary of Q_r centered at (0, 0).
-
-    The set is the bottom slice (t = -r^2, all columns of the closed
-    ball) plus the lateral shell (nodes outside the open ball that
-    touch it through a stencil step, at every level -r^2 <= t < 0).
-    The interior of the top slice is excluded.  Half-space grids add
-    the face x_n = 0 inside the ball, at every level including the top.
-    """
-    r = _real_number(r, "radius", _POSITIVE)
-    steps = r / _check_type(grid, Grid, "grid must be a Grid").h
-    if abs(steps - round(steps)) > 1e-9:
-        raise InputError(f"radius {r} is not a multiple of the spatial step {grid.h}")
-    try:
-        bottom_level = grid.time_level_of(-r * r)
-    except AlignmentError as exc:
-        raise AlignmentError(
-            f"cylinder depth r^2 = {r * r} does not land on a time level"
-        ) from exc
-
-    interior = _ball_mask(grid, r)
-    closed_ball = _ball_mask(grid, r, closed=True)
-
-    # Lateral shell: outside the open ball but adjacent (Chebyshev
-    # distance one, matching the stencil footprint) to an interior node.
-    near_interior = np.zeros(grid.spatial_shape, dtype=bool)
-    pad = np.pad(interior, 1, mode="constant")
-    for offsets in np.ndindex(*(3,) * grid.n_dim):
-        sl = tuple(slice(o, o + s) for o, s in zip(offsets, grid.spatial_shape))
-        near_interior |= pad[sl]
-    shell = closed_ball & ~interior & near_interior
-
-    top = grid.n_time_levels - 1
-    nodes: list[tuple[int, tuple[int, ...]]] = []
-    for idx in np.argwhere(closed_ball):
-        nodes.append((bottom_level, tuple(int(i) for i in idx)))
-    for m in range(bottom_level + 1, top):
-        for idx in np.argwhere(shell):
-            nodes.append((m, tuple(int(i) for i in idx)))
-    if grid.half_space:
-        face_in_ball = closed_ball & (grid.coordinate_mesh()[grid.n_dim - 1] == 0.0)
-        for m in range(bottom_level + 1, top + 1):
-            for idx in np.argwhere(face_in_ball):
-                nodes.append((m, tuple(int(i) for i in idx)))
-    return nodes
-
-
-# ---------------------------------------------------------------------------
-# Stencils
-
-
-def _check_stencil_room(u: GridFunction, node) -> tuple[int, tuple[int, ...]]:
-    level, idx = node
-    level = int(level)
-    idx = tuple(int(i) for i in idx)
-    grid = _check_type(u, GridFunction, "u must be a GridFunction").grid
-    if len(idx) != grid.n_dim:
-        raise InputError(f"node index {idx} does not match dimension {grid.n_dim}")
-    if level < 1 or level >= grid.n_time_levels:
-        raise BoundaryProximityError(
-            f"level {level} has no backward neighbor on {grid.n_time_levels} levels"
-        )
-    for i, a in enumerate(idx):
-        if a < 1 or a > grid.axis_size(i) - 2:
-            raise BoundaryProximityError(
-                f"node {idx} lacks stencil room on axis {i} "
-                f"(size {grid.axis_size(i)})"
-            )
-    return level, idx
-
-
-def _neighbourhood(u: GridFunction, node, level_shift: int = 0) -> np.ndarray:
-    """The 3^n block of lattice values around a node, copied C-contiguous."""
-    level, idx = _check_stencil_room(u, node)
-    block = u.data[level + level_shift][tuple(slice(i - 1, i + 2) for i in idx)]
-    return np.ascontiguousarray(block)  # the slice kernels read it flat
-
-
-# The three stencils below run the slice kernels of operators.py on the
-# node's neighbourhood, so there is one implementation of each
-# difference.  operators imports this module, hence the local imports.
-
-
-def centered_hessian(u: GridFunction, node) -> np.ndarray:
-    """Second-order centered Hessian at one node (four-point cross off-diagonal)."""
-    from .operators import _hessian_stack, _slice_cross_diffs, _slice_diag_diffs
-
-    block, h, n = _neighbourhood(u, node), u.grid.h, u.grid.n_dim
-    hess = _hessian_stack(_slice_diag_diffs(block, h), _slice_cross_diffs(block, h))
-    return _symmetric(hess.reshape(n, n))
-
-
-def centered_gradient(u: GridFunction, node) -> np.ndarray:
-    """Second-order centered first differences at one node."""
-    from .operators import _slice_gradient
-
-    return np.ravel(_slice_gradient(_neighbourhood(u, node), u.grid.h))
-
-
-def backward_time_diff(u: GridFunction, node) -> float:
-    """First-order backward difference in time at one node."""
-    from .operators import _slice_time_diff
-
-    now, before = _neighbourhood(u, node), _neighbourhood(u, node, -1)
-    return _slice_time_diff(now, before, u.grid.tau).item()
-
-
 # ---------------------------------------------------------------------------
 # File format: ASCII magic line, JSON metadata line, raw little-endian
 # float64 payload, time-major row-major.
 
 
 def write_gridfn(u: GridFunction, path) -> None:
+    """Write u level by level: nothing the size of the history is copied.
+
+    A level is written from u's own buffer on a little-endian machine
+    and converted to <f8 on its own elsewhere.
+    """
     _check_type(u, GridFunction, "u must be a GridFunction")
     meta = {**asdict(u.grid), "endianness": "little", "index_order": "time-major row-major"}
-    payload = np.ascontiguousarray(u.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(FILE_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(meta, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(payload)
+        for level in u.data:
+            fh.write(level.astype("<f8", copy=False))
 
 
 def read_gridfn(path) -> GridFunction:

@@ -64,7 +64,6 @@ __all__ = [
     "CauchyCheckReport",
     "PointReport",
     "GlobalReport",
-    "best_linear_fit",
     "decay_sequence",
     "boundary_decay_sequence",
     "coefficient_cauchy_check",
@@ -150,13 +149,6 @@ def _fit_over_cylinder(
     sup_error = max(float((col_max - predicted).max()), float((predicted - col_min).max()))
     b.flags.writeable = False
     return LinearFit(a=a, b=b, sup_error=sup_error, cylinder=cyl)
-
-
-def best_linear_fit(u: GridFunction, cyl: CylinderIndex) -> LinearFit:
-    """Least-squares affine fit with its exact sup error on the cylinder."""
-    if cyl.grid != _check_type(u, GridFunction, "u must be a GridFunction").grid:
-        raise InputError("cylinder indexes a different grid")
-    return _fit_over_cylinder(u, cyl, boundary=False)
 
 
 @dataclass(frozen=True)

@@ -541,7 +541,6 @@ DOCUMENTED_EXIT_CODES = {
     "DegenerateFitError": 2,
     "DegenerateCylinderError": 2,
     "SingularGradientError": 2,
-    "BoundaryProximityError": 2,
 }
 
 

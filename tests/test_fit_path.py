@@ -23,7 +23,7 @@ from puccilab.errors import DegenerateCylinderError, InputError
 from puccilab.experiments import make_field, run_ellipticity_sweep, run_p_sweep
 from puccilab.grid import Grid, GridFunction, cylinder_nodes, restrict, sample
 from puccilab.regularity import (
-    best_linear_fit,
+    _fit_over_cylinder,
     boundary_decay_sequence,
     decay_report_rows,
     decay_sequence,
@@ -77,7 +77,7 @@ INTERIOR_CASES = [
 def test_interior_fit_matches_stacked_oracle(x0, t0, r):
     u = random_field()
     cyl = cylinder_nodes(u.grid, (np.array(x0), t0), r)
-    fit = best_linear_fit(u, cyl)
+    fit = _fit_over_cylinder(u, cyl, boundary=False)
     coef, sup = stacked_oracle(u, cyl, boundary=False)
     assert fit.a == pytest.approx(coef[0], abs=1e-12)
     assert fit.b == pytest.approx(coef[1:], abs=1e-12)
@@ -103,7 +103,7 @@ def test_sup_error_is_exact_on_the_reductions():
     u = random_field(seed=11)
     for x0, t0, r in INTERIOR_CASES:
         cyl = cylinder_nodes(u.grid, (np.array(x0), t0), r)
-        fit = best_linear_fit(u, cyl)
+        fit = _fit_over_cylinder(u, cyl, boundary=False)
         predicted = fit.a + cyl.spatial_offsets() @ fit.b
         assert fit.sup_error == float(np.max(np.abs(gathered(u, cyl) - predicted)))
 
@@ -423,10 +423,10 @@ def test_a_small_cylinder_costs_the_same_on_any_lattice():
         u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
         center = (np.zeros(2), 0.0)
         cyl = cylinder_nodes(grid, center, 3 * h)
-        cold = _traced_peak(lambda: best_linear_fit(u, cyl))
+        cold = _traced_peak(lambda: _fit_over_cylinder(u, cyl, boundary=False))
         peaks[grid.spatial_shape[0]] = {
             "cold fit": cold,
-            "fit": _traced_peak(lambda: best_linear_fit(u, cyl)),
+            "fit": _traced_peak(lambda: _fit_over_cylinder(u, cyl, boundary=False)),
             "values": _traced_peak(lambda: cyl.values(u)),
             "reductions": _traced_peak(lambda: cyl.column_reductions(u)),
             "cylinder": _traced_peak(lambda: cylinder_nodes(grid, center, 3 * h)),

@@ -1,14 +1,15 @@
-"""Lattice, cylinder enumeration, stencils, and the file format."""
+"""Lattice, cylinder enumeration, and the file format."""
 
 import copy
+import json
 import pickle
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from puccilab.errors import (
-    AlignmentError,
-    BoundaryProximityError,
     DegenerateCylinderError,
     GridFileError,
     InputError,
@@ -17,11 +18,7 @@ from puccilab.grid import (
     Grid,
     _ball_mask,
     GridFunction,
-    backward_time_diff,
-    centered_gradient,
-    centered_hessian,
     cylinder_nodes,
-    parabolic_boundary_nodes,
     read_gridfn,
     restrict,
     sample,
@@ -186,18 +183,12 @@ def test_an_overflowing_radius_holds_every_node():
 @pytest.mark.parametrize("layout", ["plain", "half_space", "stagger"])
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
 def test_ball_mask_matches_brute_force(n_dim, layout):
-    # the marched ball, the cylinders and the parabolic boundary share it
+    # the marched ball and the cylinders share it
     flags = {} if layout == "plain" else {layout: True}
     grid = Grid(n_dim=n_dim, h=0.125, tau=0.125, spatial_extent=0.5, **flags)
     r = grid.spatial_extent
     brute = {idx for _, idx in brute_force_cylinder(grid, np.zeros(n_dim), 0.0, r)}
     assert {tuple(i) for i in np.argwhere(_ball_mask(grid, r))} == brute
-    closed = {
-        idx
-        for idx in np.ndindex(grid.spatial_shape)
-        if sum(grid.axis_coords(i)[j] ** 2 for i, j in enumerate(idx)) <= r * r * (1 + 1e-12)
-    }
-    assert {tuple(i) for i in np.argwhere(_ball_mask(grid, r, closed=True))} == closed
 
 
 def test_cylinder_degenerate_cases():
@@ -233,54 +224,6 @@ def test_cylinder_contained_flag():
     assert not cylinder_nodes(gh, (np.array([0.0, 0.25]), 0.0), 0.5).contained
 
 
-def test_parabolic_boundary_small_grid():
-    grid = Grid(n_dim=1, h=0.25, tau=0.0625)
-    nodes = parabolic_boundary_nodes(grid, 0.5)
-    nodes = set(nodes)
-    bottom_level = grid.time_level_of(-0.25)
-    top_level = grid.time_level_of(0.0)
-    # bottom slice: closed ball |x| <= 0.5 -> indices 2,3,4,5,6 of 9
-    for i in (2, 3, 4, 5, 6):
-        assert (bottom_level, (i,)) in nodes
-    # lateral: |x| = 0.5 columns at strictly later levels, top excluded for
-    # the interior but included for the shell
-    for m in range(bottom_level + 1, top_level):
-        assert (m, (2,)) in nodes and (m, (6,)) in nodes
-        assert (m, (4,)) not in nodes
-    assert (top_level, (4,)) not in nodes
-    with pytest.raises(InputError):
-        parabolic_boundary_nodes(grid, 0.3)
-
-
-def test_parabolic_boundary_half_space_face():
-    grid = Grid(n_dim=2, h=0.25, tau=0.0625, half_space=True)
-    nodes = set(parabolic_boundary_nodes(grid, 0.5))
-    top = grid.time_level_of(0.0)
-    # the face column x_n = 0 belongs to the boundary at every level
-    # of the window, top included
-    assert (top, (4, 0)) in nodes
-
-
-def test_stencils_exact_on_polynomials():
-    grid = Grid(n_dim=2, h=0.125, tau=0.0625)
-    u = sample(lambda x, t: 2.0 * x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2 + 0.5 * t, grid)
-    node = (2, (4, 5))
-    hess = centered_hessian(u, node)
-    assert np.allclose(hess, [[4.0, -1.0], [-1.0, 6.0]], atol=1e-9)
-    assert abs(backward_time_diff(u, node) - 0.5) < 1e-9
-    v = sample(lambda x, t: 3.0 * x[0] - 2.0 * x[1] + 1.0, grid)
-    assert np.allclose(centered_gradient(v, node), [3.0, -2.0], atol=1e-10)
-
-
-def test_stencil_boundary_proximity():
-    grid = Grid(n_dim=2, h=0.25, tau=0.25)
-    u = sample(lambda x, t: x[0] * 0.0, grid)
-    with pytest.raises(BoundaryProximityError):
-        centered_hessian(u, (1, (0, 4)))
-    with pytest.raises(BoundaryProximityError):
-        backward_time_diff(u, (0, (4, 4)))
-
-
 def test_file_round_trip_bit_exact(tmp_path):
     grid = Grid(n_dim=2, h=0.25, tau=0.125, half_space=True)
     data = np.random.randn(grid.n_time_levels, *grid.spatial_shape)
@@ -290,6 +233,47 @@ def test_file_round_trip_bit_exact(tmp_path):
     back = read_gridfn(path)
     assert back.grid == grid
     assert back.data.tobytes() == u.data.tobytes()
+
+
+def _encoded(u):
+    """The .puc bytes of u, encoded in one piece: the file format's oracle."""
+    meta = {**asdict(u.grid), "endianness": "little", "index_order": "time-major row-major"}
+    return (
+        b"PUCCILAB1\n"
+        + json.dumps(meta, sort_keys=True).encode("ascii")
+        + b"\n"
+        + np.ascontiguousarray(u.data, dtype="<f8").tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "n_dim, flags",
+    [(1, {}), (2, {}), (3, {}), (2, {"half_space": True})],
+    ids=["1d", "2d", "3d", "half-space"],
+)
+def test_file_bytes_equal_the_one_piece_encoding(tmp_path, n_dim, flags):
+    grid = Grid(n_dim=n_dim, h=0.25, tau=0.125, time_extent=0.5, **flags)
+    rng = np.random.default_rng(n_dim)
+    u = GridFunction(grid, rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape))
+    path = tmp_path / "field.puc"
+    write_gridfn(u, path)
+    assert path.read_bytes() == _encoded(u)
+
+
+def test_writing_a_field_copies_no_history(tmp_path):
+    # 65 levels of 129^2 doubles, 8.7 MB: the writer streams the levels
+    # from the field's own buffer
+    grid = Grid(n_dim=2, h=1.0 / 64, tau=1.0 / 64)
+    u = GridFunction(grid, np.ones((grid.n_time_levels,) + grid.spatial_shape))
+    nbytes = u.data.nbytes
+    assert nbytes >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        write_gridfn(u, tmp_path / "field.puc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes / 4, (peak, nbytes)
 
 
 def test_file_format_rejects_corruption(tmp_path):
@@ -452,11 +436,3 @@ def test_grid_function_rejects_nonfinite(bad):
     data[1, 2, 0] = bad
     with pytest.raises(InputError, match="finite"):
         GridFunction(grid=grid, data=data)
-
-
-def test_time_level_alignment():
-    grid = Grid(n_dim=1, h=0.5, tau=0.25)
-    assert grid.time_level_of(-1.0) == 0
-    assert grid.time_level_of(0.0) == grid.n_time_levels - 1
-    with pytest.raises(AlignmentError):
-        grid.time_level_of(-0.3)

@@ -29,6 +29,7 @@ from puccilab.operators import (
     _slice_cross_diffs,
     _slice_diag_diffs,
     _slice_gradient,
+    _slice_time_diff,
     _plaplace_envelope_value,
     _point_stencils,
     class_membership,
@@ -998,6 +999,24 @@ def test_cross_terms_equal_the_four_point_formula(shape, h, source):
         want = ((at(si + sj) - at(si - sj)) - at(-si + sj)) + at(-si - sj)
         want /= 4.0 * h * h / ws.units[1]
         assert np.array_equal(c.view(np.int64), want.view(np.int64)), (i, j)
+
+
+def test_the_slice_kernels_are_exact_on_polynomials():
+    # at node (2, (4, 5)) of a 17^2 lattice; h = 1/8 is dyadic, so the
+    # kernels return raw differences in the workspace units
+    grid = Grid(n_dim=2, h=0.125, tau=0.0625)
+    u = sample(lambda x, t: 2.0 * x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2 + 0.5 * t, grid)
+    v = sample(lambda x, t: 3.0 * x[0] - 2.0 * x[1] + 1.0, grid)
+    ws = operators._Workspace(grid.spatial_shape, grid.h)
+    k = np.ravel_multi_index((4, 5), grid.spatial_shape) - ws.lo
+    diag = [d[k : k + 1] for d in _slice_diag_diffs(u.data[2], grid.h, ws)]
+    cross = {key: c[k : k + 1] for key, c in _slice_cross_diffs(u.data[2], grid.h, ws).items()}
+    hess = _hessian_stack(diag, cross, ws.units)[0]
+    assert np.allclose(hess, [[4.0, -1.0], [-1.0, 6.0]], atol=1e-9)
+    dt = _slice_time_diff(u.data[2], u.data[1], grid.tau, ws)[k]
+    assert abs(dt - 0.5) < 1e-9
+    grad = [g[k] / ws.units[2] for g in _slice_gradient(v.data[2], grid.h, ws)]
+    assert np.allclose(grad, [3.0, -2.0], atol=1e-10)
 
 
 @pytest.mark.parametrize(

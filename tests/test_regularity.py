@@ -17,7 +17,7 @@ from puccilab.experiments.report import render_csv
 from puccilab.grid import Grid, GridFunction, cylinder_nodes, sample
 from puccilab.operators import HeatOp, pde_residual
 from puccilab.regularity import (
-    best_linear_fit,
+    _fit_over_cylinder,
     boundary_decay_sequence,
     coefficient_cauchy_check,
     decay_report_payload,
@@ -48,7 +48,7 @@ def test_fit_matches_full_least_squares():
         grid=grid, data=rng.standard_normal((grid.n_time_levels,) + grid.spatial_shape)
     )
     cyl = cylinder_nodes(grid, (np.zeros(2), 0.0), 0.5)
-    fit = best_linear_fit(u, cyl)
+    fit = _fit_over_cylinder(u, cyl, boundary=False)
 
     offsets = cyl.spatial_offsets()
     values = cyl.values(u)
@@ -64,7 +64,7 @@ def test_fit_matches_full_least_squares():
 def test_fit_recovers_affine_data():
     grid = flat_grid()
     u = sample(lambda mesh, t: 3.0 + 2.0 * mesh[0] - mesh[1] + 0.0 * t, grid)
-    fit = best_linear_fit(u, cylinder_nodes(grid, (np.zeros(2), 0.0), 0.5))
+    fit = _fit_over_cylinder(u, cylinder_nodes(grid, (np.zeros(2), 0.0), 0.5), boundary=False)
     assert fit.a == pytest.approx(3.0, abs=1e-12)
     assert fit.b == pytest.approx([2.0, -1.0], abs=1e-12)
     assert fit.sup_error <= 1e-12
@@ -81,8 +81,8 @@ def test_fit_shifts_exactly_under_affine_change():
     affine = 0.7 - 1.3 * mesh[0] + 0.4 * mesh[1]
     v = GridFunction(grid=grid, data=base + affine[None, ...])
     cyl = cylinder_nodes(grid, (np.zeros(2), 0.0), 0.5)
-    fu = best_linear_fit(u, cyl)
-    fv = best_linear_fit(v, cyl)
+    fu = _fit_over_cylinder(u, cyl, boundary=False)
+    fv = _fit_over_cylinder(v, cyl, boundary=False)
     assert fv.a == pytest.approx(fu.a + 0.7, abs=1e-10)
     assert fv.b == pytest.approx(fu.b + np.array([-1.3, 0.4]), abs=1e-10)
     assert fv.sup_error == pytest.approx(fu.sup_error, abs=1e-11)
@@ -94,7 +94,7 @@ def test_fit_rejects_foreign_cylinder():
     u = sample(lambda mesh, t: mesh[0], grid)
     cyl = cylinder_nodes(other, (np.zeros(2), 0.0), 0.5)
     with pytest.raises(InputError, match="different grid"):
-        best_linear_fit(u, cyl)
+        _fit_over_cylinder(u, cyl, boundary=False)
 
 
 def test_degenerate_fits_are_refused():
@@ -106,7 +106,7 @@ def test_degenerate_fits_are_refused():
     u = sample(lambda mesh, t: mesh[0] + 0.0 * t, grid)
     cyl = cylinder_nodes(grid, (np.zeros(1), 0.0), 0.5)
     with pytest.raises(DegenerateFitError):
-        best_linear_fit(u, cyl)
+        _fit_over_cylinder(u, cyl, boundary=False)
     # same column with a single time level: too few nodes outright
     shallow = Grid(
         n_dim=1, h=0.25, tau=0.25, spatial_extent=1.0, time_extent=0.25,
@@ -115,7 +115,7 @@ def test_degenerate_fits_are_refused():
     v = sample(lambda mesh, t: mesh[0] + 0.0 * t, shallow)
     lone = cylinder_nodes(shallow, (np.zeros(1), 0.0), 0.5)
     with pytest.raises(DegenerateFitError, match="nodes"):
-        best_linear_fit(v, lone)
+        _fit_over_cylinder(v, lone, boundary=False)
 
 
 def test_decay_of_caloric_quadratic():
@@ -319,7 +319,7 @@ def test_rescale_shifts_decay_sequence_by_one():
     grid, u = caloric_tall()
     r = 0.5
     alpha = 1.0
-    fit0 = best_linear_fit(u, cylinder_nodes(grid, (np.zeros(2), 0.0), r))
+    fit0 = _fit_over_cylinder(u, cylinder_nodes(grid, (np.zeros(2), 0.0), r), boundary=False)
     v = rescale(u, fit0, r, alpha)
     rep_u = decay_sequence(u, (np.zeros(2), 0.0), eta=0.5, K=3)
     rep_v = decay_sequence(v, (np.zeros(2), 0.0), eta=0.5, K=2)

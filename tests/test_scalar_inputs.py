@@ -20,7 +20,6 @@ from puccilab import (
     HeatOp,
     InputError,
     PLaplaceParams,
-    best_linear_fit,
     boundary_decay_sequence,
     cfl_limit,
     class_membership,
@@ -32,7 +31,6 @@ from puccilab import (
     membership_tolerance,
     odd_reflection,
     p_laplace_coeff,
-    parabolic_boundary_nodes,
     pde_residual,
     pointwise_c1a_norm,
     rescale,
@@ -51,7 +49,6 @@ from puccilab.experiments import (
 )
 from puccilab.experiments import scenarios
 from puccilab.experiments.scenarios import sample_interior_points
-from puccilab.grid import centered_hessian
 
 BAD = ["x", None, True, math.nan, 10**400]
 BAD_IDS = ["text", "none", "bool", "nan", "huge-int"]
@@ -78,12 +75,10 @@ LIBRARY = {
     "Grid.tau": (lambda v: Grid(n_dim=2, h=0.25, tau=v), False),
     "Grid.spatial_extent": (lambda v: Grid(n_dim=2, h=0.25, tau=0.25, spatial_extent=v), False),
     "Grid.time_extent": (lambda v: Grid(n_dim=2, h=0.25, tau=0.25, time_extent=v), False),
-    "Grid.time_level_of": (lambda v: GRID.time_level_of(v), False),
     "cylinder_nodes.r": (lambda v: cylinder_nodes(GRID, ORIGIN, v), False),
     "cylinder_nodes.t0": (lambda v: cylinder_nodes(GRID, (np.zeros(2), v), 0.5), False),
     "restrict.spatial_extent": (lambda v: restrict(U, v), False),
     "restrict.time_extent": (lambda v: restrict(U, 0.5, v), True),
-    "parabolic_boundary_nodes.r": (lambda v: parabolic_boundary_nodes(GRID, v), False),
     "EllipticityPair.lam": (lambda v: EllipticityPair(v, 2.0), False),
     "EllipticityPair.Lam": (lambda v: EllipticityPair(1.0, v), False),
     "PLaplaceParams.p": (lambda v: PLaplaceParams(v), False),
@@ -338,21 +333,11 @@ WRONG_TYPE = {
     "restrict-u": (lambda: restrict(U.data, 0.5), "u must be a GridFunction"),
     "odd_reflection-u": (lambda: odd_reflection(W.data), "u must be a GridFunction"),
     "rescale-u": (lambda: rescale(U.data, None, 0.25, 0.5), "u must be a GridFunction"),
-    "best_linear_fit-u": (
-        lambda: best_linear_fit(U.data, cylinder_nodes(GRID, ORIGIN, 0.5)),
-        "u must be a GridFunction",
-    ),
     "membership_tolerance-u": (lambda: membership_tolerance(U.data), "u must be a GridFunction"),
     "write_gridfn-u": (lambda: write_gridfn(U.data, "unwritten.pgf"), "u must be a GridFunction"),
-    "centered_hessian-u": (
-        lambda: centered_hessian(U.data, (1, (1, 1))), "u must be a GridFunction"
-    ),
     "GridFunction-grid": (lambda: GridFunction(grid="grid", data=U.data), "grid must be a Grid"),
     "sample-grid": (lambda: sample(zero, "grid"), "grid must be a Grid"),
     "cylinder_nodes-grid": (lambda: cylinder_nodes("grid", ORIGIN, 0.5), "grid must be a Grid"),
-    "parabolic_boundary_nodes-grid": (
-        lambda: parabolic_boundary_nodes("grid", 0.5), "grid must be a Grid"
-    ),
     "cfl_limit-grid": (lambda: cfl_limit(HeatOp(), "grid"), "grid must be a Grid"),
     "cfl_limit-op": (lambda: cfl_limit("heat", GRID), "unknown operator tag"),
     "solve_p_laplace_regularized-grid": (
