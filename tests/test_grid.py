@@ -260,10 +260,20 @@ def test_file_bytes_equal_the_one_piece_encoding(tmp_path, n_dim, flags):
     assert path.read_bytes() == _encoded(u)
 
 
-def test_writing_a_field_copies_no_history(tmp_path):
-    # 65 levels of 129^2 doubles, 8.7 MB: the writer streams the levels
-    # from the field's own buffer
-    grid = Grid(n_dim=2, h=1.0 / 64, tau=1.0 / 64)
+@pytest.mark.parametrize(
+    "n_dim, h, tau, flags",
+    [
+        (1, 1.0 / 512, 1.0 / 1024, {}),
+        (2, 1.0 / 64, 1.0 / 64, {}),
+        (3, 1.0 / 16, 1.0 / 32, {}),
+        (2, 1.0 / 64, 1.0 / 128, {"half_space": True}),
+    ],
+    ids=["1d", "2d", "3d", "half-space"],
+)
+def test_writing_a_field_copies_no_history(tmp_path, n_dim, h, tau, flags):
+    # at least 8 MB of levels (65 of 129^2 doubles in 2-D): the writer
+    # streams the levels from the field's own buffer
+    grid = Grid(n_dim=n_dim, h=h, tau=tau, **flags)
     u = GridFunction(grid, np.ones((grid.n_time_levels,) + grid.spatial_shape))
     nbytes = u.data.nbytes
     assert nbytes >= 8 * 2**20

@@ -1001,22 +1001,40 @@ def test_cross_terms_equal_the_four_point_formula(shape, h, source):
         assert np.array_equal(c.view(np.int64), want.view(np.int64)), (i, j)
 
 
-def test_the_slice_kernels_are_exact_on_polynomials():
-    # at node (2, (4, 5)) of a 17^2 lattice; h = 1/8 is dyadic, so the
-    # kernels return raw differences in the workspace units
-    grid = Grid(n_dim=2, h=0.125, tau=0.0625)
-    u = sample(lambda x, t: 2.0 * x[0] ** 2 - x[0] * x[1] + 3.0 * x[1] ** 2 + 0.5 * t, grid)
-    v = sample(lambda x, t: 3.0 * x[0] - 2.0 * x[1] + 1.0, grid)
+# u = sum_i a_i x_i^2 + sum_{i<j} b_ij x_i x_j + t / 2 and v = c . x + 1:
+# Hessian of u, u_t and gradient of v per dimension, at one interior node
+_POLY_HESSIAN = {
+    1: [[4.0]],
+    2: [[4.0, -1.0], [-1.0, 6.0]],
+    3: [[4.0, -1.0, 0.5], [-1.0, 6.0, 2.0], [0.5, 2.0, 2.0]],
+}
+_POLY_GRADIENT = {1: [3.0], 2: [3.0, -2.0], 3: [3.0, -2.0, 1.0]}
+_POLY_NODE = {1: (4,), 2: (4, 5), 3: (4, 5, 3)}
+
+
+@pytest.mark.parametrize("kernel", ["hessian", "time-diff", "gradient"])
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_the_slice_kernels_are_exact_on_polynomials(n_dim, kernel):
+    # at node (2, _POLY_NODE[n_dim]) of a 17^n lattice; h = 1/8 is
+    # dyadic, so the kernels return raw differences in the workspace units
+    grid = Grid(n_dim=n_dim, h=0.125, tau=0.0625)
+    hess, c = np.array(_POLY_HESSIAN[n_dim]), _POLY_GRADIENT[n_dim]
+    quadratic = lambda x: 0.5 * sum(hess[i, j] * x[i] * x[j] for i, j in np.ndindex(hess.shape))
+    u = sample(lambda x, t: quadratic(x) + 0.5 * t, grid)
+    v = sample(lambda x, t: sum(ci * xi for ci, xi in zip(c, x)) + 1.0, grid)
     ws = operators._Workspace(grid.spatial_shape, grid.h)
-    k = np.ravel_multi_index((4, 5), grid.spatial_shape) - ws.lo
-    diag = [d[k : k + 1] for d in _slice_diag_diffs(u.data[2], grid.h, ws)]
-    cross = {key: c[k : k + 1] for key, c in _slice_cross_diffs(u.data[2], grid.h, ws).items()}
-    hess = _hessian_stack(diag, cross, ws.units)[0]
-    assert np.allclose(hess, [[4.0, -1.0], [-1.0, 6.0]], atol=1e-9)
-    dt = _slice_time_diff(u.data[2], u.data[1], grid.tau, ws)[k]
-    assert abs(dt - 0.5) < 1e-9
-    grad = [g[k] / ws.units[2] for g in _slice_gradient(v.data[2], grid.h, ws)]
-    assert np.allclose(grad, [3.0, -2.0], atol=1e-10)
+    k = np.ravel_multi_index(_POLY_NODE[n_dim], grid.spatial_shape) - ws.lo
+    if kernel == "hessian":
+        diag = [d[k : k + 1] for d in _slice_diag_diffs(u.data[2], grid.h, ws)]
+        cross = {key: d[k : k + 1] for key, d in _slice_cross_diffs(u.data[2], grid.h, ws).items()}
+        assert len(cross) == n_dim * (n_dim - 1) // 2
+        assert np.allclose(_hessian_stack(diag, cross, ws.units)[0], hess, atol=1e-9)
+    elif kernel == "time-diff":
+        dt = _slice_time_diff(u.data[2], u.data[1], grid.tau, ws)[k]
+        assert abs(dt - 0.5) < 1e-9
+    else:
+        grad = [g[k] / ws.units[2] for g in _slice_gradient(v.data[2], grid.h, ws)]
+        assert np.allclose(grad, c, atol=1e-10)
 
 
 @pytest.mark.parametrize(
